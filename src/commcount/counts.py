@@ -22,6 +22,7 @@ from .chars import (
     TableProviderError,
     TableValidationError,
     build_table,
+    reconstruct,
 )
 from .cyclo import Cyclo, NotRationalError
 from .groups import GroupTable, SubgroupRef, center_and_derived, conjugacy_classes
@@ -268,6 +269,22 @@ def _certified_int(value: Cyclo, what: str, nonneg: bool = True) -> int:
     return int(q)
 
 
+def _certified_counts(
+    G: GroupTable, T: CharacterTable, coeffs, kind: str, n: int
+) -> ClassCounts:
+    """sum_i coeffs[i] * chi_i, certified a non-negative integer per class."""
+    values = reconstruct(T, coeffs).values
+    return ClassCounts(
+        G,
+        tuple(
+            _certified_int(v, f"{kind}_{n} at class {c}")
+            for c, v in enumerate(values)
+        ),
+        kind,
+        n,
+    )
+
+
 def f2_coeffs(T: CharacterTable) -> tuple[Fraction, ...]:
     """Coefficients of f_2 in the irreducible basis: |G|/chi(1)."""
     order = T.group.order
@@ -277,15 +294,7 @@ def f2_coeffs(T: CharacterTable) -> tuple[Fraction, ...]:
 def f2_from_characters(G: GroupTable, T: CharacterTable | None = None) -> ClassCounts:
     """f_2 via the classical class-equation formula, certified integral."""
     T = T or build_table(G)
-    part = conjugacy_classes(G)
-    coeffs = f2_coeffs(T)
-    vals = []
-    for c in range(len(part)):
-        total = Cyclo.zero()
-        for q, chi in zip(coeffs, T.irreducibles):
-            total = total + q * chi.values[c]
-        vals.append(_certified_int(total, f"f_2 at class {c}"))
-    return ClassCounts(G, tuple(vals), "f", 2)
+    return _certified_counts(G, T, f2_coeffs(T), "f", 2)
 
 
 def _theta_weights(G: GroupTable, a: int) -> list[int]:
@@ -308,21 +317,15 @@ def _theta_weights(G: GroupTable, a: int) -> list[int]:
 
 
 def _aggregated_theta_weights(G: GroupTable) -> list[list[int]]:
-    """Per a-class weight vectors, cached on the group."""
-    key = "theta-weights"
-    cached = G._extra.get(key)
-    if cached is None:
-        part = conjugacy_classes(G)
-        cached = [_theta_weights(G, rep) for rep in part.reps]
-        G._extra[key] = cached
-    return cached
+    """Per a-class weight vectors."""
+    return [_theta_weights(G, rep) for rep in conjugacy_classes(G).reps]
 
 
 def theta_class_function(G: GroupTable, chi: ClassFunction) -> ClassFunction:
     """theta_chi as a class function of a (it is conjugation-invariant)."""
     if chi.group is not G:
         raise ValueError("character belongs to a different group")
-    weights = _aggregated_theta_weights(G)
+    weights = G.cached("theta-weights", _aggregated_theta_weights)
     vals = []
     for w in weights:
         total = Cyclo.zero()
@@ -397,16 +400,7 @@ def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction,
 
 def f3_from_characters(G: GroupTable, T: CharacterTable | None = None) -> ClassCounts:
     T = T or build_table(G)
-    part = conjugacy_classes(G)
-    coeffs = f3_coeffs(G, T)
-    vals = []
-    for c in range(len(part)):
-        total = Cyclo.zero()
-        for q, chi in zip(coeffs, T.irreducibles):
-            if q:
-                total = total + q * chi.values[c]
-        vals.append(_certified_int(total, f"f_3 at class {c}"))
-    return ClassCounts(G, tuple(vals), "f", 3)
+    return _certified_counts(G, T, f3_coeffs(G, T), "f", 3)
 
 
 @dataclass(frozen=True)
@@ -486,16 +480,7 @@ def t_from_characters(
     G: GroupTable, n: int, T: CharacterTable | None = None
 ) -> ClassCounts:
     T = T or build_table(G)
-    part = conjugacy_classes(G)
-    coeffs = t_coeffs(G, n, T)
-    vals = []
-    for c in range(len(part)):
-        total = Cyclo.zero()
-        for q, chi in zip(coeffs, T.irreducibles):
-            if q:
-                total = total + q * chi.values[c]
-        vals.append(_certified_int(total, f"t_{n} at class {c}"))
-    return ClassCounts(G, tuple(vals), "t", n)
+    return _certified_counts(G, T, t_coeffs(G, n, T), "t", n)
 
 
 # -- commuting-tuple recursion for f_n(1) --------------------------------------

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import cmath
 import re
-import threading
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_poly_cache: dict[int, tuple[int, ...]] = {}
 _row_cache: dict[int, list[tuple[Fraction, ...]]] = {}
-_cache_lock = threading.Lock()
 
 
 class NotRationalError(ValueError):
@@ -50,24 +48,18 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+@cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending degree.  Phi_1 = x - 1."""
     if n < 1:
         raise ValueError(f"conductor must be positive, got {n}")
-    with _cache_lock:
-        got = _poly_cache.get(n)
-    if got is not None:
-        return got
     # (x^n - 1) divided by the product of Phi_d over proper divisors d of n
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
     for d in range(1, n):
         if n % d == 0:
             num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
-    poly = tuple(num)
-    with _cache_lock:
-        _poly_cache[n] = poly
-    return poly
+    return tuple(num)
 
 
 def degree(n: int) -> int:
@@ -79,22 +71,19 @@ def _power_row(n: int, e: int) -> tuple[Fraction, ...]:
     # canonical residue of x^e modulo Phi_n, for e >= deg Phi_n
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
-    with _cache_lock:
-        rows = _row_cache.setdefault(n, [])
-        while len(rows) <= e - d:
-            k = d + len(rows)
-            if k == d:
-                row = tuple(Fraction(-c) for c in phi[:d])
-            else:
-                prev = rows[-1]
-                shifted = [_ZERO] + list(prev[: d - 1])
-                top = prev[d - 1]
-                if top:
-                    head = rows[0]
-                    shifted = [a + top * b for a, b in zip(shifted, head)]
-                row = tuple(shifted)
-            rows.append(row)
-        return rows[e - d]
+    rows = _row_cache.setdefault(n, [])
+    while len(rows) <= e - d:
+        if not rows:
+            row = tuple(Fraction(-c) for c in phi[:d])
+        else:
+            prev = rows[-1]
+            shifted = [_ZERO] + list(prev[: d - 1])
+            top = prev[d - 1]
+            if top:
+                shifted = [a + top * b for a, b in zip(shifted, rows[0])]
+            row = tuple(shifted)
+        rows.append(row)
+    return rows[e - d]
 
 
 def _reduce(vec: list[Fraction], n: int) -> tuple[Fraction, ...]:
@@ -304,41 +293,24 @@ class Cyclo:
 _RAT_ZERO = Cyclo(1, (_ZERO,))
 _RAT_ONE = Cyclo(1, (_ONE,))
 
-_root_cache: dict[tuple[int, int], Cyclo] = {}
-
 
 def cyclo_root(n: int, k: int = 1) -> Cyclo:
     """zeta_n^k as an exact value."""
     if n < 1:
         raise ValueError(f"conductor must be positive, got {n}")
-    k %= n
-    key = (n, k)
-    got = _root_cache.get(key)
-    if got is not None:
-        return got
+    return _root(n, k % n)
+
+
+@cache
+def _root(n: int, k: int) -> Cyclo:
     d = degree(n)
     if k < d:
-        coeffs = tuple(_ONE if i == k else _ZERO for i in range(d))
-        z = Cyclo(n, coeffs)
-    else:
-        z = Cyclo(n, _power_row(n, k))
-    _root_cache[key] = z
-    return z
-
-
-def cyclo_conj(z: Cyclo) -> Cyclo:
-    return z.conj()
+        return Cyclo(n, tuple(_ONE if i == k else _ZERO for i in range(d)))
+    return Cyclo(n, _power_row(n, k))
 
 
 def cyclo_to_rational(z: Cyclo) -> Fraction:
     return z.to_rational()
-
-
-def cyclo_sum(values) -> Cyclo:
-    out = _RAT_ZERO
-    for v in values:
-        out = out + v
-    return out
 
 
 # -- literal grammar -------------------------------------------------------
@@ -416,10 +388,6 @@ def parse_cyclo(text: str) -> Cyclo:
     return total
 
 
-def _format_rat(q: Fraction) -> str:
-    return str(q)
-
-
 def format_cyclo(z: Cyclo) -> str:
     """Canonical literal for a value: exponents ascending, '0' for zero."""
     n = z.conductor
@@ -430,12 +398,12 @@ def format_cyclo(z: Cyclo) -> str:
         neg = c < 0
         mag = -c if neg else c
         if k == 0:
-            body = _format_rat(mag)
+            body = str(mag)
         elif mag == 1:
             body = f"E({n})" if k == 1 else f"E({n})^{k}"
         else:
             e = f"E({n})" if k == 1 else f"E({n})^{k}"
-            body = f"{_format_rat(mag)}*{e}"
+            body = f"{mag}*{e}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:

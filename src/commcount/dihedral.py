@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chars import build_table
-from .counts import ClassCounts, _certified_int
-from .cyclo import Cyclo
+from .counts import ClassCounts, _certified_counts
 from .groups import GroupTable, conjugacy_classes
 
 
@@ -122,15 +121,7 @@ def t3_class_counts_closed(G: GroupTable) -> ClassCounts:
     against the closed-form character table, certified integral."""
     n = _dihedral_parameter(G)
     coeffs = t3_coeffs_closed(n).as_row_tuple()
-    T = build_table(G)
-    part = conjugacy_classes(G)
-    vals = []
-    for c in range(len(part)):
-        total = Cyclo.zero()
-        for q, chi in zip(coeffs, T.irreducibles):
-            total = total + q * chi.values[c]
-        vals.append(_certified_int(total, f"t_3 at class {c}"))
-    return ClassCounts(G, tuple(vals), "t", 3)
+    return _certified_counts(G, build_table(G), coeffs, "t", 3)
 
 
 def _dihedral_parameter(G: GroupTable) -> int:

@@ -64,7 +64,7 @@ class CountReport:
     """A finished count in exportable form.
 
     Rows follow the group's canonical class order and all values are exact
-    literals; ``timing_ms`` is optional and only the bench command fills it.
+    literals; ``timing_ms`` is an optional field that no command fills.
     """
 
     group: str

@@ -2,9 +2,9 @@
 
 Elements are indices 0..order-1 with the identity pinned at 0.  Every
 constructor produces a fully validated table: identity and inverse laws,
-Latin-square rows and columns, and associativity (checked on all triples
-up to order 256, and on 1000 seeded random triples above that).  Groups
-above order 20160 are rejected.
+Latin-square rows and columns, and associativity at every order, by Light's
+test on a greedy generating set (complete, O(n^2 log n)).  Groups above
+order 20160 are rejected.
 
 Element layouts are deterministic per family:
 
@@ -17,7 +17,6 @@ Element layouts are deterministic per family:
 """
 from __future__ import annotations
 
-import random
 from array import array
 from dataclasses import dataclass
 
@@ -26,9 +25,6 @@ import numpy as np
 from . import perms
 
 ORDER_CAP = 20160
-_ASSOC_FULL_CAP = 256
-_ASSOC_SPOT_SEED = 987654321
-_ASSOC_SPOT_TRIPLES = 1000
 
 
 class GroupSpecError(ValueError):
@@ -84,7 +80,7 @@ class GroupTable:
     """Immutable multiplication table plus cached structural data."""
 
     def __init__(self, mul, names=None, family="table", spec="", perm_list=None,
-                 product_parts=None, validate=True):
+                 product_parts=None):
         order = len(mul)
         if order == 0:
             raise GroupLawError("empty table")
@@ -104,63 +100,16 @@ class GroupTable:
         if len(names) != order:
             raise GroupLawError(f"expected {order} names, got {len(names)}")
         self.names = tuple(str(s) for s in names)
-        self.inv = self._find_inverses()
-        if validate:
-            self._validate()
-        self._classes: ClassPartition | None = None
-        self._cents: list | None = None
-        self._cent_sets: list | None = None
-        self._comm: list | None = None
-        self._orders: list | None = None
-        self._center: SubgroupRef | None = None
-        self._derived: SubgroupRef | None = None
-        self._theta_w: dict = {}
-        self._tau_w: dict = {}
-        self._extra: dict = {}
+        self.inv = _check_group_laws(np.array(rows, dtype=np.int32))
+        self._memo: dict = {}
 
-    # -- construction-time checks -----------------------------------------
-
-    def _find_inverses(self):
-        inv = array("i")
-        for x in range(self.order):
-            row = self.mul[x]
-            found = -1
-            for y in range(self.order):
-                if row[y] == 0:
-                    found = y
-                    break
-            if found < 0:
-                raise GroupLawError(f"element {x} has no inverse")
-            inv.append(found)
-        return inv
-
-    def _validate(self):
-        n = self.order
-        M = np.array([list(r) for r in self.mul], dtype=np.int32)
-        if M.min() < 0 or M.max() >= n:
-            raise GroupLawError("table entry out of range")
-        if not (M[0] == np.arange(n)).all() or not (M[:, 0] == np.arange(n)).all():
-            raise GroupLawError("index 0 is not a two-sided identity")
-        ar = np.arange(n)
-        if not (np.sort(M, axis=1) == ar).all():
-            raise GroupLawError("a row is not a permutation (left Latin law fails)")
-        if not (np.sort(M, axis=0) == ar[:, None]).all():
-            raise GroupLawError("a column is not a permutation (right Latin law fails)")
-        for x in range(n):
-            if M[self.inv[x], x] != 0:
-                raise GroupLawError(f"inverse of {x} is one-sided only")
-        if n <= _ASSOC_FULL_CAP:
-            if not (M[M, :] == M[:, M]).all():
-                raise GroupLawError("associativity fails on some triple")
-        else:
-            rng = random.Random(_ASSOC_SPOT_SEED)
-            mul = self.mul
-            for _ in range(_ASSOC_SPOT_TRIPLES):
-                x, y, z = (rng.randrange(n) for _ in range(3))
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                    raise GroupLawError(
-                        f"associativity fails on triple ({x}, {y}, {z})"
-                    )
+    def cached(self, key, build, *args):
+        """The per-group memo: build(self, *args) runs once per key."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            got = self._memo[key] = build(self, *args)
+            return got
 
     # -- elementwise helpers ------------------------------------------------
 
@@ -177,45 +126,92 @@ class GroupTable:
         return self.mul[self.mul[t][x]][y]
 
     def comm_table(self):
-        if self._comm is None:
-            mul, inv, n = self.mul, self.inv, self.order
-            rows = []
-            for x in range(n):
-                ix = inv[x]
-                row = array(
-                    "i", (mul[mul[mul[ix][inv[y]]][x]][y] for y in range(n))
-                )
-                rows.append(row)
-            self._comm = rows
-        return self._comm
+        return self.cached("comm", _comm_table)
 
     def element_orders(self):
-        if self._orders is None:
-            out = []
-            for x in range(self.order):
-                k, y = 1, x
-                while y != 0:
-                    y = self.mul[y][x]
-                    k += 1
-                out.append(k)
-            self._orders = out
-        return self._orders
+        return self.cached("orders", _element_orders)
 
     def centralizer_lists(self):
         """Per element: the sorted tuple of indices commuting with it."""
-        if self._cents is None:
-            mul, n = self.mul, self.order
-            self._cents = [
-                tuple(y for y in range(n) if mul[x][y] == mul[y][x])
-                for x in range(n)
-            ]
-            self._cent_sets = [frozenset(t) for t in self._cents]
-        return self._cents
+        return self.cached("cents", _centralizer_lists)
 
     def centralizer_sets(self):
-        if self._cent_sets is None:
-            self.centralizer_lists()
-        return self._cent_sets
+        return self.cached("cent-sets", _centralizer_sets)
+
+
+def _check_group_laws(M) -> array:
+    """Check every group law on the dense table M; return the inverses."""
+    n = len(M)
+    ar = np.arange(n)
+    is_one = M == 0
+    inv = is_one.argmax(axis=1)
+    missing = np.flatnonzero(~is_one[ar, inv])
+    if missing.size:
+        raise GroupLawError(f"element {missing[0]} has no inverse")
+    if M.min() < 0 or M.max() >= n:
+        raise GroupLawError("table entry out of range")
+    if not (M[0] == ar).all() or not (M[:, 0] == ar).all():
+        raise GroupLawError("index 0 is not a two-sided identity")
+    if not (np.sort(M, axis=1) == ar).all():
+        raise GroupLawError("a row is not a permutation (left Latin law fails)")
+    if not (np.sort(M, axis=0) == ar[:, None]).all():
+        raise GroupLawError("a column is not a permutation (right Latin law fails)")
+    # Light's test: the a with (x*a)*y == x*(a*y) for all x, y are closed
+    # under products, so checking a generating set proves associativity.
+    # Each greedy generator at least doubles the subgroup reached, so a
+    # group never needs more than floor(log2 n) of them.
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        a = int(reached.argmin())
+        gens.append(a)
+        if len(gens) > n.bit_length() - 1:
+            raise GroupLawError(
+                f"associativity fails: more than log2({n}) greedy generators"
+            )
+        if not (M[M[:, a], :] == M[:, M[a, :]]).all():
+            raise GroupLawError(f"associativity fails with middle element {a}")
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            prods = np.unique(M[np.ix_(frontier, gens)])
+            frontier = prods[~reached[prods]]
+            reached[frontier] = True
+    # In a group the right inverse (where a row holds 0) is two-sided.
+    return array("i", inv.tolist())
+
+
+def _comm_table(G: GroupTable):
+    mul, inv, n = G.mul, G.inv, G.order
+    rows = []
+    for x in range(n):
+        ix = inv[x]
+        rows.append(
+            array("i", (mul[mul[mul[ix][inv[y]]][x]][y] for y in range(n)))
+        )
+    return rows
+
+
+def _element_orders(G: GroupTable):
+    out = []
+    for x in range(G.order):
+        k, y = 1, x
+        while y != 0:
+            y = G.mul[y][x]
+            k += 1
+        out.append(k)
+    return out
+
+
+def _centralizer_lists(G: GroupTable):
+    mul, n = G.mul, G.order
+    return [
+        tuple(y for y in range(n) if mul[x][y] == mul[y][x]) for x in range(n)
+    ]
+
+
+def _centralizer_sets(G: GroupTable):
+    return [frozenset(t) for t in G.centralizer_lists()]
 
 
 # -- spec parsing ------------------------------------------------------------
@@ -412,8 +408,15 @@ def commutator(G: GroupTable, x: int, y: int) -> int:
 
 
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
-    if G._classes is not None:
-        return G._classes
+    # ClassFunction.at and ClassCounts.at call this per lookup: a plain dict
+    # hit once the partition is built.
+    try:
+        return G._memo["classes"]
+    except KeyError:
+        return G.cached("classes", _class_partition)
+
+
+def _class_partition(G: GroupTable) -> ClassPartition:
     n = G.order
     class_of = [-1] * n
     classes, reps, sizes = [], [], []
@@ -430,11 +433,9 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
         classes.append(members)
         reps.append(start)
         sizes.append(len(members))
-    part = ClassPartition(
+    return ClassPartition(
         tuple(classes), tuple(reps), tuple(sizes), tuple(class_of)
     )
-    G._classes = part
-    return part
 
 
 def centralizer(G: GroupTable, g: int) -> SubgroupRef:
@@ -458,22 +459,18 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
 
 
 def center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
-    if G._center is None:
-        n, mul = G.order, G.mul
-        central = tuple(
-            x for x in range(n)
-            if all(mul[x][y] == mul[y][x] for y in range(n))
-        )
-        G._center = SubgroupRef(G, central)
-        comm = G.comm_table()
-        cset = {comm[x][y] for x in range(n) for y in range(n)}
-        G._derived = subgroup_generated(G, cset)
-    return G._center, G._derived
+    return G.cached("center-derived", _center_and_derived)
+
+
+def _center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
+    n, mul = G.order, G.mul
+    central = tuple(
+        x for x in range(n) if all(mul[x][y] == mul[y][x] for y in range(n))
+    )
+    comm = G.comm_table()
+    cset = {comm[x][y] for x in range(n) for y in range(n)}
+    return SubgroupRef(G, central), subgroup_generated(G, cset)
 
 
 def element_order(G: GroupTable, g: int) -> int:
     return G.element_orders()[g]
-
-
-def whole_group(G: GroupTable) -> SubgroupRef:
-    return SubgroupRef(G, tuple(range(G.order)))

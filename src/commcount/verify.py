@@ -21,10 +21,10 @@ from fractions import Fraction
 
 from .chars import (
     ClassFunction,
+    TableValidationError,
     build_table,
     decompose,
     partitions_of,
-    validate_table,
 )
 from .counts import (
     BudgetExceededError,
@@ -271,37 +271,54 @@ def _a5_pn_closed_form(G, f2, f3) -> CheckResult:
 
 def _properties_suite() -> list[CheckResult]:
     groups = [make_group(s) for s in sweep_specs()]
+    validation, tabled = _table_validation(groups)
+    # Rows that need a character table run on the groups whose table held.
     out = [
-        _table_validation(groups),
+        validation,
         _root_of_unity_sums(),
-        *_oracle_equivalences(groups),
+        *_oracle_equivalences(tabled),
         _fn1_recursion(groups),
         _subgroup_monotonicity(),
         *_count_inequalities(groups),
-        _m_chi_real(groups),
-        _theta_tau_sums(groups),
+        _m_chi_real(tabled),
+        _theta_tau_sums(tabled),
         _isoclinic_match(),
-        *_bounds_checks(groups),
+        *_bounds_checks(tabled),
         _ore_sets(),
         _triple_solver(),
-        _conjecture_monitor(groups),
+        _conjecture_monitor(tabled),
     ]
     return out
 
 
-def _table_validation(groups) -> CheckResult:
-    bad = []
+def _table_validation(groups) -> tuple[CheckResult, list[GroupTable]]:
+    """The validation row, read from the reports build_table stored, and
+    the groups whose tables passed."""
+    bad, tabled, names = [], [], []
+    by_scope: dict[str, list[str]] = {}
     for G in groups:
-        report = validate_table(build_table(G))
-        if not report.passed:
+        try:
+            report = build_table(G).report
+        except TableValidationError:
             bad.append(G.spec)
-    return CheckResult(
+            continue
+        tabled.append(G)
+        names = [c.name for c in report.checks]
+        scope = next(c.detail for c in report.checks if c.name == "product-identity")
+        by_scope.setdefault(scope, []).append(G.spec)
+    scopes = "; ".join(
+        f"{scope} on {len(specs)} groups" if 2 * len(specs) > len(tabled)
+        else f"{scope} on {', '.join(specs)}"
+        for scope, specs in by_scope.items()
+    )
+    row = CheckResult(
         "properties",
         "character-table-validation",
         not bad,
-        f"row/column orthogonality, degree sums, convolution sampling on "
-        f"{len(groups)} groups{_bad(bad)}",
+        f"{', '.join(names)} on {len(tabled)} groups; product-identity: "
+        f"{scopes}{_bad(bad)}",
     )
+    return row, tabled
 
 
 def _root_of_unity_sums() -> CheckResult:

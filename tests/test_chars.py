@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from commcount import chars, verify
 from commcount.chars import (
     CharacterTable,
     TableProviderError,
@@ -245,6 +246,14 @@ def test_validation_catches_corruption(tmp_path):
     report = validate_table(T)
     assert not report.passed
     assert not T.validated
+    assert T.report is report
+    assert [c.name for c in report.checks] == [
+        "class-count",
+        "degrees-match-identity-column",
+        "degree-square-sum",
+        "row-orthogonality",
+        "product-identity",
+    ]
     names = [c.name for c in report.failures()]
     assert "row-orthogonality" in names
     row_check = next(c for c in report.checks if c.name == "row-orthogonality")
@@ -265,3 +274,24 @@ def test_validation_catches_wrong_degree():
     report = validate_table(T)
     names = [c.name for c in report.failures()]
     assert "degree-square-sum" in names
+
+
+def test_sweep_row_names_a_failing_table(monkeypatch):
+    build = chars._build_unvalidated
+
+    def corrupt(G, provider):
+        T = build(G, provider)
+        if G.spec == "cyclic:7":  # last row replaced by a copy of the first
+            T.irreducibles = T.irreducibles[:-1] + T.irreducibles[:1]
+        return T
+
+    monkeypatch.setattr(chars, "_build_unvalidated", corrupt)
+    monkeypatch.setattr(
+        verify, "sweep_specs", lambda: ("cyclic:3", "cyclic:7", "alternating:5")
+    )
+    rows = {r.name: r for r in verify.run_suite("properties")}
+    row = rows["character-table-validation"]
+    assert not row.passed
+    assert "FAILED at ['cyclic:7']" in row.detail
+    assert "50 seeded pairs on alternating:5" in row.detail
+    assert rows["f3-oracle-equivalence"].passed

@@ -182,6 +182,16 @@ def test_bad_tables_rejected():
     ]
     with pytest.raises(GroupLawError, match="associativity"):
         GroupTable(t)
+    # Z_300 with one intercalate swapped (rows a, a+150 by columns c, c+150):
+    # a Latin loop with identity 0 whose failing triples are too rare to sample
+    rng = random.Random(300)
+    for _ in range(8):
+        a, c = rng.randrange(1, 150), rng.randrange(1, 150)
+        t = [[(i + j) % 300 for j in range(300)] for i in range(300)]
+        for r in (a, a + 150):
+            t[r][c], t[r][c + 150] = t[r][c + 150], t[r][c]
+        with pytest.raises(GroupLawError, match="associativity"):
+            GroupTable(t)
 
 
 def test_commutator_convention():
