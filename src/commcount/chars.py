@@ -5,25 +5,37 @@ closed-form provider (cyclic, dihedral), the rim-hook recursion for
 symmetric groups, a bundled data file (a4, a5, q8), a tensor product of
 factor tables, or an explicit file.  Every table is validated exactly
 before use: class count, degrees, degree-square sum, row orthogonality, and
-the product identity chi(g)*chi(h) = (chi(1)/|G|) * sum_z chi(g * h^z), on
-all class-rep pairs up to order 24 and on 50 seeded element pairs above it.
-The report of that validation is stored on the table.
+the product identity chi(g)*chi(h) = (chi(1)/|G|) * sum_z chi(g * h^z) on
+every pair of class representatives, at every order.  The report of that
+validation is stored on the table.
+
+Table-scale work runs on one integer array per table (`table_array`, a
+`CycloArray` of shape (k, k, N) stored on the table): validation, the
+decomposition into irreducibles and the reconstruction from coefficients
+are integer matrix products on it.
 """
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import lcm
 
-from .cyclo import Cyclo, cyclo_root, format_cyclo, parse_cyclo
+import numpy as np
+
+from .cyclo import (
+    Cyclo,
+    CycloArray,
+    cyclo_root,
+    exact_matmul,
+    exact_scaled,
+    format_cyclo,
+    parse_cyclo,
+    residue_cyclo,
+)
 from .groups import ClassPartition, GroupTable, conjugacy_classes
-
-_EQ21_SAMPLE = 50
-_EQ21_SEED = 12345
-_FULL_CHECK_MAX_ORDER = 24
 
 
 class TableProviderError(ValueError):
@@ -115,6 +127,7 @@ class CharacterTable:
     labels: tuple[str, ...]
     provenance: str
     report: ValidationReport | None = None
+    array: CycloArray | None = field(default=None, repr=False, compare=False)
 
     @property
     def validated(self) -> bool:
@@ -124,22 +137,34 @@ class CharacterTable:
         return len(self.irreducibles)
 
 
+def table_array(T: CharacterTable) -> CycloArray:
+    """The values chi_i(class c) as one CycloArray of shape (k, k, N), N the
+    lcm of the table's conductors; built on first use and stored on T."""
+    if T.array is None:
+        T.array = CycloArray.of([chi.values for chi in T.irreducibles])
+    return T.array
+
+
 def decompose(f: ClassFunction, T: CharacterTable) -> tuple[Fraction, ...]:
     """Multiplicities <f, chi> for each irreducible, as exact rationals."""
-    return tuple(inner_product(f, chi).to_rational() for chi in T.irreducibles)
+    sizes = conjugacy_classes(T.group).sizes
+    X = table_array(T)
+    F = CycloArray.of([f.values], X.conductor)
+    X = X.lifted(F.conductor)
+    scale = T.group.order * F.den * X.den
+    return tuple(
+        residue_cyclo(r, scale, F.conductor).to_rational()
+        for r in F.gram(X, sizes)[0]
+    )
 
 
 def reconstruct(T: CharacterTable, coeffs) -> ClassFunction:
     """sum_i coeffs[i] * chi_i as a ClassFunction."""
-    part = conjugacy_classes(T.group)
-    vals = []
-    for c in range(len(part)):
-        total = Cyclo.rational(0)
-        for q, chi in zip(coeffs, T.irreducibles):
-            if q:
-                total = total + q * chi.values[c]
-        vals.append(total)
-    return ClassFunction(T.group, tuple(vals))
+    X = table_array(T)
+    den = lcm(1, *(Fraction(q).denominator for q in coeffs))
+    nums = np.array([int(Fraction(q) * den) for q in coeffs], dtype=object)
+    by_class = CycloArray(X.ints.swapaxes(0, 1), X.den, X.conductor, X.reduction)
+    return ClassFunction(T.group, tuple(by_class.weighted(nums, den).cyclos()))
 
 
 # -- validation ---------------------------------------------------------------
@@ -167,7 +192,15 @@ class ValidationReport:
 def validate_table(T: CharacterTable) -> ValidationReport:
     """Run every exact consistency check and store the report on the table,
     which counts as validated only if all of them pass.  Failures are
-    reported as data, never raised."""
+    reported as data, never raised.
+
+    The checks: as many irreducibles as classes; chi(1) equals the degree;
+    the degree squares sum to |G|; row orthogonality, as one size-weighted
+    Gram product of the table array with its conjugate, equal to |G| I;
+    and the product identity on every pair of class representatives.  No
+    column check: with k rows for k classes, X D X* = |G| I (row
+    orthogonality) gives X* X = |G| D^-1 (column orthogonality).
+    """
     G = T.group
     part = conjugacy_classes(G)
     k = len(part)
@@ -204,13 +237,11 @@ def validate_table(T: CharacterTable) -> ValidationReport:
         )
     )
 
-    bad_rows = []
-    for i in range(k):
-        for j in range(i, k):
-            got = inner_product(T.irreducibles[i], T.irreducibles[j])
-            want = 1 if i == j else 0
-            if got != want:
-                bad_rows.append((i, j))
+    X = table_array(T)
+    gram = X.gram(X, part.sizes)  # |G| <chi_i, chi_j>, scaled by den^2
+    want = np.eye(k, dtype=object) * (G.order * X.den**2)
+    wrong = (gram[..., 1:] != 0).any(axis=-1) | (gram[..., 0] != want)
+    bad_rows = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(wrong)))]
     checks.append(
         CheckRecord(
             "row-orthogonality",
@@ -219,46 +250,52 @@ def validate_table(T: CharacterTable) -> ValidationReport:
         )
     )
 
-    # No column check: with k rows for k classes, X D X* = |G| I (row
-    # orthogonality) gives X* X = |G| D^-1 (column orthogonality).
     checks.append(_check_product_identity(T, part))
     T.report = ValidationReport(tuple(checks))
     return T.report
 
 
+def _class_pair_counts(G: GroupTable, part: ClassPartition):
+    """The nonzero counts cnt[a, b, c] = #{z : g_a * h_b^z in class c} for
+    the class reps g_a, h_b, as arrays (a*k + b, c, count) sorted by
+    a*k + b, every pair present.  z -> h_b^z covers each member of class b
+    |C(h_b)| times, so count = |C(h_b)| * #{y in class b : g_a * y in
+    class c}; at most |G| entries per rep g_a."""
+    k = len(part)
+    class_of = np.asarray(part.class_of)
+    prod_class = class_of[np.asarray([G.mul[r] for r in part.reps])]  # g_a * y
+    pair = k * np.arange(k)[:, None] + class_of  # a*k + (class of y)
+    keys, count = np.unique((pair * k + prod_class).ravel(), return_counts=True)
+    ab, c = np.divmod(keys, k)
+    return ab, c, count * (G.order // np.asarray(part.sizes))[ab % k]
+
+
 def _check_product_identity(T: CharacterTable, part: ClassPartition) -> CheckRecord:
-    # chi(g) chi(h) = (chi(1)/|G|) sum_z chi(g * h^z); checked as
-    # |G| * chi(g) chi(h) = chi(1) * sum over classes of count * chi(c).
+    # chi(g) chi(h) = (chi(1)/|G|) sum_z chi(g * h^z), checked on residues as
+    # |G| * chi(g) chi(h) = chi(1) * sum over classes of count * chi(c), for
+    # every pair of class reps, one character at a time.
     G = T.group
-    n = G.order
-    if n <= _FULL_CHECK_MAX_ORDER:
-        pairs = [(g, h) for g in part.reps for h in part.reps]
-        scope = "all class-rep pairs"
-    else:
-        rng = random.Random(_EQ21_SEED)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(_EQ21_SAMPLE)]
-        scope = f"{_EQ21_SAMPLE} seeded pairs"
-    mul = G.mul
-    bad = []
-    for g, h in pairs:
-        counts = [0] * len(part)
-        for z in range(n):
-            counts[part.class_of[mul[g][G.conj(h, z)]]] += 1
-        for idx, chi in enumerate(T.irreducibles):
-            lhs = n * (chi.at(g) * chi.at(h))
-            rhs = Cyclo.rational(0)
-            for c, cnt in enumerate(counts):
-                if cnt:
-                    rhs = rhs + cnt * chi.values[c]
-            if lhs != T.degrees[idx] * rhs:
-                bad.append((g, h, idx))
-        if bad:
-            break
-    return CheckRecord(
-        "product-identity",
-        not bad,
-        f"fails at (g, h, row) {bad}" if bad else scope,
-    )
+    k = len(part)
+    X = table_array(T)
+    res = X.residues()
+    ab, c, count = _class_pair_counts(G, part)
+    starts = np.flatnonzero(np.diff(ab, prepend=-1))  # first entry of each pair
+    failing = []
+    for i, deg in enumerate(T.degrees):
+        # row g of mult_matrices(X[i, b]) is zeta^g * chi_i(b): res @ it
+        # multiplies, so this is chi_i(a) * chi_i(b) for all a, b at once.
+        mult = X[i].mult_matrices()
+        pairs = exact_matmul(res[i], mult.swapaxes(0, 1).reshape(res.shape[-1], -1))
+        lhs = exact_scaled(pairs.reshape(k * k, -1), G.order)
+        terms = exact_scaled(res[i][c], count[:, None], k)  # <= k classes per pair
+        rhs = exact_scaled(np.add.reduceat(terms, starts), deg * X.den)
+        failing.append(np.flatnonzero((lhs != rhs).any(axis=-1)))  # a*k + b
+    if not any(f.size for f in failing):
+        return CheckRecord("product-identity", True, "all class-rep pairs")
+    first = min(int(f[0]) for f in failing if f.size)
+    a, b = divmod(first, k)
+    bad = [(part.reps[a], part.reps[b], i) for i, f in enumerate(failing) if first in f]
+    return CheckRecord("product-identity", False, f"fails at (g, h, row) {bad}")
 
 
 # -- providers ----------------------------------------------------------------
@@ -389,10 +426,11 @@ def _dihedral_table(G: GroupTable) -> CharacterTable:
         ]
         rows.append((f"chi{i}", 1, vals))
     two, zero = Cyclo.rational(2), Cyclo.rational(0)
+    # psi_j(a^r) = zeta^(jr) + zeta^(-jr) depends on jr mod n only
+    cos2 = [cyclo_root(n, e) + cyclo_root(n, -e) for e in range(n)]
     for j in range(1, (n - 1) // 2 + 1):
         vals = [
-            two if rep == 0 else zero if rep >= n
-            else cyclo_root(n, j * rep) + cyclo_root(n, -j * rep)
+            two if rep == 0 else zero if rep >= n else cos2[j * rep % n]
             for rep in reps
         ]
         rows.append((f"psi{j}", 2, vals))

@@ -8,13 +8,17 @@ with f_n at n = 2 and dominates f_3 away from the identity.
 
 Everything here is exact: brute-force tallies are plain integers, and
 character-formula values are certified to be non-negative integers
-before they are returned.
+before they are returned.  The formulas run on the table's integer array
+(`chars.table_array`): the theta weights are an integer matrix applied to
+it, and the t_n coefficients are weighted norms of its rows.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .chars import (
     CharacterTable,
@@ -23,8 +27,9 @@ from .chars import (
     TableValidationError,
     build_table,
     reconstruct,
+    table_array,
 )
-from .cyclo import Cyclo, NotRationalError
+from .cyclo import Cyclo, CycloArray, NotRationalError, exact_matmul, residue_cyclo
 from .groups import GroupTable, SubgroupRef, center_and_derived, conjugacy_classes
 
 DEFAULT_BUDGET = 10**9
@@ -316,24 +321,22 @@ def _theta_weights(G: GroupTable, a: int) -> list[int]:
     return w
 
 
-def _aggregated_theta_weights(G: GroupTable) -> list[list[int]]:
-    """Per a-class weight vectors."""
-    return [_theta_weights(G, rep) for rep in conjugacy_classes(G).reps]
+def _aggregated_theta_weights(G: GroupTable):
+    """W[a, c]: the weight vector of the rep of class a, as a k x k matrix."""
+    return np.array([_theta_weights(G, rep) for rep in conjugacy_classes(G).reps])
+
+
+def _weighted(G: GroupTable, weights, chi: ClassFunction) -> list[Cyclo]:
+    """Each row of an integer weight matrix on the classes applied to chi."""
+    if chi.group is not G:
+        raise ValueError("character belongs to a different group")
+    return CycloArray.of(chi.values).weighted(weights).cyclos()
 
 
 def theta_class_function(G: GroupTable, chi: ClassFunction) -> ClassFunction:
     """theta_chi as a class function of a (it is conjugation-invariant)."""
-    if chi.group is not G:
-        raise ValueError("character belongs to a different group")
     weights = G.cached("theta-weights", _aggregated_theta_weights)
-    vals = []
-    for w in weights:
-        total = Cyclo.zero()
-        for cnt, v in zip(w, chi.values):
-            if cnt:
-                total = total + cnt * v
-        vals.append(total)
-    return ClassFunction(G, tuple(vals))
+    return ClassFunction(G, tuple(_weighted(G, weights, chi)))
 
 
 def theta_chi(G: GroupTable, chi: ClassFunction, a: int) -> Cyclo:
@@ -344,8 +347,6 @@ def theta_chi(G: GroupTable, chi: ClassFunction, a: int) -> Cyclo:
 def tau_chi(G: GroupTable, chi: ClassFunction, b: int) -> Cyclo:
     """tau_chi(b) = sum_a |C(ab) b  intersect  C(a)| * chi([a, b]) — the
     same summand as theta_chi with the roles of a and b swapped."""
-    if chi.group is not G:
-        raise ValueError("character belongs to a different group")
     part = conjugacy_classes(G)
     mul = G.mul
     comm = G.comm
@@ -360,24 +361,32 @@ def tau_chi(G: GroupTable, chi: ClassFunction, b: int) -> Cyclo:
             if mul[u][b] in ca:
                 hits += 1
         w[part.class_of[comm(a, b)]] += hits
-    total = Cyclo.zero()
-    for cnt, v in zip(w, chi.values):
-        if cnt:
-            total = total + cnt * v
-    return total
+    return _weighted(G, np.array([w]), chi)[0]
+
+
+def _m_values(G: GroupTable, X: CycloArray, labels) -> list[Cyclo]:
+    """m_chi = sum_a theta_chi(a) for each row of X (rows x classes x N):
+    the size-weighted column sums of the theta weights times X, certified
+    real."""
+    part = conjugacy_classes(G)
+    weights = G.cached("theta-weights", _aggregated_theta_weights)
+    m = X.weighted(exact_matmul(np.array(part.sizes), weights))
+    out = []
+    for label, res, conj in zip(labels, m.residues(), m.conj().residues()):
+        total = residue_cyclo(res, X.den, X.conductor)
+        if (res != conj).any():
+            raise ValueError(
+                f"m_{label} is not real ({total}); table is inconsistent"
+            )
+        out.append(total)
+    return out
 
 
 def m_chi(G: GroupTable, chi: ClassFunction) -> Cyclo:
     """m_chi = sum_a theta_chi(a), certified real."""
-    part = conjugacy_classes(G)
-    th = theta_class_function(G, chi)
-    total = Cyclo.zero()
-    for size, v in zip(part.sizes, th.values):
-        if v:
-            total = total + size * v
-    if total.conj() != total:
-        raise ValueError(f"m_chi is not real ({total}); table is inconsistent")
-    return total
+    if chi.group is not G:
+        raise ValueError("character belongs to a different group")
+    return _m_values(G, CycloArray.of([chi.values]), ["chi"])[0]
 
 
 def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction, ...]:
@@ -385,8 +394,7 @@ def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction,
     rational."""
     T = T or build_table(G)
     out = []
-    for chi, label in zip(T.irreducibles, T.labels):
-        m = m_chi(G, chi)
+    for m, label in zip(_m_values(G, table_array(T), T.labels), T.labels):
         try:
             q = m.to_rational()
         except NotRationalError:
@@ -424,8 +432,8 @@ def conjecture_report(
 ) -> list[ConjectureRecord]:
     T = T or build_table(G)
     out = []
-    for chi, label in zip(T.irreducibles, T.labels):
-        m = m_chi(G, chi) / G.order
+    for m, label in zip(_m_values(G, table_array(T), T.labels), T.labels):
+        m = m / G.order
         rational = m.is_rational()
         integer = False
         nonneg = False
@@ -451,14 +459,14 @@ def t_coeffs(
         raise ValueError("n must be at least 2")
     T = T or build_table(G)
     part = conjugacy_classes(G)
-    cent_orders = [G.order // s for s in part.sizes]
+    weights = np.array(
+        [size * (G.order // size) ** (n - 2) for size in part.sizes], dtype=object
+    )
+    X = table_array(T)
     out = []
-    for chi, d, label in zip(T.irreducibles, T.degrees, T.labels):
-        total = Cyclo.zero()
-        for c, size in enumerate(part.sizes):
-            v = chi.values[c]
-            if v:
-                total = total + (size * cent_orders[c] ** (n - 2)) * (v * v.conj())
+    for i, (d, label) in enumerate(zip(T.degrees, T.labels)):
+        row = X[i : i + 1]
+        total = residue_cyclo(row.gram(row, weights)[0, 0], X.den**2, X.conductor)
         try:
             q = total.to_rational() / d
         except NotRationalError:

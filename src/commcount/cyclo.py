@@ -6,6 +6,11 @@ rationals.  The normal form makes equality a coefficient comparison (after
 lifting both operands to the lcm of their conductors).  No conductor
 minimisation is performed and no multiplicative inverse is provided; the
 only division is by a nonzero rational.
+
+`Cyclo` is the scalar type.  `CycloArray` holds many values at one
+conductor over one common denominator as a single integer numpy array, for
+table-scale work (see its docstring).  Both reduce powers of zeta_n through
+the same cached table of integer residues, `_power_rows`.
 """
 from __future__ import annotations
 
@@ -15,10 +20,10 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
+import numpy as np
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-_row_cache: dict[int, list[tuple[Fraction, ...]]] = {}
 
 
 class NotRationalError(ValueError):
@@ -67,36 +72,36 @@ def degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _power_row(n: int, e: int) -> tuple[Fraction, ...]:
-    # canonical residue of x^e modulo Phi_n, for e >= deg Phi_n
+@cache
+def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row e - phi(n) is the canonical residue of x^e modulo Phi_n, for
+    phi(n) <= e < n.  Phi_n is monic, so the residues are integral; higher
+    powers wrap around, since Phi_n divides x^n - 1."""
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
-    rows = _row_cache.setdefault(n, [])
-    while len(rows) <= e - d:
-        if not rows:
-            row = tuple(Fraction(-c) for c in phi[:d])
-        else:
-            prev = rows[-1]
-            shifted = [_ZERO] + list(prev[: d - 1])
-            top = prev[d - 1]
-            if top:
-                shifted = [a + top * b for a, b in zip(shifted, rows[0])]
-            row = tuple(shifted)
+    rows = []
+    row = tuple(-c for c in phi[:d])  # x^d
+    for _ in range(d, n):
         rows.append(row)
-    return rows[e - d]
+        top = row[-1]
+        row = tuple(top * a + b for a, b in zip(rows[0], (0,) + row[:-1]))
+    return tuple(rows)
 
 
 def _reduce(vec: list[Fraction], n: int) -> tuple[Fraction, ...]:
     # reduce a coefficient vector on powers of zeta_n to the canonical residue
     d = degree(n)
+    rows = _power_rows(n)
     out = list(vec[:d]) + [_ZERO] * max(0, d - len(vec))
     for e in range(d, len(vec)):
         c = vec[e]
         if not c:
             continue
-        row = _power_row(n, e)
-        for k in range(d):
-            r = row[k]
+        e %= n
+        if e < d:
+            out[e] += c
+            continue
+        for k, r in enumerate(rows[e - d]):
             if r:
                 out[k] += c * r
     return tuple(out)
@@ -306,7 +311,7 @@ def _root(n: int, k: int) -> Cyclo:
     d = degree(n)
     if k < d:
         return Cyclo(n, tuple(_ONE if i == k else _ZERO for i in range(d)))
-    return Cyclo(n, _power_row(n, k))
+    return Cyclo(n, tuple(Fraction(c) for c in _power_rows(n)[k - d]))
 
 
 def cyclo_to_rational(z: Cyclo) -> Fraction:
@@ -409,3 +414,154 @@ def format_cyclo(z: Cyclo) -> str:
         else:
             parts.append(f"-{body}" if neg else f"+{body}")
     return "".join(parts) if parts else "0"
+
+
+
+# -- table-scale arrays ----------------------------------------------------------
+
+_INT64_MAX = 2**63 - 1
+
+
+def _amax(a) -> int:
+    a = np.asarray(a)
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _exact(bound: int, *arrays):
+    # int64 when nothing the caller computes exceeds `bound` in size, Python
+    # ints (dtype=object) otherwise; both give the same exact result.
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    return [np.asarray(a).astype(dtype, copy=False) for a in arrays]
+
+
+def exact_matmul(a, b):
+    """a @ b on integer arrays, exactly: every partial sum is at most the
+    contracted length times max|a| times max|b|."""
+    a, b = _exact(np.shape(a)[-1] * _amax(a) * _amax(b), a, b)
+    return a @ b
+
+
+def exact_scaled(a, c, terms: int = 1):
+    """a * c on integer arrays (c broadcasts against a), exactly, with room
+    to add up to `terms` of the products afterwards."""
+    a, c = _exact(terms * _amax(a) * _amax(c), a, c)
+    return a * c
+
+
+def residue_cyclo(res, den: int, conductor: int) -> Cyclo:
+    """The Cyclo whose canonical residue at `conductor` is res / den."""
+    return Cyclo(conductor, tuple(Fraction(int(c), den) for c in res))
+
+
+class CycloArray:
+    """Cyclotomic values at one conductor N over one common denominator.
+
+    ``ints`` is an integer array of shape (..., N): a value is
+    sum_e ints[..., e] * zeta_N^e / den.  Each value is stored as its `Cyclo`
+    residue lifted to conductor N (exponent j at conductor n goes to
+    j * N/n), so the vectors are not canonical until ``residues`` reduces
+    them through ``reduction``, the residues of zeta_N^e for e < N.  Entries
+    are int64 when they fit and Python ints otherwise; every product goes
+    through `exact_matmul` or `exact_scaled`, which use int64 only under a
+    bound on the result.  Indexing selects along the leading axes.
+    """
+
+    __slots__ = ("ints", "den", "conductor", "reduction")
+
+    def __init__(self, ints, den: int, conductor: int, reduction=None):
+        self.ints = ints
+        self.den = den
+        self.conductor = conductor
+        if reduction is None:
+            d = degree(conductor)
+            eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+            reduction = np.array(eye + list(_power_rows(conductor)))
+        self.reduction = reduction
+
+    @staticmethod
+    def of(values, conductor: int = 1) -> "CycloArray":
+        """A nested sequence of Cyclo values at the lcm of their conductors
+        and `conductor`: the sequence's shape plus one axis of length N."""
+        grid = np.array(values, dtype=object)
+        flat = grid.ravel().tolist()
+        n = lcm(conductor, *(v.conductor for v in flat))
+        den = lcm(1, *(c.denominator for v in flat for c in v.coeffs))
+        rows, top = [], 0
+        for v in flat:
+            row = [0] * n
+            step = n // v.conductor
+            for j, c in enumerate(v.coeffs):
+                if c:
+                    row[j * step] = x = c.numerator * (den // c.denominator)
+                    top = max(top, abs(x))
+            rows.append(row)
+        (ints,) = _exact(top, np.array(rows, dtype=object))
+        return CycloArray(ints.reshape(grid.shape + (n,)), den, n)
+
+    def __getitem__(self, index) -> "CycloArray":
+        return CycloArray(self.ints[index], self.den, self.conductor, self.reduction)
+
+    def lifted(self, m: int) -> "CycloArray":
+        """The same values at conductor m, a multiple of N."""
+        if m == self.conductor:
+            return self
+        ints = np.zeros(self.ints.shape[:-1] + (m,), dtype=self.ints.dtype)
+        ints[..., :: m // self.conductor] = self.ints
+        return CycloArray(ints, self.den, m)
+
+    def conj(self) -> "CycloArray":
+        """Complex conjugates: exponent e goes to -e mod N."""
+        n = self.conductor
+        return CycloArray(
+            self.ints[..., -np.arange(n) % n], self.den, n, self.reduction
+        )
+
+    def residues(self):
+        """Canonical residues at N, shape (..., phi(N)), scaled by den."""
+        return exact_matmul(self.ints, self.reduction)
+
+    def cyclos(self) -> list[Cyclo]:
+        """The values of a one-axis array as Cyclo values."""
+        return [residue_cyclo(r, self.den, self.conductor) for r in self.residues()]
+
+    def weighted(self, weights, den: int = 1) -> "CycloArray":
+        """weights @ values over den: integer weights contracted, by matmul
+        rules, with the axis before the value axis."""
+        return CycloArray(
+            exact_matmul(weights, self.ints), den * self.den, self.conductor,
+            self.reduction,
+        )
+
+    def mult_matrices(self):
+        """Shape (..., phi(N), phi(N)): row g is the residue of zeta_N^g
+        times the value (scaled by den), so r @ m is the residue of r times
+        the value for any residue vector r."""
+        phi = cyclotomic_polynomial(self.conductor)
+        d = len(phi) - 1
+        lead = np.array([-c for c in phi[:d]])  # the residue of zeta_N^d
+        # A residue of zeta_N^g times a value is at most N * max|ints| *
+        # max|reduction|; one step of the recurrence adds max|lead| times that.
+        bound = (self.conductor * _amax(self.ints) * _amax(self.reduction)
+                 * (1 + _amax(lead)))
+        row, lead = _exact(bound, self.residues(), lead)
+        rows = [row]
+        for _ in range(1, d):
+            nxt = np.zeros_like(row)
+            nxt[..., 1:] = row[..., :-1]
+            nxt += row[..., -1:] * lead
+            rows.append(nxt)
+            row = nxt
+        return np.stack(rows, axis=-2)
+
+    def gram(self, other: "CycloArray", weights):
+        """out[a, b] = sum_c weights[c] * self[a, c] * conj(other[b, c]) for
+        arrays of shape (rows, classes, N) at one conductor, as residues of
+        shape (rows_a, rows_b, phi(N)) scaled by self.den * other.den.  One
+        row a at a time, so temporaries stay O(classes * N^2)."""
+        kb = other.ints.shape[0]
+        right = exact_scaled(other.conj().residues(), np.asarray(weights)[:, None])
+        right = right.reshape(kb, -1)
+        return np.stack([
+            exact_matmul(right, self[a].mult_matrices().reshape(right.shape[1], -1))
+            for a in range(self.ints.shape[0])
+        ])

@@ -5,6 +5,7 @@ import pytest
 from commcount import chars, verify
 from commcount.chars import (
     CharacterTable,
+    ClassFunction,
     TableProviderError,
     TableValidationError,
     build_table,
@@ -71,10 +72,12 @@ def test_dihedral_table_even():
     assert T12.degrees == (1, 1, 1, 1, 2, 2)
 
 
-def test_dihedral_table_sampled_identity_path():
-    # order 40 > 24, so the product identity runs on seeded sampled pairs
+def test_dihedral_table_identity_on_all_pairs_above_order_24():
+    # order 40: the product identity runs on every pair of class reps
     T = build_table(make_group("dihedral:20"))
     assert T.validated
+    identity = T.report.checks[-1]
+    assert (identity.name, identity.detail) == ("product-identity", "all class-rep pairs")
     assert len(T) == 13
     assert sorted(T.degrees) == [1, 1, 1, 1] + [2] * 9
 
@@ -185,6 +188,9 @@ def test_conjugation_character():
         assert mults[triv] == len(conjugacy_classes(H))
         assert all(m.denominator == 1 and m >= 0 for m in mults)
         assert reconstruct(T, mults) == th
+        # the same values written at conductor 3 (1 + zeta_3 + zeta_3^2 = 0)
+        lifted = tuple(v + 1 + cyclo_root(3) + cyclo_root(3, 2) for v in th.values)
+        assert decompose(ClassFunction(H, lifted), T) == mults
 
 
 def test_inner_product_and_errors():
@@ -293,5 +299,27 @@ def test_sweep_row_names_a_failing_table(monkeypatch):
     row = rows["character-table-validation"]
     assert not row.passed
     assert "FAILED at ['cyclic:7']" in row.detail
-    assert "50 seeded pairs on alternating:5" in row.detail
+    assert "product-identity: all class-rep pairs on 2 groups" in row.detail
     assert rows["f3-oracle-equivalence"].passed
+
+
+def test_product_identity_catches_swapped_central_columns(tmp_path):
+    # Classes 1 and 17 of Q8 x C4 are both central (size 1) with reps of
+    # order 4, so swapping their columns keeps the class data and row
+    # orthogonality; only the product identity on some class-rep pair fails.
+    G = make_group("product:quaternion,cyclic:4")
+    part = conjugacy_classes(G)
+    assert part.sizes[1] == part.sizes[17] == 1
+    orders = G.element_orders()
+    assert orders[part.reps[1]] == orders[part.reps[17]] == 4
+    doc = table_to_document(build_table(G))
+    for row in doc["irreducibles"]:
+        row[1], row[17] = row[17], row[1]
+    report = validate_table(table_from_document(G, doc, "file:mem"))
+    assert [c.name for c in report.failures()] == ["product-identity"]
+    assert report.failures()[0].detail.startswith("fails at (g, h, row) [(")
+
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TableValidationError, match="product-identity"):
+        build_table(G, f"file:{path}")

@@ -1,0 +1,93 @@
+"""The integer table kernel against plain Cyclo arithmetic."""
+import json
+
+import numpy as np
+import pytest
+
+from commcount import counts, verify
+from commcount.chars import (
+    TableValidationError,
+    build_table,
+    inner_product,
+    reconstruct,
+    table_array,
+    table_from_document,
+    table_to_document,
+    validate_table,
+)
+from commcount.cyclo import Cyclo, exact_matmul, exact_scaled, residue_cyclo
+from commcount.groups import conjugacy_classes, make_group
+
+
+def cyclo_sum(weights, values) -> Cyclo:
+    total = Cyclo.zero()
+    for w, v in zip(weights, values):
+        total = total + w * v
+    return total
+
+
+@pytest.mark.parametrize("spec", verify.sweep_specs())
+def test_kernel_matches_scalar_cyclo(spec):
+    G = make_group(spec)
+    T = build_table(G)
+    X = table_array(T)
+    part = conjugacy_classes(G)
+    rows = T.irreducibles
+
+    gram = X.gram(X, part.sizes)
+    for i, chi in enumerate(rows):
+        for j, psi in enumerate(rows[i:], i):
+            got = residue_cyclo(gram[i, j], G.order * X.den**2, X.conductor)
+            assert got == inner_product(chi, psi)
+            back = residue_cyclo(gram[j, i], G.order * X.den**2, X.conductor)
+            assert back == got.conj()
+
+    weights = [counts._theta_weights(G, rep) for rep in part.reps]
+    for chi, coeff in zip(rows, counts.f3_coeffs(G, T)):
+        theta = [cyclo_sum(w, chi.values) for w in weights]
+        m = cyclo_sum(part.sizes, theta)
+        assert counts.m_chi(G, chi) == m
+        assert coeff == m.to_rational() / G.order
+
+    for chi, d, coeff in zip(rows, T.degrees, counts.t_coeffs(G, 3, T)):
+        norm = cyclo_sum(
+            [s * (G.order // s) for s in part.sizes],
+            [v * v.conj() for v in chi.values],
+        )
+        assert coeff == norm.to_rational() / d
+
+    for coeffs in (counts.f3_coeffs(G, T), counts.t_coeffs(G, 3, T)):
+        got = reconstruct(T, coeffs).values
+        for c in range(len(part)):
+            assert got[c] == cyclo_sum(coeffs, [chi.values[c] for chi in rows])
+
+
+def test_exact_products_switch_to_python_ints():
+    big = np.array([[2**40, -(2**40)]])
+    prod = exact_matmul(big, big.T)
+    assert prod.dtype == object and prod[0, 0] == 2**81
+    small = exact_matmul(np.array([[3, 4]]), np.array([[5], [6]]))
+    assert small.dtype == np.int64 and small[0, 0] == 39
+    assert exact_scaled(np.array([2**62]), 4)[0] == 2**64
+
+
+@pytest.mark.parametrize(
+    "entry, dtype, den",
+    [("1/2", np.int64, 2), (str(2**40), np.int64, 1), (str(2**70), object, 1)],
+)
+def test_corrupt_file_tables_fail_validation(tmp_path, entry, dtype, den):
+    # A non-integer rational exercises the common denominator; entries of
+    # 2^40 fit int64 but their products do not; 2^70 does not fit at all.
+    G = make_group("alternating:5")
+    doc = table_to_document(build_table(G))
+    doc["irreducibles"][4][1] = entry
+    T = table_from_document(G, doc, "file:mem")
+    report = validate_table(T)
+    assert not report.passed
+    assert "row-orthogonality" in [c.name for c in report.failures()]
+    assert T.array.den == den and T.array.ints.dtype == dtype
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TableValidationError):
+        build_table(G, f"file:{path}")
