@@ -474,3 +474,7 @@ def _timed(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -344,24 +344,40 @@ def theta_chi(G: GroupTable, chi: ClassFunction, a: int) -> Cyclo:
     return theta_class_function(G, chi).at(a)
 
 
-def tau_chi(G: GroupTable, chi: ClassFunction, b: int) -> Cyclo:
-    """tau_chi(b) = sum_a |C(ab) b  intersect  C(a)| * chi([a, b]) — the
-    same summand as theta_chi with the roles of a and b swapped."""
+def _tau_weights(G: GroupTable):
+    """W[b, c] = sum over a with [a, b] in class c of |C(ab) b  intersect  C(a)|,
+    one row per element b: the summand of theta with the roles of a and b
+    swapped, so summing it over b is a second path to m_chi."""
     part = conjugacy_classes(G)
     mul = G.mul
     comm = G.comm
     cents = G.centralizer_lists()
     cent_sets = G.centralizer_sets()
-    w = [0] * len(part)
-    for a in range(G.order):
-        ab = mul[a][b]
-        ca = cent_sets[a]
-        hits = 0
-        for u in cents[ab]:
-            if mul[u][b] in ca:
-                hits += 1
-        w[part.class_of[comm(a, b)]] += hits
-    return _weighted(G, np.array([w]), chi)[0]
+    rows = []
+    for b in range(G.order):
+        w = [0] * len(part)
+        for a in range(G.order):
+            ab = mul[a][b]
+            ca = cent_sets[a]
+            hits = 0
+            for u in cents[ab]:
+                if mul[u][b] in ca:
+                    hits += 1
+            w[part.class_of[comm(a, b)]] += hits
+        rows.append(w)
+    return np.array(rows)
+
+
+def tau_chi(G: GroupTable, chi: ClassFunction, b: int) -> Cyclo:
+    """tau_chi(b) = sum_a |C(ab) b  intersect  C(a)| * chi([a, b]) — the
+    same summand as theta_chi with the roles of a and b swapped."""
+    weights = G.cached("tau-weights", _tau_weights)
+    return _weighted(G, weights[b:b + 1], chi)[0]
+
+
+def tau_values(G: GroupTable, chi: ClassFunction) -> list[Cyclo]:
+    """tau_chi(b) for every element b, in index order."""
+    return _weighted(G, G.cached("tau-weights", _tau_weights), chi)
 
 
 def _m_values(G: GroupTable, X: CycloArray, labels) -> list[Cyclo]:

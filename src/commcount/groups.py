@@ -1,10 +1,22 @@
 """Finite groups as dense multiplication tables.
 
-Elements are indices 0..order-1 with the identity pinned at 0.  Every
+Elements are indices 0..order-1 with the identity pinned at 0.  Each group
+holds one read-only int32 numpy table, ``GroupTable.table``; ``GroupTable.mul``
+is the same table as rows of ``array('i')`` for scalar lookups.  Every
 constructor produces a fully validated table: identity and inverse laws,
 Latin-square rows and columns, and associativity at every order, by Light's
-test on a greedy generating set (complete, O(n^2 log n)).  Groups above
-order 20160 are rejected.
+test on a greedy generating set (complete, O(n^2 log n)).
+
+Tables are built and analysed by numpy indexing, not by Python loops over
+pairs: permutation products by composing the rows of the sorted element
+array and ranking them by key (``perms.keys``), direct products as a
+broadcast of the factor tables, and commutators, centralizers, the center,
+classes, element orders and subgroup closure by gathers on ``table``.
+
+Groups above order 5040 (``ORDER_CAP``, the order of ``symmetric:7``) are
+rejected with ``GroupSpecError`` before their table is allocated: a dense
+int32 table costs 4n^2 bytes, about 100 MB at the cap, and its structural
+data a few times that.
 
 Element layouts are deterministic per family:
 
@@ -17,6 +29,7 @@ Element layouts are deterministic per family:
 """
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -24,7 +37,7 @@ import numpy as np
 
 from . import perms
 
-ORDER_CAP = 20160
+ORDER_CAP = 5040
 
 
 class GroupSpecError(ValueError):
@@ -33,6 +46,11 @@ class GroupSpecError(ValueError):
 
 class GroupLawError(ValueError):
     """A table failed one of the group laws; the message names it."""
+
+
+def _check_cap(order: int) -> None:
+    if order > ORDER_CAP:
+        raise GroupSpecError(f"order {order} exceeds cap {ORDER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -59,14 +77,17 @@ class SubgroupRef:
     def __post_init__(self):
         if not self.members or self.members[0] != 0:
             raise GroupLawError("subgroup must contain the identity (index 0)")
-        mset = set(self.members)
-        mul = self.parent.mul
-        for x in self.members:
-            for y in self.members:
-                if mul[x][y] not in mset:
-                    raise GroupLawError(
-                        f"member set not closed: {x}*{y} = {mul[x][y]} escapes"
-                    )
+        members = np.array(self.members)
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[members] = True
+        prods = self.parent.table[np.ix_(members, members)]
+        escapes = np.argwhere(~inside[prods])
+        if escapes.size:
+            i, j = escapes[0]
+            raise GroupLawError(
+                f"member set not closed: {members[i]}*{members[j]} = "
+                f"{prods[i, j]} escapes"
+            )
 
     @property
     def member_set(self) -> frozenset:
@@ -77,20 +98,28 @@ class SubgroupRef:
 
 
 class GroupTable:
-    """Immutable multiplication table plus cached structural data."""
+    """Immutable multiplication table plus cached structural data.
+
+    ``mul`` is a square table of indices: rows of ints or a 2-D integer
+    array.  ``table`` keeps it as a read-only int32 array once every group
+    law has been checked on it; ``mul`` becomes its rows as ``array('i')``.
+    """
 
     def __init__(self, mul, names=None, family="table", spec="", perm_list=None,
                  product_parts=None):
         order = len(mul)
         if order == 0:
             raise GroupLawError("empty table")
-        if order > ORDER_CAP:
-            raise GroupSpecError(f"order {order} exceeds cap {ORDER_CAP}")
-        rows = [array("i", row) for row in mul]
-        if any(len(r) != order for r in rows):
+        _check_cap(order)
+        try:
+            M = np.asarray(mul)
+        except ValueError:
+            raise GroupLawError("table is not square") from None
+        if M.shape != (order, order):
             raise GroupLawError("table is not square")
+        if M.dtype.kind not in "iu":
+            raise GroupLawError("table entries are not all integers")
         self.order = order
-        self.mul = rows
         self.family = family
         self.spec = spec
         self.perm_list = tuple(perm_list) if perm_list is not None else None
@@ -100,7 +129,10 @@ class GroupTable:
         if len(names) != order:
             raise GroupLawError(f"expected {order} names, got {len(names)}")
         self.names = tuple(str(s) for s in names)
-        self.inv = _check_group_laws(np.array(rows, dtype=np.int32))
+        self.inv = _check_group_laws(M)
+        self.table = M.astype(np.int32, copy=False).view()
+        self.table.flags.writeable = False
+        self.mul = [array("i", row.tobytes()) for row in self.table]
         self._memo: dict = {}
 
     def cached(self, key, build, *args):
@@ -170,44 +202,47 @@ def _check_group_laws(M) -> array:
             raise GroupLawError(
                 f"associativity fails: more than log2({n}) greedy generators"
             )
-        if not (M[M[:, a], :] == M[:, M[a, :]]).all():
+        if not (np.take(M, M[:, a], axis=0) == np.take(M, M[a], axis=1)).all():
             raise GroupLawError(f"associativity fails with middle element {a}")
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            prods = np.unique(M[np.ix_(frontier, gens)])
-            frontier = prods[~reached[prods]]
-            reached[frontier] = True
+        _close(M, reached, np.flatnonzero(reached), gens)
     # In a group the right inverse (where a row holds 0) is two-sided.
     return array("i", inv.tolist())
 
 
+def _close(M, reached, frontier, gens) -> None:
+    """Mark in reached everything frontier * gens^k reaches (k >= 1)."""
+    gens = np.asarray(gens, dtype=np.intp)
+    while frontier.size:
+        prods = np.unique(M[np.ix_(frontier, gens)])
+        frontier = prods[~reached[prods]]
+        reached[frontier] = True
+
+
 def _comm_table(G: GroupTable):
-    mul, inv, n = G.mul, G.inv, G.order
-    rows = []
-    for x in range(n):
-        ix = inv[x]
-        rows.append(
-            array("i", (mul[mul[mul[ix][inv[y]]][x]][y] for y in range(n)))
-        )
-    return rows
+    """Row x holds x^-1 * y^-1 * x * y for every y: three gathers on table,
+    one row at a time, so no n^2 temporaries are made."""
+    M, inv = G.table, np.frombuffer(G.inv, dtype=np.int32)
+    every = np.arange(G.order)
+    return [array("i", M[M[M[inv[x], inv], x], every].tobytes()) for x in every]
 
 
 def _element_orders(G: GroupTable):
-    out = []
-    for x in range(G.order):
-        k, y = 1, x
-        while y != 0:
-            y = G.mul[y][x]
-            k += 1
-        out.append(k)
-    return out
+    M = G.table
+    orders = np.ones(G.order, dtype=np.int64)
+    todo = np.arange(1, G.order)
+    power, k = todo, 1
+    while todo.size:
+        k += 1
+        power = M[power, todo]
+        done = power == 0
+        orders[todo[done]] = k
+        todo, power = todo[~done], power[~done]
+    return orders.tolist()
 
 
 def _centralizer_lists(G: GroupTable):
-    mul, n = G.mul, G.order
-    return [
-        tuple(y for y in range(n) if mul[x][y] == mul[y][x]) for x in range(n)
-    ]
+    commutes = G.table == G.table.T
+    return [tuple(np.flatnonzero(row).tolist()) for row in commutes]
 
 
 def _centralizer_sets(G: GroupTable):
@@ -252,13 +287,19 @@ def make_group(spec: str) -> GroupTable:
 
     Specs: ``cyclic:n``, ``dihedral:n`` (n>=3), ``symmetric:n`` (n<=8),
     ``alternating:n`` (n<=8), ``quaternion``, ``product:specA,specB``,
-    ``perm:(1 2 3)(4 5),(1 2)``, ``file:path``.
+    ``perm:(1 2 3)(4 5),(1 2)``, ``file:path``.  A group of order above
+    ``ORDER_CAP`` raises ``GroupSpecError``, before any table is built when
+    the spec names its order (so ``symmetric:8`` and ``alternating:8`` are
+    always refused).
     """
     spec = spec.strip()
     parsed, rem = _parse_spec_prefix(spec)
     if rem:
         raise GroupSpecError(f"trailing text {rem!r} in group spec {spec!r}")
-    return _dispatch(parsed)
+    order, build = _plan(parsed)
+    if order is not None:
+        _check_cap(order)
+    return build()
 
 
 def _int_param(spec: str, lo: int, hi: int | None = None) -> int:
@@ -275,45 +316,48 @@ def _int_param(spec: str, lo: int, hi: int | None = None) -> int:
     return n
 
 
-def _dispatch(spec: str) -> GroupTable:
+def _plan(spec: str):
+    """(order or None when only building tells, builder) for a parsed spec.
+    The order lets make_group refuse an oversized spec before building."""
     if spec.startswith("cyclic:"):
-        return _cyclic(_int_param(spec, 1))
+        n = _int_param(spec, 1)
+        return n, lambda: _cyclic(n)
     if spec.startswith("dihedral:"):
-        return _dihedral(_int_param(spec, 3))
-    if spec.startswith("symmetric:"):
-        return _symmetric(_int_param(spec, 1, 8), even_only=False)
-    if spec.startswith("alternating:"):
-        return _symmetric(_int_param(spec, 1, 8), even_only=True)
+        n = _int_param(spec, 3)
+        return 2 * n, lambda: _dihedral(n)
+    if spec.startswith(("symmetric:", "alternating:")):
+        n = _int_param(spec, 1, 8)
+        even_only = spec.startswith("alternating:")
+        order = math.factorial(n) // (2 if even_only and n >= 2 else 1)
+        return order, lambda: _symmetric(n, even_only)
     if spec == "quaternion":
-        return _quaternion()
+        return 8, _quaternion
     if spec.startswith("product:"):
-        body = spec[len("product:"):]
-        first, rem = _parse_spec_prefix(body)
-        second = rem[1:]
-        return _product(_dispatch(first), _dispatch(second), spec)
+        first, rem = _parse_spec_prefix(spec[len("product:"):])
+        (na, build_a), (nb, build_b) = _plan(first), _plan(rem[1:])
+        order = None if na is None or nb is None else na * nb
+        return order, lambda: _product(build_a(), build_b(), spec)
     if spec.startswith("perm:"):
-        return _perm_group(spec)
+        return None, lambda: _perm_group(spec)
     if spec.startswith("file:"):
         from .fileio import load_group
-        return load_group(spec[len("file:"):])
+        return None, lambda: load_group(spec[len("file:"):])
     raise GroupSpecError(f"unknown group spec {spec!r}")
 
 
 def _cyclic(n: int) -> GroupTable:
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    r = np.arange(n, dtype=np.int32)
+    mul = (r[:, None] + r) % n
     names = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
     return GroupTable(mul, names, family="cyclic", spec=f"cyclic:{n}")
 
 
 def _dihedral(n: int) -> GroupTable:
-    order = 2 * n
-    mul = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in range(n):
-            mul[i][j] = (i + j) % n
-            mul[i][n + j] = n + (i + j) % n
-            mul[n + i][j] = n + (i - j) % n
-            mul[n + i][n + j] = (i - j) % n
+    # a^i * a^j = a^(i+j), a^i * a^j b = a^(i+j) b, a^i b * a^j = a^(i-j) b,
+    # a^i b * a^j b = a^(i-j)
+    r = np.arange(n, dtype=np.int32)
+    add, sub = (r[:, None] + r) % n, (r[:, None] - r) % n
+    mul = np.block([[add, add + n], [sub + n, sub]])
     rot = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
     ref = ["b"] + ["a*b" if i == 1 else f"a^{i}*b" for i in range(1, n)]
     return GroupTable(mul, rot + ref, family="dihedral", spec=f"dihedral:{n}")
@@ -342,23 +386,42 @@ def _quaternion() -> GroupTable:
     return GroupTable(mul, names, family="quaternion", spec="quaternion")
 
 
+# Rows of the permutation table composed per block, about 2^16 products,
+# so that each block's temporaries stay near 0.5 MB.
+_BLOCK_PRODUCTS = 1 << 16
+
+
 def _table_from_perms(plist, family, spec) -> GroupTable:
-    index = {p: i for i, p in enumerate(plist)}
-    mul = []
-    for p in plist:
-        mul.append([index[perms.pmul(p, q)] for q in plist])
+    """The table of a permutation list, which must be closed under products.
+
+    Row a is P[:, P[a]] (p_a * q for every q, since (p*q)[i] = q[p[i]]);
+    each product is found in the list by its key, and one that is missing
+    raises."""
+    n = len(plist)
+    _check_cap(n)
+    P = perms.perm_array(plist, len(plist[0]))
+    key = perms.keys(P)
+    by_key = np.argsort(key)
+    sorted_keys = key[by_key]
+    mul = np.empty((n, n), dtype=np.int32)
+    step = max(1, _BLOCK_PRODUCTS // n)
+    for lo in range(0, n, step):
+        prods = perms.keys(P[:, P[lo:lo + step]])  # [q, a] = key of p_a * q
+        pos = np.minimum(np.searchsorted(sorted_keys, prods), n - 1)
+        missing = np.argwhere(sorted_keys[pos] != prods)
+        if missing.size:
+            q, a = missing[0]
+            raise GroupLawError(
+                "permutation list not closed: "
+                f"{perms.format_cycles(plist[lo + a])}*"
+                f"{perms.format_cycles(plist[q])} is not in it"
+            )
+        mul[lo:lo + step] = by_key[pos].T
     names = [perms.format_cycles(p) for p in plist]
     return GroupTable(mul, names, family=family, spec=spec, perm_list=plist)
 
 
 def _symmetric(n: int, even_only: bool) -> GroupTable:
-    count = 1
-    for k in range(2, n + 1):
-        count *= k
-    if even_only and n >= 3:
-        count //= 2
-    if count > ORDER_CAP:
-        raise GroupSpecError(f"order {count} exceeds cap {ORDER_CAP}")
     plist = perms.even_perms(n) if even_only else perms.all_perms(n)
     fam = "alternating" if even_only else "symmetric"
     return _table_from_perms(plist, fam, f"{fam}:{n}")
@@ -383,15 +446,9 @@ def _perm_group(spec: str) -> GroupTable:
 
 def _product(A: GroupTable, B: GroupTable, spec: str) -> GroupTable:
     na, nb = A.order, B.order
-    if na * nb > ORDER_CAP:
-        raise GroupSpecError(f"order {na * nb} exceeds cap {ORDER_CAP}")
-    mul = []
-    for a in range(na):
-        for b in range(nb):
-            arow, brow = A.mul[a], B.mul[b]
-            mul.append(
-                [arow[c] * nb + brow[d] for c in range(na) for d in range(nb)]
-            )
+    _check_cap(na * nb)
+    MA, MB = A.table, B.table
+    mul = (MA[:, None, :, None] * nb + MB[None, :, None, :]).reshape(na * nb, -1)
     names = [
         f"({A.names[a]},{B.names[b]})" for a in range(na) for b in range(nb)
     ]
@@ -417,24 +474,22 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
 
 
 def _class_partition(G: GroupTable) -> ClassPartition:
-    n = G.order
-    class_of = [-1] * n
-    classes, reps, sizes = [], [], []
-    for start in range(n):
+    M, inv = G.table, np.frombuffer(G.inv, dtype=np.int32)
+    every = np.arange(G.order)
+    class_of = np.full(G.order, -1)
+    classes = []
+    for start in range(G.order):
         if class_of[start] >= 0:
             continue
-        idx = len(classes)
-        orbit = {start}
-        for y in range(n):
-            orbit.add(G.conj(start, y))
-        members = tuple(sorted(orbit))
-        for e in members:
-            class_of[e] = idx
-        classes.append(members)
-        reps.append(start)
-        sizes.append(len(members))
+        # the orbit y^-1 * start * y over all y; start is its least member
+        orbit = np.unique(M[M[inv, start], every])
+        class_of[orbit] = len(classes)
+        classes.append(tuple(orbit.tolist()))
     return ClassPartition(
-        tuple(classes), tuple(reps), tuple(sizes), tuple(class_of)
+        tuple(classes),
+        tuple(c[0] for c in classes),
+        tuple(len(c) for c in classes),
+        tuple(class_of.tolist()),
     )
 
 
@@ -443,19 +498,10 @@ def centralizer(G: GroupTable, g: int) -> SubgroupRef:
 
 
 def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
-    seen = {0}
-    frontier = [0]
-    gens = sorted(set(gens))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return SubgroupRef(G, tuple(sorted(seen)))
+    reached = np.zeros(G.order, dtype=bool)
+    reached[0] = True
+    _close(G.table, reached, np.array([0]), sorted(set(gens)))
+    return SubgroupRef(G, tuple(np.flatnonzero(reached).tolist()))
 
 
 def center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
@@ -463,13 +509,14 @@ def center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
 
 
 def _center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
-    n, mul = G.order, G.mul
     central = tuple(
-        x for x in range(n) if all(mul[x][y] == mul[y][x] for y in range(n))
+        x for x, cent in enumerate(G.centralizer_lists()) if len(cent) == G.order
     )
-    comm = G.comm_table()
-    cset = {comm[x][y] for x in range(n) for y in range(n)}
-    return SubgroupRef(G, central), subgroup_generated(G, cset)
+    is_commutator = np.zeros(G.order, dtype=bool)
+    for row in G.comm_table():
+        is_commutator[np.frombuffer(row, dtype=np.int32)] = True
+    commutators = np.flatnonzero(is_commutator).tolist()
+    return SubgroupRef(G, central), subgroup_generated(G, commutators)
 
 
 def element_order(G: GroupTable, g: int) -> int:

@@ -41,7 +41,7 @@ from .counts import (
     recursive_fn1,
     t_coeffs,
     t_from_characters,
-    tau_chi,
+    tau_values,
     theta_class_function,
     centralizer_subgroup,
 )
@@ -498,9 +498,7 @@ def _theta_tau_sums(groups) -> CheckResult:
                 (size * theta.values[c] for c, size in enumerate(part.sizes)),
                 Cyclo.zero(),
             )
-            by_cols = sum(
-                (tau_chi(G, chi, b) for b in range(G.order)), Cyclo.zero()
-            )
+            by_cols = sum(tau_values(G, chi), Cyclo.zero())
             if not (by_rows == m_chi(G, chi) == by_cols):
                 bad.append(G.spec)
                 break

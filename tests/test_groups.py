@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from commcount import perms
+from commcount import groups, perms
 from commcount.groups import (
     GroupLawError,
     GroupSpecError,
     GroupTable,
+    SubgroupRef,
+    _table_from_perms,
     center_and_derived,
     centralizer,
     commutator,
@@ -167,6 +169,37 @@ def test_spec_errors():
         make_group("symmetric:8")  # order 40320 exceeds the cap
 
 
+def _never_built(*args):
+    raise AssertionError("an oversized group was built")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic:5041",
+        "cyclic:20161",
+        "dihedral:10081",
+        "alternating:8",
+        "product:alternating:7,cyclic:3",
+    ],
+)
+def test_oversized_specs_refused_before_building(spec, monkeypatch):
+    for builder in ("_cyclic", "_dihedral", "_symmetric"):
+        monkeypatch.setattr(groups, builder, _never_built)
+    with pytest.raises(GroupSpecError, match="order .* exceeds cap 5040"):
+        make_group(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["perm:(1 2 3 4 5 6 7 8),(1 2)", "product:perm:(1 2 3 4 5 6),(1 2),cyclic:8"],
+)
+def test_oversized_perm_specs_refused(spec):
+    # the closure stops at the cap; the product refuses before its own table
+    with pytest.raises(GroupSpecError, match="exceeds cap"):
+        make_group(spec)
+
+
 def test_bad_tables_rejected():
     with pytest.raises(GroupLawError):
         GroupTable([[0, 1], [1, 1]])  # not Latin
@@ -237,3 +270,122 @@ def test_class_partition_is_canonical():
     for idx, cls in enumerate(part.classes):
         for e in cls:
             assert part.class_of[e] == idx
+
+
+# -- the vectorized builders against their definitions -------------------------
+
+
+def _quaternion_reference(G):
+    """Hamilton products on the unit quaternions named by G.names."""
+    units = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0),
+             "k": (0, 0, 0, 1)}
+
+    def parse(name):
+        sign = -1 if name.startswith("-") else 1
+        return tuple(sign * c for c in units[name.lstrip("-")])
+
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    elems = [parse(name) for name in G.names]
+    index = {e: i for i, e in enumerate(elems)}
+    return [[index[hamilton(p, q)] for q in elems] for p in elems]
+
+
+def _reference_table(G):
+    n = G.order
+    if G.perm_list is not None:
+        index = {p: i for i, p in enumerate(G.perm_list)}
+        return [[index[perms.pmul(p, q)] for q in G.perm_list] for p in G.perm_list]
+    if G.family == "cyclic":
+        return [[(i + j) % n for j in range(n)] for i in range(n)]
+    if G.family == "dihedral":
+        m = n // 2  # index s*m + i is a^i b^s; a^i b^s * a^j b^t = a^(i+(-1)^s j) b^(s+t)
+        return [[((s + t) % 2) * m + (i + (-1) ** s * j) % m
+                 for t in range(2) for j in range(m)]
+                for s in range(2) for i in range(m)]
+    if G.family == "quaternion":
+        return _quaternion_reference(G)
+    A, B = G.product_parts
+    A_ref, B_ref = _reference_table(A), _reference_table(B)
+    nb = B.order
+    return [[A_ref[x // nb][y // nb] * nb + B_ref[x % nb][y % nb] for y in range(n)]
+            for x in range(n)]
+
+
+def _generated(G, gens):
+    """The subgroup generated by gens, by multiplying until nothing is new."""
+    H = {0} | set(gens)
+    while True:
+        bigger = H | {G.m(x, y) for x in H for y in H}
+        if bigger == H:
+            return tuple(sorted(H))
+        H = bigger
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "symmetric:4",
+        "alternating:5",
+        "perm:(1 2 3 4 5),(2 5)(3 4)",
+        "perm:(1 2)(3 4 5)(6 7 8 9 10 11 12 13 14 15 16 17)",  # keys as bytes
+        "dihedral:7",
+        "quaternion",
+        "product:symmetric:3,dihedral:4",
+        "product:quaternion,cyclic:3",
+    ],
+)
+def test_vectorized_builders_match_definitions(spec):
+    G = make_group(spec)
+    n = G.order
+    assert [list(row) for row in G.mul] == _reference_table(G)
+    assert G.table.tolist() == _reference_table(G)
+    assert not G.table.flags.writeable
+    if spec.startswith("perm:"):
+        gens = [perms.parse_cycles(t, len(G.perm_list[0]))
+                for t in spec[len("perm:"):].split(",")]
+        reached, frontier = set(), [perms.identity(len(gens[0]))]
+        while frontier:
+            reached.update(frontier)
+            frontier = {perms.pmul(p, g) for p in frontier for g in gens} - reached
+        assert G.perm_list == tuple(sorted(reached, key=perms.sort_key))
+
+    C = G.comm_table()
+    assert all(C[x][y] == G.comm(x, y) for x in range(n) for y in range(n))
+    cents = [tuple(y for y in range(n) if G.m(x, y) == G.m(y, x)) for x in range(n)]
+    assert G.centralizer_lists() == cents
+    Z, D = center_and_derived(G)
+    assert Z.members == tuple(x for x in range(n) if len(cents[x]) == n)
+    commutators = {G.comm(x, y) for x in range(n) for y in range(n)}
+    assert D.members == _generated(G, commutators)
+    assert subgroup_generated(G, [1]).members == _generated(G, [1])
+
+    part = conjugacy_classes(G)
+    orbits = {tuple(sorted({G.conj(x, y) for y in range(n)})) for x in range(n)}
+    assert set(part.classes) == orbits
+    assert part.reps == tuple(sorted(min(c) for c in orbits))
+    assert all(x in part.classes[part.class_of[x]] for x in range(n))
+
+    orders = []
+    for x in range(n):
+        k, y = 1, x
+        while y != 0:
+            y, k = G.m(y, x), k + 1
+        orders.append(k)
+    assert G.element_orders() == orders
+
+
+def test_non_closed_sets_rejected():
+    D4 = make_group("dihedral:4")
+    with pytest.raises(GroupLawError, match=r"not closed: 1\*1 = 2 escapes"):
+        SubgroupRef(D4, (0, 1))  # a has order 4
+    assert SubgroupRef(D4, (0, 1, 2, 3)).members == (0, 1, 2, 3)
+    cycle = perms.parse_cycles("(1 2 3)")
+    with pytest.raises(GroupLawError, match="not closed"):
+        _table_from_perms([perms.identity(3), cycle], "perm", "perm:broken")

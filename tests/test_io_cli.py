@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import commcount
 from commcount.chars import build_table
 from commcount.cli import main
 from commcount.counts import ClassCounts
@@ -305,9 +310,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         (("verify", "--suite", "nonsense"), 2),
         (("ore", "--group", "symmetric:3", "--k", "1"), 2),
         (("--help",), 0),
+        (("info", "--group", "cyclic:20161"), 2),
     ],
 )
 def test_exit_codes(capsys, argv, want):
     code = main(list(argv))
     capsys.readouterr()
     assert code == want
+
+
+def test_python_m_runs_the_cli(capsys):
+    code, want, _ = run_cli(capsys, "verify", "--suite", "paper")
+    env = dict(os.environ, PYTHONPATH=str(Path(commcount.__file__).parents[1]))
+    got = subprocess.run(
+        [sys.executable, "-m", "commcount", "verify", "--suite", "paper"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert code == got.returncode == 0
+    assert got.stdout == want
