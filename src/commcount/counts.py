@@ -11,6 +11,12 @@ character-formula values are certified to be non-negative integers
 before they are returned.  The formulas run on the table's integer array
 (`chars.table_array`): the theta weights are an integer matrix applied to
 it, and the t_n coefficients are weighted norms of its rows.
+
+The paper's pair weight H[a, b] = |C(ab) b  intersect  C(a)| is evaluated in
+one place, `_pair_weights`, one row a at a time from the group's commuting
+matrix (`GroupTable.commuting`).  Binning its rows by the class of [a, b]
+gives the theta weights (class-rep rows), the tau weights (all rows, per
+column b) and `f3_parametrized` (all rows, per element [a, b]).
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from .chars import (
     table_array,
 )
 from .cyclo import Cyclo, CycloArray, NotRationalError, exact_matmul, residue_cyclo
-from .groups import GroupTable, SubgroupRef, center_and_derived, conjugacy_classes
+from .groups import GroupTable, SubgroupRef, conjugacy_classes
 
 DEFAULT_BUDGET = 10**9
 
@@ -224,23 +230,15 @@ def naive_f_n(
 
 def f3_parametrized(G: GroupTable, budget: int = DEFAULT_BUDGET) -> ClassCounts:
     """f_3 via the coset parametrization: for each pair (c, z) with
-    [c, z] = g, count x with x in C(cz)z and x in C(c)."""
-    _check_budget(G.order, 2, budget)
-    mul = G.mul
-    comm = G.comm
-    cents = G.centralizer_lists()
-    cent_sets = G.centralizer_sets()
-    counts: dict[int, int] = defaultdict(int)
+    [c, z] = g, count x with x in C(cz)z and x in C(c).  The work is the
+    k(G) * |G|^2 pair-weight terms."""
+    projected = len(conjugacy_classes(G)) * G.order**2
+    if projected > budget:
+        raise BudgetExceededError(projected, budget)
+    counts = np.zeros(G.order, dtype=np.int64)
     for c in range(G.order):
-        cc = cent_sets[c]
-        mc = mul[c]
-        for z in range(G.order):
-            hits = 0
-            for u in cents[mc[z]]:
-                if mul[u][z] in cc:
-                    hits += 1
-            counts[comm(c, z)] += hits
-    return _as_class_counts(G, dict(counts), "f", 3)
+        np.add.at(counts, G.comm_row(c), _pair_weights(G, c))
+    return _as_class_counts(G, dict(enumerate(counts.tolist())), "f", 3)
 
 
 def brute_t_n(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> ClassCounts:
@@ -249,8 +247,8 @@ def brute_t_n(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> ClassCount
         raise ValueError("n must be at least 2")
     _check_budget(G.order, 2, budget)
     comm = G.comm
-    cents = G.centralizer_lists()
-    weight = [len(c) ** (n - 2) for c in cents]
+    # Python ints: |C(x)|^(n-2) overflows int64 for larger n.
+    weight = [c ** (n - 2) for c in G.commuting().sum(axis=1).tolist()]
     counts: dict[int, int] = defaultdict(int)
     for x in range(G.order):
         w = weight[x]
@@ -302,28 +300,36 @@ def f2_from_characters(G: GroupTable, T: CharacterTable | None = None) -> ClassC
     return _certified_counts(G, T, f2_coeffs(T), "f", 2)
 
 
-def _theta_weights(G: GroupTable, a: int) -> list[int]:
-    """w[c] = sum over b with [a, b] in class c of |C(ab) b  intersect  C(a)|."""
-    part = conjugacy_classes(G)
-    mul = G.mul
-    comm = G.comm
-    cents = G.centralizer_lists()
-    cent_sets = G.centralizer_sets()
-    ca = cent_sets[a]
-    w = [0] * len(part)
-    for b in range(G.order):
-        ab = mul[a][b]
-        hits = 0
-        for c in cents[ab]:
-            if mul[c][b] in ca:
-                hits += 1
-        w[part.class_of[comm(a, b)]] += hits
-    return w
+def _commuting_pairs(G: GroupTable):
+    """The commuting matrix in CSR form: the pairs (x, u) with u in C(x),
+    row by row, and where each row starts; k(G) * |G| pairs in all."""
+    K = G.commuting()
+    x, u = np.nonzero(K)
+    sizes = K.sum(axis=1)
+    return x.astype(np.int32), u.astype(np.int32), np.cumsum(sizes) - sizes
+
+
+def _pair_weights(G: GroupTable, a: int):
+    """H[b] = |C(ab) b  intersect  C(a)| for every b: the u in C(ab) with
+    u * b in C(a).  Each pair (x, u) of the commuting matrix is taken once,
+    with x = ab, so b = a^-1 x and the row costs k(G) * |G| gathers."""
+    x, u, starts = G.cached("commuting-pairs", _commuting_pairs)
+    to_b = G.table[G.inv[a]]
+    hits = G.commuting()[a][G.table[u, to_b[x]]]
+    H = np.empty(G.order, dtype=np.int64)
+    H[to_b] = np.add.reduceat(hits, starts, dtype=np.int64)
+    return H
 
 
 def _aggregated_theta_weights(G: GroupTable):
-    """W[a, c]: the weight vector of the rep of class a, as a k x k matrix."""
-    return np.array([_theta_weights(G, rep) for rep in conjugacy_classes(G).reps])
+    """W[a, c]: for the rep a of class a, the sum of the pair weights H[a, b]
+    over the b with [a, b] in class c, as a k x k matrix."""
+    part = conjugacy_classes(G)
+    class_of = np.array(part.class_of)
+    W = np.zeros((len(part), len(part)), dtype=np.int64)
+    for row, a in zip(W, part.reps):
+        np.add.at(row, class_of[G.comm_row(a)], _pair_weights(G, a))
+    return W
 
 
 def _weighted(G: GroupTable, weights, chi: ClassFunction) -> list[Cyclo]:
@@ -349,23 +355,12 @@ def _tau_weights(G: GroupTable):
     one row per element b: the summand of theta with the roles of a and b
     swapped, so summing it over b is a second path to m_chi."""
     part = conjugacy_classes(G)
-    mul = G.mul
-    comm = G.comm
-    cents = G.centralizer_lists()
-    cent_sets = G.centralizer_sets()
-    rows = []
-    for b in range(G.order):
-        w = [0] * len(part)
-        for a in range(G.order):
-            ab = mul[a][b]
-            ca = cent_sets[a]
-            hits = 0
-            for u in cents[ab]:
-                if mul[u][b] in ca:
-                    hits += 1
-            w[part.class_of[comm(a, b)]] += hits
-        rows.append(w)
-    return np.array(rows)
+    class_of = np.array(part.class_of)
+    every = np.arange(G.order)
+    W = np.zeros((G.order, len(part)), dtype=np.int64)
+    for a in range(G.order):
+        np.add.at(W, (every, class_of[G.comm_row(a)]), _pair_weights(G, a))
+    return W
 
 
 def tau_chi(G: GroupTable, chi: ClassFunction, b: int) -> Cyclo:
@@ -518,7 +513,7 @@ def recursive_fn1(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> int:
     on (member set, level) keeps the real cost far below the worst case."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    cent_sets = G.centralizer_sets()
+    cent_sets = [frozenset(np.flatnonzero(row).tolist()) for row in G.commuting()]
     memo: dict[tuple[frozenset, int], int] = {}
     work = 0
 
@@ -552,28 +547,20 @@ def tc_check_and_formula(G: GroupTable, n: int) -> tuple[bool, int | None]:
     if n < 2:
         raise ValueError("n must be at least 2")
     part = conjugacy_classes(G)
-    center = center_and_derived(G)[0].member_set
-    cents = G.centralizer_lists()
-    noncentral_reps = [r for r in part.reps if r not in center]
+    K = G.commuting()
+    sizes = K.sum(axis=1).tolist()
+    noncentral_reps = [r for r in part.reps if sizes[r] < G.order]
     for r in noncentral_reps:
-        if not _is_abelian_subset(G, cents[r]):
+        C = np.flatnonzero(K[r])
+        if not K[np.ix_(C, C)].all():
             return False, None
     value = len(part) * G.order
     for level in range(3, n + 1):
         value = (
-            G.order
-            * sum(len(cents[r]) ** (level - 2) for r in noncentral_reps)
-            + len(center) * value
+            G.order * sum(sizes[r] ** (level - 2) for r in noncentral_reps)
+            + sizes.count(G.order) * value
         )
     return True, value
-
-
-def _is_abelian_subset(G: GroupTable, members) -> bool:
-    mul = G.mul
-    mem = list(members)
-    return all(
-        mul[x][y] == mul[y][x] for i, x in enumerate(mem) for y in mem[i + 1 :]
-    )
 
 
 # -- solution sets -------------------------------------------------------------
@@ -633,8 +620,3 @@ def count_t_n(
         return t_from_characters(G, n)
     except (TableProviderError, TableValidationError):
         return brute_t_n(G, n, budget)
-
-
-def centralizer_subgroup(G: GroupTable, g: int) -> SubgroupRef:
-    """C_G(g) as a subgroup reference."""
-    return SubgroupRef(G, tuple(G.centralizer_lists()[g]))

@@ -314,10 +314,6 @@ def _root(n: int, k: int) -> Cyclo:
     return Cyclo(n, tuple(Fraction(c) for c in _power_rows(n)[k - d]))
 
 
-def cyclo_to_rational(z: Cyclo) -> Fraction:
-    return z.to_rational()
-
-
 # -- literal grammar -------------------------------------------------------
 #
 #   expr := ["-"] term (("+" | "-") term)*

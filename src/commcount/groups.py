@@ -10,8 +10,14 @@ test on a greedy generating set (complete, O(n^2 log n)).
 Tables are built and analysed by numpy indexing, not by Python loops over
 pairs: permutation products by composing the rows of the sorted element
 array and ranking them by key (``perms.keys``), direct products as a
-broadcast of the factor tables, and commutators, centralizers, the center,
-classes, element orders and subgroup closure by gathers on ``table``.
+broadcast of the factor tables, and commutators, classes, element orders
+and subgroup closure by gathers on ``table``.
+
+Centralizers have one representation, the commuting matrix
+``G.commuting()``: the read-only boolean matrix K = (table == table.T), so
+row x is C(x), its row sums are the centralizer orders and the rows that are
+all true are the center.  It costs n^2 bytes, where per-element index tuples
+cost n * |C(x)| Python ints (over 1 GB for ``cyclic:5040``).
 
 Groups above order 5040 (``ORDER_CAP``, the order of ``symmetric:7``) are
 rejected with ``GroupSpecError`` before their table is allocated: a dense
@@ -157,18 +163,26 @@ class GroupTable:
         t = self.mul[self.inv[x]][self.inv[y]]
         return self.mul[self.mul[t][x]][y]
 
+    def comm_row(self, x: int):
+        """x^-1 * y^-1 * x * y for every y, as an int32 array: three gathers
+        on table."""
+        M, inv = self.table, np.frombuffer(self.inv, dtype=np.int32)
+        return M[M[M[inv[x], inv], x], np.arange(self.order)]
+
     def comm_table(self):
         return self.cached("comm", _comm_table)
 
     def element_orders(self):
         return self.cached("orders", _element_orders)
 
-    def centralizer_lists(self):
-        """Per element: the sorted tuple of indices commuting with it."""
-        return self.cached("cents", _centralizer_lists)
+    def commuting(self):
+        """The read-only boolean matrix K[x, y] = (xy == yx); row x is C(x)."""
+        return self.cached("commuting", _commuting)
 
-    def centralizer_sets(self):
-        return self.cached("cent-sets", _centralizer_sets)
+    def centralizer_lists(self):
+        """Per element: the sorted tuple of indices commuting with it, read
+        from the rows of ``commuting()`` on each call."""
+        return [tuple(np.flatnonzero(row).tolist()) for row in self.commuting()]
 
 
 def _check_group_laws(M) -> array:
@@ -219,11 +233,9 @@ def _close(M, reached, frontier, gens) -> None:
 
 
 def _comm_table(G: GroupTable):
-    """Row x holds x^-1 * y^-1 * x * y for every y: three gathers on table,
-    one row at a time, so no n^2 temporaries are made."""
-    M, inv = G.table, np.frombuffer(G.inv, dtype=np.int32)
-    every = np.arange(G.order)
-    return [array("i", M[M[M[inv[x], inv], x], every].tobytes()) for x in every]
+    """The commutator rows as array('i'), one row at a time, so no n^2
+    temporaries are made."""
+    return [array("i", G.comm_row(x).tobytes()) for x in range(G.order)]
 
 
 def _element_orders(G: GroupTable):
@@ -240,13 +252,10 @@ def _element_orders(G: GroupTable):
     return orders.tolist()
 
 
-def _centralizer_lists(G: GroupTable):
-    commutes = G.table == G.table.T
-    return [tuple(np.flatnonzero(row).tolist()) for row in commutes]
-
-
-def _centralizer_sets(G: GroupTable):
-    return [frozenset(t) for t in G.centralizer_lists()]
+def _commuting(G: GroupTable):
+    K = G.table == G.table.T
+    K.flags.writeable = False
+    return K
 
 
 # -- spec parsing ------------------------------------------------------------
@@ -460,10 +469,6 @@ def _product(A: GroupTable, B: GroupTable, spec: str) -> GroupTable:
 # -- structural operations ---------------------------------------------------
 
 
-def commutator(G: GroupTable, x: int, y: int) -> int:
-    return G.comm(x, y)
-
-
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
     # ClassFunction.at and ClassCounts.at call this per lookup: a plain dict
     # hit once the partition is built.
@@ -494,7 +499,7 @@ def _class_partition(G: GroupTable) -> ClassPartition:
 
 
 def centralizer(G: GroupTable, g: int) -> SubgroupRef:
-    return SubgroupRef(G, G.centralizer_lists()[g])
+    return SubgroupRef(G, tuple(np.flatnonzero(G.commuting()[g]).tolist()))
 
 
 def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
@@ -509,15 +514,9 @@ def center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
 
 
 def _center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
-    central = tuple(
-        x for x, cent in enumerate(G.centralizer_lists()) if len(cent) == G.order
-    )
+    central = tuple(np.flatnonzero(G.commuting().all(axis=1)).tolist())
     is_commutator = np.zeros(G.order, dtype=bool)
     for row in G.comm_table():
         is_commutator[np.frombuffer(row, dtype=np.int32)] = True
     commutators = np.flatnonzero(is_commutator).tolist()
     return SubgroupRef(G, central), subgroup_generated(G, commutators)
-
-
-def element_order(G: GroupTable, g: int) -> int:
-    return G.element_orders()[g]

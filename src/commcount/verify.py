@@ -43,7 +43,6 @@ from .counts import (
     t_from_characters,
     tau_values,
     theta_class_function,
-    centralizer_subgroup,
 )
 from .cyclo import Cyclo, cyclo_root
 from .dihedral import (
@@ -53,7 +52,13 @@ from .dihedral import (
     t3_coeffs_closed,
 )
 from .distributions import bounds_report, p_n, q3
-from .groups import GroupTable, center_and_derived, conjugacy_classes, make_group
+from .groups import (
+    GroupTable,
+    center_and_derived,
+    centralizer,
+    conjugacy_classes,
+    make_group,
+)
 from .perms import is_even, pcomm
 from .triples import ore_triple_symmetric
 
@@ -410,7 +415,7 @@ def _subgroup_monotonicity() -> CheckResult:
         G = make_group(spec)
         center = center_and_derived(G)[0].member_set
         g = next(x for x in range(G.order) if x not in center)
-        H = centralizer_subgroup(G, g)
+        H = centralizer(G, g)
         for n in (2, 3):
             inside = brute_f_n(G, n, H)
             full = brute_f_n(G, n)

@@ -1,11 +1,11 @@
 import pytest
 
+from commcount import counts as counts_module
 from commcount.chars import build_table
 from commcount.counts import (
     BudgetExceededError,
     brute_f_n,
     brute_t_n,
-    centralizer_subgroup,
     conjecture_report,
     count_f_n,
     count_t_n,
@@ -21,11 +21,18 @@ from commcount.counts import (
     t_coeffs,
     t_from_characters,
     tau_chi,
+    tau_values,
     tc_check_and_formula,
     theta_chi,
     theta_class_function,
 )
-from commcount.groups import conjugacy_classes, make_group
+from commcount.groups import (
+    GroupTable,
+    center_and_derived,
+    centralizer,
+    conjugacy_classes,
+    make_group,
+)
 from commcount.perms import is_even
 
 
@@ -169,7 +176,7 @@ def test_subgroup_restriction():
     double = next(
         g for g, p in enumerate(S4.perm_list) if p == (1, 0, 3, 2)
     )
-    H = centralizer_subgroup(S4, double)
+    H = centralizer(S4, double)
     assert len(H) == 8
     sub = brute_f_n(S4, 3, H)
     # C((12)(34)) in Sym(4) is dihedral of order 8
@@ -205,6 +212,9 @@ def test_count_dispatch():
     assert count_f_n(G, 3, method="character") == brute_f_n(G, 3)
     assert count_f_n(G, 2, method="auto") == brute_f_n(G, 2)
     assert count_t_n(G, 4, method="character") == brute_t_n(G, 4)
+    t16 = count_t_n(G, 16, method="brute")
+    assert max(t16.values) > 2**63
+    assert count_t_n(G, 16, method="character") == t16
     with pytest.raises(ValueError, match="n = 2 and n = 3"):
         count_f_n(G, 4, method="character")
     with pytest.raises(ValueError, match="unknown method"):
@@ -228,7 +238,8 @@ def test_theta_is_conjugation_weighted():
     )
     th = theta_class_function(G, triv)
     part = conjugacy_classes(G)
-    mul, cents, cent_sets = G.mul, G.centralizer_lists(), G.centralizer_sets()
+    mul, cents = G.mul, G.centralizer_lists()
+    cent_sets = [frozenset(c) for c in cents]
     for c, rep in enumerate(part.reps):
         direct = 0
         for b in range(6):
@@ -260,6 +271,80 @@ def test_f3_parametrized_matches_brute():
                  "alternating:5"):
         G = make_group(spec)
         assert f3_parametrized(G) == brute_f_n(G, 3), spec
+
+
+def test_f3_parametrized_budget_projects_pair_weight_terms():
+    G = make_group("symmetric:4")
+    # sum over (a, b) of |C(ab)| = k(G) * |G|^2 pair-weight terms
+    work = len(conjugacy_classes(G)) * G.order**2
+    assert work == G.order * int(G.commuting().sum())
+    assert f3_parametrized(G, budget=work) == brute_f_n(G, 3)
+    with pytest.raises(BudgetExceededError) as exc:
+        f3_parametrized(G, budget=work - 1)
+    assert exc.value.projected == work
+
+
+def _pair_weights_by_definition(G):
+    """H[a][b] = |C(ab) b  intersect  C(a)|, by a loop over C(ab)."""
+    n, mul = G.order, G.mul
+    cents = [{y for y in range(n) if mul[x][y] == mul[y][x]} for x in range(n)]
+    return [
+        [sum(1 for u in cents[mul[a][b]] if mul[u][b] in cents[a]) for b in range(n)]
+        for a in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["symmetric:4", "dihedral:6", "quaternion", "perm:(1 2 3 4 5),(2 5)(3 4)",
+     "product:quaternion,cyclic:3"],
+)
+def test_pair_weights_match_definition(spec):
+    G = make_group(spec)
+    part = conjugacy_classes(G)
+    k = len(part)
+    H = _pair_weights_by_definition(G)
+    for a in range(G.order):
+        assert counts_module._pair_weights(G, a).tolist() == H[a], a
+    theta = [[0] * k for _ in range(k)]
+    tau = [[0] * k for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            c = part.class_of[G.comm(a, b)]
+            tau[b][c] += H[a][b]
+            if a in part.reps:
+                theta[part.reps.index(a)][c] += H[a][b]
+    assert counts_module._aggregated_theta_weights(G).tolist() == theta
+    assert counts_module._tau_weights(G).tolist() == tau
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:6"])
+def test_library_reads_the_commuting_matrix(spec, monkeypatch):
+    # Per-element centralizer tuples cost n * |C(x)| Python ints; no library
+    # path may need them.
+    def refuse(self):
+        raise AssertionError("centralizer_lists called")
+
+    monkeypatch.setattr(GroupTable, "centralizer_lists", refuse)
+    G = make_group(spec)
+    T = build_table(G)
+    everything = range(G.order)
+    assert center_and_derived(G)[0].members == tuple(
+        x for x in everything if all(G.m(x, y) == G.m(y, x) for y in everything)
+    )
+    assert centralizer(G, 1).members == tuple(
+        y for y in everything if G.m(1, y) == G.m(y, 1)
+    )
+    f3 = f3_from_characters(G, T)
+    for chi in T.irreducibles:
+        taus = tau_values(G, chi)
+        assert sum(taus[1:], taus[0]) == m_chi(G, chi)
+    assert f3_parametrized(G) == f3
+    assert brute_t_n(G, 3) == t_from_characters(G, 3, T)
+    assert recursive_fn1(G, 3) == f3.at(0)
+    ok, value = tc_check_and_formula(G, 3)
+    assert ok == (spec == "dihedral:6")
+    assert value == (f3.at(0) if ok else None)
 
 
 def test_solution_swap_bijection():
@@ -324,7 +409,7 @@ def test_subgroup_counts_grow_with_the_subgroup():
     double = next(
         g for g, p in enumerate(S4.perm_list) if p == (1, 0, 3, 2)
     )
-    H = centralizer_subgroup(S4, double)
+    H = centralizer(S4, double)
     for n in (2, 3):
         small = brute_f_n(S4, n, H)
         big = brute_f_n(S4, n)

@@ -11,7 +11,6 @@ from commcount.cyclo import (
     Cyclo,
     NotRationalError,
     cyclo_root,
-    cyclo_to_rational,
     cyclotomic_polynomial,
     degree,
     format_cyclo,
@@ -133,7 +132,7 @@ def test_conjugate_fixes_reals():
 
 
 def test_to_rational():
-    assert cyclo_to_rational(Cyclo.rational(Fraction(7, 2))) == Fraction(7, 2)
+    assert Cyclo.rational(Fraction(7, 2)).to_rational() == Fraction(7, 2)
     # zeta_6^3 = -1 is rational even though the conductor is 6
     assert cyclo_root(6, 3).to_rational() == -1
     z = cyclo_root(5)

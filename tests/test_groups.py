@@ -13,9 +13,7 @@ from commcount.groups import (
     _table_from_perms,
     center_and_derived,
     centralizer,
-    commutator,
     conjugacy_classes,
-    element_order,
     make_group,
     subgroup_generated,
 )
@@ -89,8 +87,8 @@ def test_cyclic():
     G = make_group("cyclic:6")
     assert G.order == 6
     assert G.mul[2][5] == 1
-    assert element_order(G, 1) == 6
-    assert element_order(G, 2) == 3
+    assert G.element_orders()[1] == 6
+    assert G.element_orders()[2] == 3
     assert len(conjugacy_classes(G)) == 6
 
 
@@ -126,7 +124,7 @@ def test_symmetric_and_alternating():
     assert A5.order == 60
     part = conjugacy_classes(A5)
     assert part.sizes == (1, 15, 20, 12, 12)
-    orders = [element_order(A5, r) for r in part.reps]
+    orders = [A5.element_orders()[r] for r in part.reps]
     assert orders == [1, 2, 3, 5, 5]
 
 
@@ -149,7 +147,7 @@ def test_product():
     assert H.order == 12
     nested = make_group("product:cyclic:2,product:cyclic:2,cyclic:2")
     assert nested.order == 8
-    assert all(element_order(nested, x) <= 2 for x in range(8))
+    assert all(nested.element_orders()[x] <= 2 for x in range(8))
 
 
 def test_perm_spec():
@@ -231,11 +229,11 @@ def test_commutator_convention():
     G = make_group("symmetric:3")
     for x in range(6):
         for y in range(6):
-            lhs = commutator(G, x, y)
+            lhs = G.comm(x, y)
             rhs = G.m(G.m(G.inv[x], G.inv[y]), G.m(x, y))
             assert lhs == rhs
     C = G.comm_table()
-    assert all(C[x][y] == commutator(G, x, y) for x in range(6) for y in range(6))
+    assert all(C[x][y] == G.comm(x, y) for x in range(6) for y in range(6))
 
 
 def test_centralizer_and_center():
@@ -360,6 +358,10 @@ def test_vectorized_builders_match_definitions(spec):
     assert all(C[x][y] == G.comm(x, y) for x in range(n) for y in range(n))
     cents = [tuple(y for y in range(n) if G.m(x, y) == G.m(y, x)) for x in range(n)]
     assert G.centralizer_lists() == cents
+    K = G.commuting()
+    assert K.tolist() == [[y in cents[x] for y in range(n)] for x in range(n)]
+    assert not K.flags.writeable
+    assert all(centralizer(G, x).members == cents[x] for x in range(n))
     Z, D = center_and_derived(G)
     assert Z.members == tuple(x for x in range(n) if len(cents[x]) == n)
     commutators = {G.comm(x, y) for x in range(n) for y in range(n)}

@@ -328,3 +328,27 @@ def test_python_m_runs_the_cli(capsys):
     )
     assert code == got.returncode == 0
     assert got.stdout == want
+
+
+def test_info_on_a_large_abelian_group_stays_small():
+    # The center is read from the commuting matrix, n^2 bytes; per-element
+    # centralizer tuples took this call to a 1.39 GB peak.
+    n = 5040
+    env = dict(os.environ, PYTHONPATH=str(Path(commcount.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commcount", "info", "--group", f"cyclic:{n}"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    names = ", ".join(["1", "a"] + [f"a^{i}" for i in range(2, n)])
+    assert out == (
+        f"group: cyclic:{n}\norder: {n}\n"
+        f"classes: {n} (sizes {', '.join(['1'] * n)})\n"
+        f"center: order {n} ({names})\n"
+        "derived subgroup: order 1 (1)\n"
+    )
+    assert usage.ru_maxrss < 700 * 1024  # kilobytes

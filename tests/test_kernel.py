@@ -42,7 +42,7 @@ def test_kernel_matches_scalar_cyclo(spec):
             back = residue_cyclo(gram[j, i], G.order * X.den**2, X.conductor)
             assert back == got.conj()
 
-    weights = [counts._theta_weights(G, rep) for rep in part.reps]
+    weights = counts._aggregated_theta_weights(G).tolist()
     for chi, coeff in zip(rows, counts.f3_coeffs(G, T)):
         theta = [cyclo_sum(w, chi.values) for w in weights]
         m = cyclo_sum(part.sizes, theta)
