@@ -263,7 +263,7 @@ def _class_pair_counts(G: GroupTable, part: ClassPartition):
     class c}; at most |G| entries per rep g_a."""
     k = len(part)
     class_of = np.asarray(part.class_of)
-    prod_class = class_of[np.asarray([G.mul[r] for r in part.reps])]  # g_a * y
+    prod_class = class_of[G.table[list(part.reps)]]  # g_a * y
     pair = k * np.arange(k)[:, None] + class_of  # a*k + (class of y)
     keys, count = np.unique((pair * k + prod_class).ravel(), return_counts=True)
     ab, c = np.divmod(keys, k)
@@ -396,10 +396,10 @@ def _cyclic_table(G: GroupTable) -> CharacterTable:
             )
         # cyclic groups are abelian, so class index == element index
         log = [0] * n
-        x, k, mul = 0, 0, G.mul
+        x, k, times_gen = 0, 0, G.table[:, gen].tolist()
         while True:
             log[x] = k
-            x = mul[x][gen]
+            x = times_gen[x]
             k += 1
             if x == 0:
                 break

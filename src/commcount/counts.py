@@ -6,6 +6,13 @@ For a finite group G and n >= 2, f_n(g) is the number of n-tuples
 t_n(g) = sum over pairs with [x, y] = g of |C(x)|^(n-2); it agrees
 with f_n at n = 2 and dominates f_3 away from the identity.
 
+The exhaustive oracles are gathers on the group table, its commutator
+matrix and its commuting matrix.  `brute_f_n` uses the coset lemma
+{y : [x, y] = [x, x2]} = C(x) x2: given (x1, x2), every later entry is in
+C_H(x1) x2.  Its budget projects the candidate tuples it visits,
+|H| * sum over x in H of |C_H(x)|^(n-2) (the t_n total, k(H) * |H|^2 at
+n = 3), which bounds every count.  `naive_f_n` enumerates all |G|^n tuples.
+
 Everything here is exact: brute-force tallies are plain integers, and
 character-formula values are certified to be non-negative integers
 before they are returned.  The formulas run on the table's integer array
@@ -20,7 +27,6 @@ column b) and `f3_parametrized` (all rows, per element [a, b]).
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +42,7 @@ from .chars import (
     table_array,
 )
 from .cyclo import Cyclo, CycloArray, NotRationalError, exact_matmul, residue_cyclo
-from .groups import GroupTable, SubgroupRef, conjugacy_classes
+from .groups import _BLOCK_PRODUCTS, GroupTable, SubgroupRef, conjugacy_classes
 
 DEFAULT_BUDGET = 10**9
 
@@ -98,71 +104,59 @@ def _check_budget(m: int, n: int, budget: int) -> None:
         raise BudgetExceededError(projected, budget)
 
 
-def _pair_commutator_index(G: GroupTable, members) -> dict[int, dict[int, set]]:
-    """R[x][g] = set of y in members with [x, y] = g."""
-    comm = G.comm
-    R: dict[int, dict[int, set]] = {}
-    for x in members:
-        row: dict[int, set] = {}
-        for y in members:
-            row.setdefault(comm(x, y), set()).add(y)
-        R[x] = row
-    return R
-
-
-def _fn_element_counts(
-    G: GroupTable, members, n: int, budget: int
-) -> dict[int, int]:
+def _fn_element_counts(G: GroupTable, members, n: int, budget: int) -> list[int]:
+    """Per element g, the n-tuples drawn from members with every pairwise
+    commutator equal to g, in column blocks of about _BLOCK_PRODUCTS."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    members = list(members)
-    _check_budget(len(members), n, budget)
-    comm = G.comm
-    counts: dict[int, int] = defaultdict(int)
-    if n == 2:
-        for x in members:
-            for y in members:
-                counts[comm(x, y)] += 1
-        return dict(counts)
-
-    R = _pair_commutator_index(G, members)
-    empty: set = set()
-
-    def extend(cands: set, picked: int, g: int) -> int:
-        if picked == n - 1:
-            return len(cands)
-        total = 0
-        for x in cands:
-            nxt = cands & R[x].get(g, empty)
-            if nxt:
-                total += extend(nxt, picked + 1, g)
-        return total
-
+    members = np.asarray(members)
+    K = G.commuting()
+    sizes = [int(np.count_nonzero(K[x, members])) for x in members]
+    projected = len(members) * sum(c ** (n - 2) for c in sizes)
+    if projected > budget:
+        raise BudgetExceededError(projected, budget)
+    comm = G.comm_table()
+    counts = np.zeros(G.order, dtype=np.int64)
     for x1 in members:
-        row1 = R[x1]
-        for g, second in row1.items():
-            base = row1[g]
-            for x2 in second:
-                cands = base & R[x2].get(g, empty)
-                if n == 3:
-                    counts[g] += len(cands)
-                elif cands:
-                    counts[g] += extend(cands, 2, g)
-    return dict(counts)
+        firsts = comm[x1, members]  # g = [x1, x2] for every x2
+        if n == 2:
+            counts += np.bincount(firsts, minlength=G.order)
+            continue
+        C = members[K[x1, members]]
+        step = max(1, _BLOCK_PRODUCTS // len(C) ** min(n - 2, 2))
+        for lo in range(0, len(members), step):
+            x2, g = members[lo:lo + step], firsts[lo:lo + step]
+            cands = G.table[np.ix_(C, x2)].T  # row j: the y with [x1, y] = g[j]
+            hit = comm[x2[:, None], cands] == g[:, None]  # ... and [x2[j], y] = g[j]
+            if n == 3:
+                found = hit.sum(axis=1)
+            else:
+                pairs = comm[cands[:, :, None], cands[:, None, :]] == g[:, None, None]
+                found = _chains(hit, pairs, n - 2)
+            np.add.at(counts, g, found)
+    return counts.tolist()
 
 
-def _as_class_counts(
-    G: GroupTable, counts: dict[int, int], kind: str, n: int
-) -> ClassCounts:
+def _chains(V, R, depth: int):
+    """For each row j of the (b, c) boolean V and the (b, c, c) boolean R:
+    the depth-tuples (y_1, ..., y_depth) with every V[j, y_i] and
+    R[j, y_i, y_k] for i < k (depth >= 2)."""
+    R = R & V[:, :, None] & V[:, None, :]
+    if depth == 2:
+        return R.sum(axis=(1, 2))
+    return sum(_chains(R[:, i], R, depth - 1) for i in range(R.shape[1]))
+
+
+def _as_class_counts(G: GroupTable, counts, kind: str, n: int) -> ClassCounts:
+    """ClassCounts from counts indexed by element, checked constant on classes."""
     part = conjugacy_classes(G)
     vals = []
     for cls in part.classes:
-        v = counts.get(cls[0], 0)
-        for e in cls[1:]:
-            if counts.get(e, 0) != v:
-                raise RuntimeError(
-                    f"count is not constant on the class of element {cls[0]}"
-                )
+        v = counts[cls[0]]
+        if any(counts[e] != v for e in cls[1:]):
+            raise RuntimeError(
+                f"count is not constant on the class of element {cls[0]}"
+            )
         vals.append(v)
     return ClassCounts(G, tuple(vals), kind, n)
 
@@ -173,7 +167,7 @@ def brute_f_n(
     H: SubgroupRef | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ClassCounts | dict[int, int]:
-    """f_n by exhaustive search (with candidate-set pruning for n >= 3).
+    """f_n by exhaustive search, pruned to one coset per (x1, x2) for n >= 3.
 
     Without H: counts over all of G, as ClassCounts.  With a subgroup H:
     counts tuples drawn from H, returned as a map member -> count (zero
@@ -184,7 +178,8 @@ def brute_f_n(
         return _as_class_counts(G, counts, "f", n)
     if H.parent is not G:
         raise ValueError("subgroup reference belongs to a different group")
-    return _fn_element_counts(G, H.members, n, budget)
+    counts = _fn_element_counts(G, H.members, n, budget)
+    return {g: c for g, c in enumerate(counts) if c}
 
 
 def naive_f_n(
@@ -195,28 +190,22 @@ def naive_f_n(
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_budget(G.order, n, budget)
-    order = G.order
-    ct = G.comm_table()
-    counts: dict[int, int] = defaultdict(int)
+    comm = G.comm_table()
     if n == 2:
-        for x in range(order):
-            row = ct[x]
-            for y in range(order):
-                counts[row[y]] += 1
+        counts = sum(np.bincount(row, minlength=G.order) for row in comm).tolist()
     elif n == 3:
-        rng = range(order)
-        for x in rng:
-            rowx = ct[x]
-            for y in rng:
-                g = rowx[y]
-                rowy = ct[y]
-                counts[g] += sum(
-                    1 for z in rng if rowx[z] == g and rowy[z] == g
-                )
+        tally = np.zeros(G.order, dtype=np.int64)
+        for row in comm:  # row[y] = [x, y]
+            g = row[:, None]
+            hits = (row == g) & (comm == g)  # [x, z] = [y, z] = [x, y]
+            np.add.at(tally, row, hits.sum(axis=1))
+        counts = tally.tolist()
     else:
         from itertools import product
 
-        for tup in product(range(order), repeat=n):
+        ct = comm.tolist()
+        counts = [0] * G.order
+        for tup in product(range(G.order), repeat=n):
             g = ct[tup[0]][tup[1]]
             if all(
                 ct[tup[i]][tup[j]] == g
@@ -225,7 +214,7 @@ def naive_f_n(
                 if (i, j) != (0, 1)
             ):
                 counts[g] += 1
-    return _as_class_counts(G, dict(counts), "f", n)
+    return _as_class_counts(G, counts, "f", n)
 
 
 def f3_parametrized(G: GroupTable, budget: int = DEFAULT_BUDGET) -> ClassCounts:
@@ -238,23 +227,24 @@ def f3_parametrized(G: GroupTable, budget: int = DEFAULT_BUDGET) -> ClassCounts:
     counts = np.zeros(G.order, dtype=np.int64)
     for c in range(G.order):
         np.add.at(counts, G.comm_row(c), _pair_weights(G, c))
-    return _as_class_counts(G, dict(enumerate(counts.tolist())), "f", 3)
+    return _as_class_counts(G, counts.tolist(), "f", 3)
 
 
 def brute_t_n(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> ClassCounts:
-    """t_n on all of G: each pair [x, y] = g contributes |C(x)|^(n-2)."""
+    """t_n on all of G: each pair [x, y] = g contributes |C(x)|^(n-2).  One
+    bincount per commutator row, tallied per distinct |C(x)|."""
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_budget(G.order, 2, budget)
-    comm = G.comm
-    # Python ints: |C(x)|^(n-2) overflows int64 for larger n.
-    weight = [c ** (n - 2) for c in G.commuting().sum(axis=1).tolist()]
-    counts: dict[int, int] = defaultdict(int)
+    sizes, which = np.unique(G.commuting().sum(axis=1), return_inverse=True)
+    comm = G.comm_table()
+    tally = np.zeros((len(sizes), G.order), dtype=np.int64)
     for x in range(G.order):
-        w = weight[x]
-        for y in range(G.order):
-            counts[comm(x, y)] += w
-    return _as_class_counts(G, dict(counts), "t", n)
+        tally[which[x]] += np.bincount(comm[x], minlength=G.order)
+    # Python ints: |C(x)|^(n-2) overflows int64 for larger n.
+    weights = [c ** (n - 2) for c in sizes.tolist()]
+    counts = [sum(w * t for w, t in zip(weights, col)) for col in tally.T.tolist()]
+    return _as_class_counts(G, counts, "t", n)
 
 
 # -- character formulas --------------------------------------------------------

@@ -87,12 +87,11 @@ def convolve(d1: GroupDistribution, d2: GroupDistribution) -> GroupDistribution:
     if d1.group is not d2.group:
         raise ValueError("distributions live on different groups")
     G = d1.group
-    mul, inv = G.mul, G.inv
     mass = [Fraction(0)] * G.order
     for h, m1 in enumerate(d1.mass):
         if not m1:
             continue
-        row = mul[inv[h]]
+        row = G.table[G.inv[h]].tolist()
         for g in range(G.order):
             m2 = d2.mass[row[g]]
             if m2:

@@ -175,7 +175,7 @@ def load_group(path: str) -> GroupTable:
 def save_group(G: GroupTable, path: str) -> None:
     doc = {
         "order": G.order,
-        "mul": [list(row) for row in G.mul],
+        "mul": G.table.tolist(),
         "names": list(G.names),
     }
     _write_doc(doc, path, indent=None)

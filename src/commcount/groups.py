@@ -1,11 +1,12 @@
 """Finite groups as dense multiplication tables.
 
 Elements are indices 0..order-1 with the identity pinned at 0.  Each group
-holds one read-only int32 numpy table, ``GroupTable.table``; ``GroupTable.mul``
-is the same table as rows of ``array('i')`` for scalar lookups.  Every
-constructor produces a fully validated table: identity and inverse laws,
-Latin-square rows and columns, and associativity at every order, by Light's
-test on a greedy generating set (complete, O(n^2 log n)).
+holds one read-only int32 numpy table, ``GroupTable.table``, which every
+reader in the package indexes, and its inverses as a read-only int32
+vector, ``GroupTable.inv``.  Every constructor produces a fully validated
+table: identity and inverse laws, Latin-square rows and columns, and
+associativity at every order, by Light's test on a greedy generating set
+(complete, O(n^2 log n)).
 
 Tables are built and analysed by numpy indexing, not by Python loops over
 pairs: permutation products by composing the rows of the sorted element
@@ -13,7 +14,9 @@ array and ranking them by key (``perms.keys``), direct products as a
 broadcast of the factor tables, and commutators, classes, element orders
 and subgroup closure by gathers on ``table``.
 
-Centralizers have one representation, the commuting matrix
+Commutators have one representation, ``G.comm_table()``: the read-only
+int32 matrix of [x, y] = x^-1 y^-1 x y, filled one row (``comm_row``) at a
+time.  Centralizers have one representation, the commuting matrix
 ``G.commuting()``: the read-only boolean matrix K = (table == table.T), so
 row x is C(x), its row sums are the centralizer orders and the rows that are
 all true are the center.  It costs n^2 bytes, where per-element index tuples
@@ -36,7 +39,6 @@ Element layouts are deterministic per family:
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,10 @@ import numpy as np
 from . import perms
 
 ORDER_CAP = 5040
+# Products per block of a large gather (permutation tables, subgroup closure,
+# the brute search), about 2^16, so that each block's temporaries stay near
+# 0.5 MB.
+_BLOCK_PRODUCTS = 1 << 16
 
 
 class GroupSpecError(ValueError):
@@ -86,14 +92,16 @@ class SubgroupRef:
         members = np.array(self.members)
         inside = np.zeros(self.parent.order, dtype=bool)
         inside[members] = True
-        prods = self.parent.table[np.ix_(members, members)]
-        escapes = np.argwhere(~inside[prods])
-        if escapes.size:
-            i, j = escapes[0]
-            raise GroupLawError(
-                f"member set not closed: {members[i]}*{members[j]} = "
-                f"{prods[i, j]} escapes"
-            )
+        step = max(1, _BLOCK_PRODUCTS // len(members))
+        for lo in range(0, len(members), step):
+            prods = self.parent.table[np.ix_(members[lo:lo + step], members)]
+            escapes = np.argwhere(~inside[prods])
+            if escapes.size:
+                i, j = escapes[0]
+                raise GroupLawError(
+                    f"member set not closed: {members[lo + i]}*{members[j]} = "
+                    f"{prods[i, j]} escapes"
+                )
 
     @property
     def member_set(self) -> frozenset:
@@ -108,7 +116,8 @@ class GroupTable:
 
     ``mul`` is a square table of indices: rows of ints or a 2-D integer
     array.  ``table`` keeps it as a read-only int32 array once every group
-    law has been checked on it; ``mul`` becomes its rows as ``array('i')``.
+    law has been checked on it, and ``inv`` the inverses as a read-only
+    int32 vector.
     """
 
     def __init__(self, mul, names=None, family="table", spec="", perm_list=None,
@@ -138,7 +147,6 @@ class GroupTable:
         self.inv = _check_group_laws(M)
         self.table = M.astype(np.int32, copy=False).view()
         self.table.flags.writeable = False
-        self.mul = [array("i", row.tobytes()) for row in self.table]
         self._memo: dict = {}
 
     def cached(self, key, build, *args):
@@ -151,25 +159,23 @@ class GroupTable:
 
     # -- elementwise helpers ------------------------------------------------
 
+    @property
+    def mul(self):
+        """``table`` itself; kept only for the benchmark in ``perfbench/``."""
+        return self.table
+
     def m(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def conj(self, x: int, y: int) -> int:
-        """y^-1 * x * y."""
-        return self.mul[self.mul[self.inv[y]][x]][y]
-
-    def comm(self, x: int, y: int) -> int:
-        """x^-1 * y^-1 * x * y."""
-        t = self.mul[self.inv[x]][self.inv[y]]
-        return self.mul[self.mul[t][x]][y]
+        """x * y; kept only for the benchmark in ``perfbench/``."""
+        return int(self.table[x, y])
 
     def comm_row(self, x: int):
         """x^-1 * y^-1 * x * y for every y, as an int32 array: three gathers
         on table."""
-        M, inv = self.table, np.frombuffer(self.inv, dtype=np.int32)
+        M, inv = self.table, self.inv
         return M[M[M[inv[x], inv], x], np.arange(self.order)]
 
     def comm_table(self):
+        """The read-only int32 matrix C[x, y] = x^-1 * y^-1 * x * y."""
         return self.cached("comm", _comm_table)
 
     def element_orders(self):
@@ -181,11 +187,12 @@ class GroupTable:
 
     def centralizer_lists(self):
         """Per element: the sorted tuple of indices commuting with it, read
-        from the rows of ``commuting()`` on each call."""
+        from the rows of ``commuting()`` on each call.  No library code calls
+        it; it stays only for the benchmark in ``perfbench/`` and the tests."""
         return [tuple(np.flatnonzero(row).tolist()) for row in self.commuting()]
 
 
-def _check_group_laws(M) -> array:
+def _check_group_laws(M):
     """Check every group law on the dense table M; return the inverses."""
     n = len(M)
     ar = np.arange(n)
@@ -220,7 +227,9 @@ def _check_group_laws(M) -> array:
             raise GroupLawError(f"associativity fails with middle element {a}")
         _close(M, reached, np.flatnonzero(reached), gens)
     # In a group the right inverse (where a row holds 0) is two-sided.
-    return array("i", inv.tolist())
+    inv = inv.astype(np.int32)
+    inv.flags.writeable = False
+    return inv
 
 
 def _close(M, reached, frontier, gens) -> None:
@@ -233,9 +242,12 @@ def _close(M, reached, frontier, gens) -> None:
 
 
 def _comm_table(G: GroupTable):
-    """The commutator rows as array('i'), one row at a time, so no n^2
-    temporaries are made."""
-    return [array("i", G.comm_row(x).tobytes()) for x in range(G.order)]
+    """Filled one comm_row at a time, so no n^2 temporaries are made."""
+    C = np.empty((G.order, G.order), dtype=np.int32)
+    for x in range(G.order):
+        C[x] = G.comm_row(x)
+    C.flags.writeable = False
+    return C
 
 
 def _element_orders(G: GroupTable):
@@ -395,11 +407,6 @@ def _quaternion() -> GroupTable:
     return GroupTable(mul, names, family="quaternion", spec="quaternion")
 
 
-# Rows of the permutation table composed per block, about 2^16 products,
-# so that each block's temporaries stay near 0.5 MB.
-_BLOCK_PRODUCTS = 1 << 16
-
-
 def _table_from_perms(plist, family, spec) -> GroupTable:
     """The table of a permutation list, which must be closed under products.
 
@@ -479,7 +486,7 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
 
 
 def _class_partition(G: GroupTable) -> ClassPartition:
-    M, inv = G.table, np.frombuffer(G.inv, dtype=np.int32)
+    M, inv = G.table, G.inv
     every = np.arange(G.order)
     class_of = np.full(G.order, -1)
     classes = []
@@ -516,7 +523,7 @@ def center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
 def _center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
     central = tuple(np.flatnonzero(G.commuting().all(axis=1)).tolist())
     is_commutator = np.zeros(G.order, dtype=bool)
-    for row in G.comm_table():
-        is_commutator[np.frombuffer(row, dtype=np.int32)] = True
+    for x in range(G.order):
+        is_commutator[G.comm_row(x)] = True
     commutators = np.flatnonzero(is_commutator).tolist()
     return SubgroupRef(G, central), subgroup_generated(G, commutators)

@@ -84,25 +84,25 @@ def combine_disjoint_triples(
 ) -> tuple[int, int, int]:
     """(x1 y1, x2 y2, x3 y3) from commuting triples: if the x-triple solves
     for g and the y-triple for h, the product triple solves for gh."""
-    comm, mul = G.comm, G.mul
     for xi in tx:
+        row = G.comm_row(xi)
         for yj in ty:
-            if comm(xi, yj) != 0:
+            if row[yj] != 0:
                 raise ValueError(
                     f"components {xi} and {yj} do not commute"
                 )
     g = _system_value(G, tx)
     h = _system_value(G, ty)
-    combined = tuple(mul[a][b] for a, b in zip(tx, ty))
-    if _system_value(G, combined) != mul[g][h]:
+    combined = tuple(G.table[tx, ty].tolist())
+    if _system_value(G, combined) != G.table[g, h]:
         raise RuntimeError("combined triple failed verification")
     return combined
 
 
 def _system_value(G: GroupTable, t: tuple[int, int, int]) -> int:
-    comm = G.comm
-    g = comm(t[0], t[1])
-    if comm(t[0], t[2]) != g or comm(t[1], t[2]) != g:
+    first = G.comm_row(t[0])
+    g = int(first[t[1]])
+    if first[t[2]] != g or G.comm_row(t[1])[t[2]] != g:
         raise ValueError(f"triple {t} has unequal pairwise commutators")
     return g
 

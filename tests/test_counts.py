@@ -33,7 +33,10 @@ from commcount.groups import (
     conjugacy_classes,
     make_group,
 )
+from commcount.distributions import convolve, q3
+from commcount.fileio import load_group, save_group
 from commcount.perms import is_even
+from commcount.triples import combine_disjoint_triples
 
 
 def test_a5_f2():
@@ -191,8 +194,8 @@ def test_subgroup_restriction():
 def test_budget_guard():
     G = make_group("cyclic:24")
     with pytest.raises(BudgetExceededError) as exc:
-        brute_f_n(G, 6)
-    assert exc.value.projected == 24**6 * 15
+        brute_f_n(G, 7)
+    assert exc.value.projected == 24**7
     with pytest.raises(BudgetExceededError):
         brute_f_n(make_group("alternating:5"), 5, budget=10**6)
 
@@ -284,6 +287,32 @@ def test_f3_parametrized_budget_projects_pair_weight_terms():
     assert exc.value.projected == work
 
 
+def _budget_cases():
+    for spec in ("symmetric:4", "quaternion", "dihedral:6"):
+        yield make_group(spec), None
+    S4 = make_group("symmetric:4")
+    yield S4, centralizer(S4, S4.perm_list.index((1, 0, 3, 2)))
+
+
+def test_brute_budget_projects_candidate_tuples():
+    # Given (x1, x2), each of x3..xn ranges over the coset C_H(x1) * x2, so
+    # the search visits |H| * sum over x in H of |C_H(x)|^(n-2) tuples.
+    for G, H in _budget_cases():
+        members = range(G.order) if H is None else H.members
+        M = G.table
+        for n in (2, 3, 4):
+            work = len(members) * sum(
+                sum(1 for y in members if M[x, y] == M[y, x]) ** (n - 2)
+                for x in members
+            )
+            if n == 3 and H is None:
+                assert work == len(conjugacy_classes(G)) * G.order**2
+            assert brute_f_n(G, n, H, budget=work) == brute_f_n(G, n, H)
+            with pytest.raises(BudgetExceededError) as exc:
+                brute_f_n(G, n, H, budget=work - 1)
+            assert exc.value.projected == work, (G.spec, H, n)
+
+
 def _pair_weights_by_definition(G):
     """H[a][b] = |C(ab) b  intersect  C(a)|, by a loop over C(ab)."""
     n, mul = G.order, G.mul
@@ -308,9 +337,10 @@ def test_pair_weights_match_definition(spec):
         assert counts_module._pair_weights(G, a).tolist() == H[a], a
     theta = [[0] * k for _ in range(k)]
     tau = [[0] * k for _ in range(G.order)]
+    M, inv = G.table, G.inv
     for a in range(G.order):
         for b in range(G.order):
-            c = part.class_of[G.comm(a, b)]
+            c = part.class_of[M[M[inv[a], inv[b]], M[a, b]]]
             tau[b][c] += H[a][b]
             if a in part.reps:
                 theta[part.reps.index(a)][c] += H[a][b]
@@ -345,6 +375,38 @@ def test_library_reads_the_commuting_matrix(spec, monkeypatch):
     ok, value = tc_check_and_formula(G, 3)
     assert ok == (spec == "dihedral:6")
     assert value == (f3.at(0) if ok else None)
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:6", "cyclic:6"])
+def test_library_reads_one_table(spec, monkeypatch, tmp_path):
+    # G.table is the one table; the scalar accessors and the per-element
+    # centralizer tuples stay only for the benchmark.
+    def refuse(*args):
+        raise AssertionError("scalar accessor called")
+
+    monkeypatch.setattr(GroupTable, "m", refuse)
+    monkeypatch.setattr(GroupTable, "mul", property(refuse))
+    monkeypatch.setattr(GroupTable, "centralizer_lists", refuse)
+    G = make_group(spec)
+    M = G.table
+    f3 = brute_f_n(G, 3)
+    assert naive_f_n(G, 3) == f3 == f3_from_characters(G)
+    assert naive_f_n(G, 2) == brute_f_n(G, 2) == f2_from_characters(G)
+    assert brute_t_n(G, 3) == t_from_characters(G, 3)
+    H = centralizer(G, 1)
+    assert all(0 < v <= f3.at(g) for g, v in brute_f_n(G, 3, H).items())
+    Z, _ = center_and_derived(G)
+    assert Z.members == tuple(x for x in range(G.order) if (M[x] == M[:, x]).all())
+    d = q3(f3)
+    assert sum(convolve(d, d).mass) == 1
+    path = tmp_path / "group.json"
+    save_group(G, str(path))
+    loaded = load_group(str(path))
+    assert loaded.table.tolist() == M.tolist()
+    if spec == "cyclic:6":  # a file group: the provider solves for the log
+        assert build_table(loaded, "cyclic-closed-form").validated
+    assert combine_disjoint_triples(G, (1, 1, 1), (0, 0, 0)) == (1, 1, 1)
+    assert build_table(make_group(f"product:{spec},cyclic:2")).validated
 
 
 def test_solution_swap_bijection():
@@ -410,8 +472,9 @@ def test_subgroup_counts_grow_with_the_subgroup():
         g for g, p in enumerate(S4.perm_list) if p == (1, 0, 3, 2)
     )
     H = centralizer(S4, double)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         small = brute_f_n(S4, n, H)
         big = brute_f_n(S4, n)
+        assert all(small.values()), (n, small)  # zero values are omitted
         for g, c in small.items():
             assert c <= big.at(g)

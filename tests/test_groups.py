@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from commcount import groups, perms
@@ -100,7 +101,7 @@ def test_dihedral_layout():
     a, b = 1, 5
     assert G.m(a, 4) == 0
     assert G.m(b, b) == 0
-    assert G.conj(a, b) == G.inv[a]
+    assert G.table[G.table[G.inv[b], a], b] == G.inv[a]  # b^-1 a b = a^-1
     part = conjugacy_classes(G)
     assert part.sizes == (1, 2, 2, 5)
     assert part.reps == (0, 1, 2, 5)
@@ -225,15 +226,23 @@ def test_bad_tables_rejected():
             GroupTable(t)
 
 
+def _comm(G, x, y):
+    """x^-1 * y^-1 * x * y, literally from the table."""
+    M, inv = G.table, G.inv
+    return int(M[M[inv[x], inv[y]], M[x, y]])
+
+
 def test_commutator_convention():
     G = make_group("symmetric:3")
-    for x in range(6):
-        for y in range(6):
-            lhs = G.comm(x, y)
-            rhs = G.m(G.m(G.inv[x], G.inv[y]), G.m(x, y))
-            assert lhs == rhs
     C = G.comm_table()
-    assert all(C[x][y] == G.comm(x, y) for x in range(6) for y in range(6))
+    assert C.dtype == np.int32 and C.shape == (6, 6)
+    assert not C.flags.writeable
+    for x in range(6):
+        assert G.comm_row(x).tolist() == C[x].tolist()
+        for y in range(6):
+            assert C[x, y] == _comm(G, x, y)
+            want = perms.pcomm(G.perm_list[x], G.perm_list[y])
+            assert G.perm_list[C[x, y]] == want
 
 
 def test_centralizer_and_center():
@@ -355,7 +364,7 @@ def test_vectorized_builders_match_definitions(spec):
         assert G.perm_list == tuple(sorted(reached, key=perms.sort_key))
 
     C = G.comm_table()
-    assert all(C[x][y] == G.comm(x, y) for x in range(n) for y in range(n))
+    assert C.tolist() == [[_comm(G, x, y) for y in range(n)] for x in range(n)]
     cents = [tuple(y for y in range(n) if G.m(x, y) == G.m(y, x)) for x in range(n)]
     assert G.centralizer_lists() == cents
     K = G.commuting()
@@ -364,12 +373,14 @@ def test_vectorized_builders_match_definitions(spec):
     assert all(centralizer(G, x).members == cents[x] for x in range(n))
     Z, D = center_and_derived(G)
     assert Z.members == tuple(x for x in range(n) if len(cents[x]) == n)
-    commutators = {G.comm(x, y) for x in range(n) for y in range(n)}
+    commutators = {_comm(G, x, y) for x in range(n) for y in range(n)}
     assert D.members == _generated(G, commutators)
     assert subgroup_generated(G, [1]).members == _generated(G, [1])
 
     part = conjugacy_classes(G)
-    orbits = {tuple(sorted({G.conj(x, y) for y in range(n)})) for x in range(n)}
+    M, inv = G.table, G.inv
+    orbits = {tuple(sorted({int(M[M[inv[y], x], y]) for y in range(n)}))
+              for x in range(n)}
     assert set(part.classes) == orbits
     assert part.reps == tuple(sorted(min(c) for c in orbits))
     assert all(x in part.classes[part.class_of[x]] for x in range(n))
@@ -388,6 +399,13 @@ def test_non_closed_sets_rejected():
     with pytest.raises(GroupLawError, match=r"not closed: 1\*1 = 2 escapes"):
         SubgroupRef(D4, (0, 1))  # a has order 4
     assert SubgroupRef(D4, (0, 1, 2, 3)).members == (0, 1, 2, 3)
+    # {(0, *), (1, *)} in C3 x C200: the 400 members are checked in row
+    # blocks of 163, and the first 200 rows stay inside, so the first
+    # product that escapes, (1, 0) * (1, 0) = (2, 0), lies in the second block.
+    C3C200 = make_group("product:cyclic:3,cyclic:200")
+    assert groups._BLOCK_PRODUCTS // 400 < 200
+    with pytest.raises(GroupLawError, match=r"not closed: 200\*200 = 400 escapes"):
+        SubgroupRef(C3C200, tuple(range(400)))
     cycle = perms.parse_cycles("(1 2 3)")
     with pytest.raises(GroupLawError, match="not closed"):
         _table_from_perms([perms.identity(3), cycle], "perm", "perm:broken")

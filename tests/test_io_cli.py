@@ -9,7 +9,7 @@ import pytest
 import commcount
 from commcount.chars import build_table
 from commcount.cli import main
-from commcount.counts import ClassCounts
+from commcount.counts import ClassCounts, recursive_fn1
 from commcount.fileio import (
     ClassRow,
     CoeffRow,
@@ -124,6 +124,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_brute_f4_on_symmetric_5_agrees_with_the_recursion(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "--group", "symmetric:5", "--fn", "fn:4",
+        "--method", "brute", "--format", "table",
+    )
+    assert code == 0
+    values = [int(line.split()[-1]) for line in out.splitlines()[2:]]
+    assert values == [recursive_fn1(make_group("symmetric:5"), 4)] + [0] * 6
 
 
 def test_count_table_output(capsys):
@@ -303,7 +313,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         (("count", "--group", "nonsense:9", "--fn", "f2"), 2),
         (("count", "--group", "symmetric:3", "--fn", "f9"), 2),
         (("count", "--group", "symmetric:3", "--fn", "f3", "--method", "closed"), 2),
-        (("count", "--group", "symmetric:5", "--fn", "fn:4", "--method", "brute"), 3),
+        (("count", "--group", "symmetric:6", "--fn", "fn:5", "--method", "brute"), 3),
         (("count", "--group", "symmetric:3"), 2),
         (("frobnicate",), 2),
         (("triple", "--n", "4", "--g", "(1 2)"), 2),
