@@ -33,7 +33,6 @@ from .cyclo import (
     exact_scaled,
     format_cyclo,
     parse_cyclo,
-    residue_cyclo,
 )
 from .groups import ClassPartition, GroupTable, conjugacy_classes
 
@@ -153,8 +152,8 @@ def decompose(f: ClassFunction, T: CharacterTable) -> tuple[Fraction, ...]:
     X = X.lifted(F.conductor)
     scale = T.group.order * F.den * X.den
     return tuple(
-        residue_cyclo(r, scale, F.conductor).to_rational()
-        for r in F.gram(X, sizes)[0]
+        Cyclo(F.conductor, r, scale).to_rational()
+        for r in F.gram(X, sizes)[0].tolist()
     )
 
 

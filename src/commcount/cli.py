@@ -23,16 +23,13 @@ from .chars import TableProviderError, TableValidationError, build_table
 from .counts import (
     BudgetExceededError,
     brute_f_n,
-    brute_t_n,
     count_f_n,
+    count_t_n,
     f3_coeffs,
-    f2_from_characters,
-    f3_from_characters,
     naive_f_n,
     ore_set,
     recursive_fn1,
     t_coeffs,
-    t_from_characters,
 )
 from .dihedral import f3_class_counts_closed, t3_class_counts_closed
 from .distributions import bounds_report, convolve_power, l1_to_uniform, q3
@@ -210,20 +207,12 @@ _REPORT_METHOD = {
 
 
 def _compute_count(G, kind: str, n: int, method: str):
-    if method == "brute":
-        return brute_f_n(G, n) if kind == "f" else brute_t_n(G, n)
+    if method in ("brute", "character"):
+        return count_f_n(G, n, method) if kind == "f" else count_t_n(G, n, method)
     if method == "brute-naive":
         if kind != "f":
             raise ValueError("the naive oracle covers f_n only")
         return naive_f_n(G, n)
-    if method == "character":
-        if kind == "t":
-            return t_from_characters(G, n)
-        if n == 2:
-            return f2_from_characters(G)
-        if n == 3:
-            return f3_from_characters(G)
-        raise ValueError("character formulas cover f2, f3 and tn:<n>")
     if method == "closed":
         if (kind, n) == ("f", 3):
             return f3_class_counts_closed(G)

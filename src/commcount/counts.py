@@ -41,7 +41,7 @@ from .chars import (
     reconstruct,
     table_array,
 )
-from .cyclo import Cyclo, CycloArray, NotRationalError, exact_matmul, residue_cyclo
+from .cyclo import Cyclo, CycloArray, NotRationalError, exact_matmul
 from .groups import _BLOCK_PRODUCTS, GroupTable, SubgroupRef, conjugacy_classes
 
 DEFAULT_BUDGET = 10**9
@@ -374,7 +374,7 @@ def _m_values(G: GroupTable, X: CycloArray, labels) -> list[Cyclo]:
     m = X.weighted(exact_matmul(np.array(part.sizes), weights))
     out = []
     for label, res, conj in zip(labels, m.residues(), m.conj().residues()):
-        total = residue_cyclo(res, X.den, X.conductor)
+        total = Cyclo(X.conductor, res, X.den)
         if (res != conj).any():
             raise ValueError(
                 f"m_{label} is not real ({total}); table is inconsistent"
@@ -436,12 +436,8 @@ def conjecture_report(
     for m, label in zip(_m_values(G, table_array(T), T.labels), T.labels):
         m = m / G.order
         rational = m.is_rational()
-        integer = False
-        nonneg = False
-        if rational:
-            q = m.to_rational()
-            integer = q.denominator == 1
-            nonneg = q >= 0
+        integer = rational and m.den == 1
+        nonneg = rational and m.ints[0] >= 0
         out.append(ConjectureRecord(label, str(m), rational, integer, nonneg))
     return out
 
@@ -467,7 +463,7 @@ def t_coeffs(
     out = []
     for i, (d, label) in enumerate(zip(T.degrees, T.labels)):
         row = X[i : i + 1]
-        total = residue_cyclo(row.gram(row, weights)[0, 0], X.den**2, X.conductor)
+        total = Cyclo(X.conductor, row.gram(row, weights)[0, 0], X.den**2)
         try:
             q = total.to_rational() / d
         except NotRationalError:

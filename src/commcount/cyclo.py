@@ -1,16 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n) with rational coefficients.
 
 A value is stored as its canonical residue modulo the n-th cyclotomic
-polynomial: a coefficient vector of length deg(Phi_n) = phi(n) over exact
-rationals.  The normal form makes equality a coefficient comparison (after
-lifting both operands to the lcm of their conductors).  No conductor
-minimisation is performed and no multiplicative inverse is provided; the
-only division is by a nonzero rational.
+polynomial, a vector of deg(Phi_n) = phi(n) Python ints, over one positive
+denominator in lowest terms.  The normal form makes equality a comparison of
+denominators and residues (after lifting both operands to the lcm of their
+conductors).  No conductor minimisation is performed and no multiplicative
+inverse is provided; the only division is by a nonzero rational.
 
 `Cyclo` is the scalar type.  `CycloArray` holds many values at one
 conductor over one common denominator as a single integer numpy array, for
-table-scale work (see its docstring).  Both reduce powers of zeta_n through
-the same cached table of integer residues, `_power_rows`.
+table-scale work (see its docstring); a `Cyclo` has the format of one of its
+reduced rows.  Both reduce powers of zeta_n through the same cached table of
+integer residues, `_power_rows`.
 """
 from __future__ import annotations
 
@@ -18,12 +19,10 @@ import cmath
 import re
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
+from operator import index
 
 import numpy as np
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NotRationalError(ValueError):
@@ -88,11 +87,11 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce(vec: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    # reduce a coefficient vector on powers of zeta_n to the canonical residue
+def _reduce(vec: list[int], n: int) -> tuple[int, ...]:
+    # reduce an integer vector on powers of zeta_n to the canonical residue
     d = degree(n)
     rows = _power_rows(n)
-    out = list(vec[:d]) + [_ZERO] * max(0, d - len(vec))
+    out = list(vec[:d]) + [0] * max(0, d - len(vec))
     for e in range(d, len(vec)):
         c = vec[e]
         if not c:
@@ -108,70 +107,75 @@ def _reduce(vec: list[Fraction], n: int) -> tuple[Fraction, ...]:
 
 
 class Cyclo:
-    """An element of Q(zeta_conductor) in canonical residue form."""
+    """An element of Q(zeta_conductor): sum_i ints[i] * zeta^i / den.
 
-    __slots__ = ("conductor", "coeffs")
+    ``ints`` is the canonical residue as Python ints, one per power of zeta
+    below phi(conductor); ``den`` is positive and gcd(den, *ints) == 1, so a
+    value has the format of one reduced row of a `CycloArray`.  Entries must
+    be integers (numpy integers included): a `Fraction` is refused rather
+    than truncated.
+    """
 
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
-        if len(coeffs) != degree(conductor):
+    __slots__ = ("conductor", "ints", "den")
+
+    def __init__(self, conductor: int, ints, den: int = 1):
+        if len(ints) != degree(conductor):
             raise ValueError(
                 f"expected {degree(conductor)} coefficients for conductor "
-                f"{conductor}, got {len(coeffs)}"
+                f"{conductor}, got {len(ints)}"
             )
+        if not den:
+            raise ValueError("Cyclo denominator is zero")
+        try:
+            g = gcd(den, *ints)
+        except TypeError:
+            raise ValueError(
+                f"Cyclo entries must be integers, got {ints!r} over {den!r}"
+            ) from None
+        g = g if den > 0 else -g
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "ints", tuple(index(c) // g for c in ints))
+        object.__setattr__(self, "den", index(den) // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo values are immutable")
 
     @staticmethod
     def rational(q) -> "Cyclo":
-        return Cyclo(1, (Fraction(q),))
+        """An int or a Fraction as a value at conductor 1."""
+        if isinstance(q, Fraction):
+            return Cyclo(1, (q.numerator,), q.denominator)
+        return Cyclo(1, (q,))
 
     @staticmethod
     def zero() -> "Cyclo":
         return _RAT_ZERO
 
-    @staticmethod
-    def one() -> "Cyclo":
-        return _RAT_ONE
-
-    # -- representation changes ------------------------------------------
-
-    def _lifted(self, m: int) -> tuple[Fraction, ...]:
-        # coefficient vector of self at conductor m (a multiple of conductor)
+    def _lifted(self, m: int) -> tuple[int, ...]:
+        # residue of self * den at conductor m (a multiple of conductor)
         n = self.conductor
         if m == n:
-            return self.coeffs
+            return self.ints
         t = m // n
-        vec = [_ZERO] * m
-        for i, c in enumerate(self.coeffs):
-            if c:
-                vec[i * t] += c
+        vec = [0] * m
+        vec[: len(self.ints) * t : t] = self.ints  # zeta_n^i = zeta_m^(i * t)
         return _reduce(vec, m)
-
-    def at_conductor(self, m: int) -> "Cyclo":
-        """The same value expressed in Q(zeta_m); m must be a multiple of
-        the current conductor."""
-        if m % self.conductor:
-            raise ValueError(f"{m} is not a multiple of conductor {self.conductor}")
-        return Cyclo(m, self._lifted(m))
 
     # -- predicates and coercions ----------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.ints)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.ints[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise NotRationalError(self)
-        return self.coeffs[0]
+        return Fraction(self.ints[0], self.den)
 
     def is_real(self) -> bool:
         return self == self.conj()
@@ -182,9 +186,10 @@ class Cyclo:
     def _coerce(other) -> "Cyclo | None":
         if isinstance(other, Cyclo):
             return other
-        if isinstance(other, (int, Fraction)):
+        try:
             return Cyclo.rational(other)
-        return None
+        except ValueError:
+            return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -192,12 +197,14 @@ class Cyclo:
             return NotImplemented
         m = lcm(self.conductor, o.conductor)
         a, b = self._lifted(m), o._lifted(m)
-        return Cyclo(m, tuple(x + y for x, y in zip(a, b)))
+        den = lcm(self.den, o.den)
+        s, t = den // self.den, den // o.den
+        return Cyclo(m, [x * s + y * t for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.conductor, tuple(-c for c in self.coeffs))
+        return Cyclo(self.conductor, [-c for c in self.ints], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -215,33 +222,34 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.conductor == 1:
-            q = o.coeffs[0]
-            return Cyclo(self.conductor, tuple(c * q for c in self.coeffs))
-        if self.conductor == 1:
-            q = self.coeffs[0]
-            return Cyclo(o.conductor, tuple(c * q for c in o.coeffs))
+        den = self.den * o.den
+        a, b = (o, self) if self.conductor == 1 else (self, o)
+        if b.conductor == 1:
+            return Cyclo(a.conductor, [c * b.ints[0] for c in a.ints], den)
         m = lcm(self.conductor, o.conductor)
         a, b = self._lifted(m), o._lifted(m)
-        prod = [_ZERO] * (2 * len(a) - 1)
+        prod = [0] * (2 * len(a) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return Cyclo(m, _reduce(prod, m))
+        return Cyclo(m, _reduce(prod, m), den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Cyclo):
-            other = other.to_rational()
-        if not isinstance(other, (int, Fraction)):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        q = Fraction(other)
+        q = o.to_rational()
         if not q:
             raise ZeroDivisionError("division of a cyclotomic value by zero")
-        return self * (1 / q)
+        return Cyclo(
+            self.conductor,
+            [c * q.denominator for c in self.ints],
+            self.den * q.numerator,
+        )
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -260,18 +268,24 @@ class Cyclo:
         n = self.conductor
         if n <= 2:
             return self
-        vec = [_ZERO] * n
-        for i, c in enumerate(self.coeffs):
+        vec = [0] * n
+        for i, c in enumerate(self.ints):
             if c:
                 vec[(n - i) % n] += c
-        return Cyclo(n, _reduce(vec, n))
+        return Cyclo(n, _reduce(vec, n), self.den)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # The reduced den is the least d with d * value in Z[zeta_n]: the
+        # power basis is an integral basis and Z[zeta_m] meets Q(zeta_n) in
+        # Z[zeta_n], so it does not depend on the conductor.  Equal values
+        # therefore have equal den, and only the residues are compared.
+        if self.den != o.den:
+            return False
         if self.conductor == o.conductor:
-            return self.coeffs == o.coeffs
+            return self.ints == o.ints
         m = lcm(self.conductor, o.conductor)
         return self._lifted(m) == o._lifted(m)
 
@@ -289,14 +303,14 @@ class Cyclo:
         """Debug-only floating approximation; never used in any verdict."""
         n = self.conductor
         return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * i / n)
-            for i, c in enumerate(self.coeffs)
+            c / self.den * cmath.exp(2j * cmath.pi * i / n)
+            for i, c in enumerate(self.ints)
             if c
         ) or complex(0)
 
 
-_RAT_ZERO = Cyclo(1, (_ZERO,))
-_RAT_ONE = Cyclo(1, (_ONE,))
+_RAT_ZERO = Cyclo(1, (0,))
+_RAT_ONE = Cyclo(1, (1,))
 
 
 def cyclo_root(n: int, k: int = 1) -> Cyclo:
@@ -308,10 +322,7 @@ def cyclo_root(n: int, k: int = 1) -> Cyclo:
 
 @cache
 def _root(n: int, k: int) -> Cyclo:
-    d = degree(n)
-    if k < d:
-        return Cyclo(n, tuple(_ONE if i == k else _ZERO for i in range(d)))
-    return Cyclo(n, tuple(Fraction(c) for c in _power_rows(n)[k - d]))
+    return Cyclo(n, _reduce([0] * k + [1], n))
 
 
 # -- literal grammar -------------------------------------------------------
@@ -361,15 +372,13 @@ def parse_cyclo(text: str) -> Cyclo:
             pos += 1
         if pos >= len(toks):
             raise ValueError(f"dangling sign in literal {text!r}")
-        coeff = _ONE
+        num, den = 1, 1
         root: Cyclo | None = None
         if toks[pos].isdigit():
             num = take_int()
-            den = 1
             if pos < len(toks) and toks[pos] == "/":
                 pos += 1
                 den = take_int()
-            coeff = Fraction(num, den)
             if pos < len(toks) and toks[pos] == "*":
                 pos += 1
                 if pos >= len(toks) or not toks[pos].startswith("E("):
@@ -382,7 +391,7 @@ def parse_cyclo(text: str) -> Cyclo:
                 pos += 1
                 k = take_int()
             root = cyclo_root(n, k)
-        term = Cyclo.rational(sign * coeff)
+        term = Cyclo(1, (sign * num,), den)
         if root is not None:
             term = term * root
         total = total + term
@@ -393,24 +402,20 @@ def format_cyclo(z: Cyclo) -> str:
     """Canonical literal for a value: exponents ascending, '0' for zero."""
     n = z.conductor
     parts: list[str] = []
-    for k, c in enumerate(z.coeffs):
+    for k, c in enumerate(z.ints):
         if not c:
             continue
-        neg = c < 0
-        mag = -c if neg else c
+        mag = Fraction(abs(c), z.den)
+        root = f"E({n})" if k == 1 else f"E({n})^{k}"
         if k == 0:
             body = str(mag)
         elif mag == 1:
-            body = f"E({n})" if k == 1 else f"E({n})^{k}"
+            body = root
         else:
-            e = f"E({n})" if k == 1 else f"E({n})^{k}"
-            body = f"{mag}*{e}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"-{body}" if neg else f"+{body}")
+            body = f"{mag}*{root}"
+        sign = "-" if c < 0 else "+" if parts else ""
+        parts.append(sign + body)
     return "".join(parts) if parts else "0"
-
 
 
 # -- table-scale arrays ----------------------------------------------------------
@@ -444,11 +449,6 @@ def exact_scaled(a, c, terms: int = 1):
     return a * c
 
 
-def residue_cyclo(res, den: int, conductor: int) -> Cyclo:
-    """The Cyclo whose canonical residue at `conductor` is res / den."""
-    return Cyclo(conductor, tuple(Fraction(int(c), den) for c in res))
-
-
 class CycloArray:
     """Cyclotomic values at one conductor N over one common denominator.
 
@@ -469,9 +469,7 @@ class CycloArray:
         self.den = den
         self.conductor = conductor
         if reduction is None:
-            d = degree(conductor)
-            eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-            reduction = np.array(eye + list(_power_rows(conductor)))
+            reduction = np.array([_root(conductor, e).ints for e in range(conductor)])
         self.reduction = reduction
 
     @staticmethod
@@ -481,17 +479,12 @@ class CycloArray:
         grid = np.array(values, dtype=object)
         flat = grid.ravel().tolist()
         n = lcm(conductor, *(v.conductor for v in flat))
-        den = lcm(1, *(c.denominator for v in flat for c in v.coeffs))
-        rows, top = [], 0
-        for v in flat:
-            row = [0] * n
+        den = lcm(1, *(v.den for v in flat))
+        ints = np.zeros((len(flat), n), dtype=object)
+        for row, v in zip(ints, flat):
             step = n // v.conductor
-            for j, c in enumerate(v.coeffs):
-                if c:
-                    row[j * step] = x = c.numerator * (den // c.denominator)
-                    top = max(top, abs(x))
-            rows.append(row)
-        (ints,) = _exact(top, np.array(rows, dtype=object))
+            row[: len(v.ints) * step : step] = [c * (den // v.den) for c in v.ints]
+        (ints,) = _exact(_amax(ints), ints)
         return CycloArray(ints.reshape(grid.shape + (n,)), den, n)
 
     def __getitem__(self, index) -> "CycloArray":
@@ -518,7 +511,7 @@ class CycloArray:
 
     def cyclos(self) -> list[Cyclo]:
         """The values of a one-axis array as Cyclo values."""
-        return [residue_cyclo(r, self.den, self.conductor) for r in self.residues()]
+        return [Cyclo(self.conductor, r, self.den) for r in self.residues().tolist()]
 
     def weighted(self, weights, den: int = 1) -> "CycloArray":
         """weights @ values over den: integer weights contracted, by matmul

@@ -193,21 +193,27 @@ class GroupTable:
 
 
 def _check_group_laws(M):
-    """Check every group law on the dense table M; return the inverses."""
+    """Check every group law on the dense table M; return the inverses.
+    Each check runs over row or column blocks of about _BLOCK_PRODUCTS
+    entries, so that no temporary grows with the size of M."""
     n = len(M)
     ar = np.arange(n)
-    is_one = M == 0
-    inv = is_one.argmax(axis=1)
-    missing = np.flatnonzero(~is_one[ar, inv])
-    if missing.size:
-        raise GroupLawError(f"element {missing[0]} has no inverse")
+    step = max(1, _BLOCK_PRODUCTS // n)
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    inv = np.empty(n, dtype=np.int32)
+    for rows in blocks:
+        is_one = M[rows] == 0
+        inv[rows] = is_one.argmax(axis=1)
+        missing = np.flatnonzero(~is_one.any(axis=1))
+        if missing.size:
+            raise GroupLawError(f"element {rows.start + missing[0]} has no inverse")
     if M.min() < 0 or M.max() >= n:
         raise GroupLawError("table entry out of range")
     if not (M[0] == ar).all() or not (M[:, 0] == ar).all():
         raise GroupLawError("index 0 is not a two-sided identity")
-    if not (np.sort(M, axis=1) == ar).all():
+    if not all((np.sort(M[rows], axis=1) == ar).all() for rows in blocks):
         raise GroupLawError("a row is not a permutation (left Latin law fails)")
-    if not (np.sort(M, axis=0) == ar[:, None]).all():
+    if not all((np.sort(M[:, cols], axis=0) == ar[:, None]).all() for cols in blocks):
         raise GroupLawError("a column is not a permutation (right Latin law fails)")
     # Light's test: the a with (x*a)*y == x*(a*y) for all x, y are closed
     # under products, so checking a generating set proves associativity.
@@ -223,11 +229,11 @@ def _check_group_laws(M):
             raise GroupLawError(
                 f"associativity fails: more than log2({n}) greedy generators"
             )
-        if not (np.take(M, M[:, a], axis=0) == np.take(M, M[a], axis=1)).all():
+        # (x*a)*y == x*(a*y) for the x of each row block and every y
+        if not all((M[M[rows, a]] == M[rows][:, M[a]]).all() for rows in blocks):
             raise GroupLawError(f"associativity fails with middle element {a}")
         _close(M, reached, np.flatnonzero(reached), gens)
     # In a group the right inverse (where a row holds 0) is two-sided.
-    inv = inv.astype(np.int32)
     inv.flags.writeable = False
     return inv
 
@@ -368,7 +374,8 @@ def _plan(spec: str):
 
 def _cyclic(n: int) -> GroupTable:
     r = np.arange(n, dtype=np.int32)
-    mul = (r[:, None] + r) % n
+    mul = r[:, None] + r
+    mul %= n  # in place: one n x n table at a time
     names = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
     return GroupTable(mul, names, family="cyclic", spec=f"cyclic:{n}")
 

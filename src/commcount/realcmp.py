@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .cyclo import Cyclo, cyclo_root
 
@@ -72,11 +72,12 @@ def cos_bounds(lo: Fraction, hi: Fraction, terms: int) -> tuple[Fraction, Fracti
 
 
 def _enclose_real(v: Cyclo, terms: int) -> tuple[Fraction, Fraction]:
-    # v is real, so v = Re(v) = sum_k c_k cos(2 pi k / N)
+    # v is real, so v = Re(v) = sum_k c_k cos(2 pi k / N) / den; the sum
+    # is enclosed first and divided by den > 0 at the end
     pi_lo, pi_hi = pi_bounds(terms)
     n = v.conductor
     lo = hi = _ZERO
-    for k, c in enumerate(v.coeffs):
+    for k, c in enumerate(v.ints):
         if not c:
             continue
         if k == 0:
@@ -92,7 +93,7 @@ def _enclose_real(v: Cyclo, terms: int) -> tuple[Fraction, Fraction]:
         else:
             lo += c * c_hi
             hi += c * c_lo
-    return lo, hi
+    return lo / v.den, hi / v.den
 
 
 def real_cyclo_sign(v: Cyclo) -> int:
@@ -102,8 +103,7 @@ def real_cyclo_sign(v: Cyclo) -> int:
     if v.is_zero():
         return 0
     if v.is_rational():
-        q = v.to_rational()
-        return 1 if q > 0 else -1
+        return 1 if v.ints[0] > 0 else -1  # den > 0
     terms = 12
     for _ in range(8):
         lo, hi = _enclose_real(v, terms)
@@ -117,8 +117,6 @@ def real_cyclo_sign(v: Cyclo) -> int:
 
 def compare(a: Cyclo, b: Cyclo | int | Fraction) -> int:
     """-1, 0 or +1 as the real value a is <, = or > b."""
-    if not isinstance(b, Cyclo):
-        b = Cyclo.rational(b)
     return real_cyclo_sign(a - b)
 
 
@@ -182,10 +180,22 @@ def sqrt_rational_as_cyclo(q) -> Cyclo:
 def abs_as_cyclo(v: Cyclo) -> Cyclo:
     """|v| as an exact cyclotomic value.
 
-    Real values are negated if negative; complex values require |v|^2 to be
-    rational (true for roots of unity and all character values handled
-    here), and the result is a Gauss-sum square root."""
+    Real values are negated if negative.  For a complex v with |v|^2
+    rational (roots of unity, most character values) the result is a
+    Gauss-sum square root.  Otherwise v must be a real value times a root
+    of unity u of Q(zeta_lcm(2, N)), such as a real character value times
+    a linear one, and |v| = |v / u|."""
     if v.is_real():
         return -v if real_cyclo_sign(v) < 0 else v
     norm = v * v.conj()
-    return sqrt_rational_as_cyclo(norm.to_rational())
+    if norm.is_rational():
+        return sqrt_rational_as_cyclo(norm.to_rational())
+    m = lcm(2, v.conductor)
+    for k in range(1, m):
+        w = v * cyclo_root(m, -k)
+        if w.is_real():
+            return abs_as_cyclo(w)
+    raise ValueError(
+        f"|{v}| is not supported: |v|^2 is irrational and v is no real "
+        "value times a root of unity"
+    )

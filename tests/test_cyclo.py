@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from commcount.cyclo import (
     Cyclo,
+    CycloArray,
     NotRationalError,
     cyclo_root,
     cyclotomic_polynomial,
@@ -21,8 +23,8 @@ from commcount.cyclo import (
 def numeric(z: Cyclo) -> complex:
     # independent floating evaluation used only as a test oracle
     return sum(
-        float(c) * cmath.exp(2j * cmath.pi * k / z.conductor)
-        for k, c in enumerate(z.coeffs)
+        c / z.den * cmath.exp(2j * cmath.pi * k / z.conductor)
+        for k, c in enumerate(z.ints)
     )
 
 
@@ -145,10 +147,11 @@ def test_equality_across_conductors():
     assert cyclo_root(6, 2) == cyclo_root(3)
     assert cyclo_root(8, 2) == cyclo_root(4)
     z = cyclo_root(3) + 1
-    assert z.at_conductor(12) == z
-    assert z.at_conductor(12).conductor == 12
-    with pytest.raises(ValueError):
-        z.at_conductor(5)
+    for m in (6, 12, 15):
+        w = cyclo_root(m, m // 3) + 1  # the same value built at conductor m
+        assert w.conductor == m
+        assert w == z and z == w
+    assert z != cyclo_root(5) + 1
 
 
 def test_division():
@@ -197,3 +200,67 @@ def test_immutability():
     z = cyclo_root(5)
     with pytest.raises(AttributeError):
         z.conductor = 7
+
+
+def in_normal_form(z: Cyclo) -> bool:
+    return z.den > 0 and gcd(z.den, *z.ints) == 1 and all(
+        type(c) is int for c in z.ints
+    )
+
+
+def test_normal_form_after_arithmetic():
+    rng = random.Random(11)
+    for _ in range(120):
+        a, b = random_value(rng), random_value(rng)
+        q = Fraction(rng.choice([-4, -3, -2, 2, 3, 6]), rng.randrange(1, 5))
+        for z in (a + b, a - b, a * b, a / q, a.conj(), -a, a * q):
+            assert in_normal_form(z)
+        # the reduced denominator is the same at a multiple conductor
+        for m in (2 * a.conductor, 3 * a.conductor):
+            w = CycloArray.of([a], m).cyclos()[0]
+            assert w.conductor == m and w.den == a.den and w == a
+    z = Cyclo(3, (2, -4), -6)
+    assert (z.ints, z.den) == ((-1, 2), 3)
+
+
+def test_denominator_is_the_same_at_every_conductor():
+    half = (1 + cyclo_root(5)) / 2
+    assert half.den == 2 and format_cyclo(half) == "1/2+1/2*E(5)"
+    for m in (5, 10, 20):
+        built = (1 + cyclo_root(m, m // 5)) / 2
+        lifted = CycloArray.of([half], m).cyclos()[0]
+        assert built.conductor == lifted.conductor == m
+        assert built.den == lifted.den == 2
+        assert built == half and half == built and lifted == built
+        assert format_cyclo(built) == format_cyclo(lifted)
+        assert parse_cyclo(format_cyclo(built)) == half
+    # equal residues over different denominators are different values
+    assert half != (1 + cyclo_root(5)) / 4
+
+
+def test_constructor_rejects_non_integers_and_zero_denominator():
+    with pytest.raises(ValueError):
+        Cyclo(3, (Fraction(1, 2), 0))
+    with pytest.raises(ValueError):
+        Cyclo(3, (1.0, 0))
+    with pytest.raises(ValueError):
+        Cyclo(3, (1, 0), 0)
+    with pytest.raises(ValueError):
+        Cyclo(3, (1, 0, 0))
+    z = Cyclo(3, np.array([4, -2], dtype=np.int64), np.int64(6))
+    assert (z.ints, z.den) == ((2, -1), 3) and in_normal_form(z)
+
+
+def test_array_round_trip_over_different_denominators():
+    vs = [
+        Fraction(1, 2) + cyclo_root(3),
+        cyclo_root(4) / 3,
+        Cyclo.rational(5),
+        (1 + cyclo_root(5)) / 2,
+        Cyclo.rational(Fraction(-7, 4)),
+    ]
+    X = CycloArray.of(vs)
+    assert X.den == 12 and X.conductor == 60
+    back = X.cyclos()
+    assert back == vs
+    assert [z.den for z in back] == [z.den for z in vs] == [2, 3, 1, 2, 4]

@@ -157,6 +157,15 @@ def test_bounds_hold(spec):
         assert (compare(parse_cyclo(rec.lhs), parse_cyclo(rec.rhs)) <= 0) == rec.holds
 
 
+@pytest.mark.parametrize(
+    "spec", ["product:alternating:5,cyclic:3", "product:dihedral:5,cyclic:3"]
+)
+def test_bounds_hold_where_character_norms_are_irrational(spec):
+    # character values such as phi * zeta_3 have an irrational |chi|^2
+    report = bounds_report(make_group(spec))
+    assert report.records and report.all_hold
+
+
 def test_a5_report_values(a5):
     G, f2, f3 = a5
     report = bounds_report(G, f2, f3)

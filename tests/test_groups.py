@@ -226,6 +226,26 @@ def test_bad_tables_rejected():
             GroupTable(t)
 
 
+def test_group_law_checks_reach_the_last_block():
+    # order 300 is checked in blocks of 65536 // 300 = 218 rows or columns;
+    # each defect below lies only in the second block
+    def z300():
+        return [[(i + j) % 300 for j in range(300)] for i in range(300)]
+
+    t = z300()
+    t[299][1] = 1  # row 299 held its only 0 at column 1
+    with pytest.raises(GroupLawError, match="element 299 has no inverse"):
+        GroupTable(t)
+    t = z300()
+    t[280][5] = t[280][6]
+    with pytest.raises(GroupLawError, match="left Latin law fails"):
+        GroupTable(t)
+    t = z300()
+    t[1][250], t[1][260] = t[1][260], t[1][250]  # row 1 stays a permutation
+    with pytest.raises(GroupLawError, match="right Latin law fails"):
+        GroupTable(t)
+
+
 def _comm(G, x, y):
     """x^-1 * y^-1 * x * y, literally from the table."""
     M, inv = G.table, G.inv

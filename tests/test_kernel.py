@@ -15,7 +15,7 @@ from commcount.chars import (
     table_to_document,
     validate_table,
 )
-from commcount.cyclo import Cyclo, exact_matmul, exact_scaled, residue_cyclo
+from commcount.cyclo import Cyclo, exact_matmul, exact_scaled
 from commcount.groups import conjugacy_classes, make_group
 
 
@@ -37,9 +37,9 @@ def test_kernel_matches_scalar_cyclo(spec):
     gram = X.gram(X, part.sizes)
     for i, chi in enumerate(rows):
         for j, psi in enumerate(rows[i:], i):
-            got = residue_cyclo(gram[i, j], G.order * X.den**2, X.conductor)
+            got = Cyclo(X.conductor, gram[i, j], G.order * X.den**2)
             assert got == inner_product(chi, psi)
-            back = residue_cyclo(gram[j, i], G.order * X.den**2, X.conductor)
+            back = Cyclo(X.conductor, gram[j, i], G.order * X.den**2)
             assert back == got.conj()
 
     weights = counts._aggregated_theta_weights(G).tolist()

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from commcount.cyclo import Cyclo, NotRationalError, cyclo_root
+from commcount.cyclo import Cyclo, cyclo_root
 from commcount.realcmp import (
     abs_as_cyclo,
     compare,
@@ -92,5 +92,19 @@ def test_abs():
     assert abs_as_cyclo(3 * cyclo_root(4)) == 3
     one_plus_i = 1 + cyclo_root(4)
     assert abs_as_cyclo(one_plus_i) == sqrt_rational_as_cyclo(2)
-    with pytest.raises(NotRationalError):
-        abs_as_cyclo(1 + cyclo_root(5))
+    # 1 + zeta_5 = zeta_10 * (golden ratio), a rotated real value
+    assert abs_as_cyclo(1 + cyclo_root(5)) == -phi_major
+
+
+def test_abs_of_a_real_value_times_a_root_of_unity():
+    # |v|^2 = phi^2 is irrational, so |v| is no Gauss-sum square root; it is
+    # found by rotating v onto the real line inside Q(zeta_30)
+    phi = -(cyclo_root(5, 2) + cyclo_root(5, 3))
+    for u in (cyclo_root(3), cyclo_root(3, 2), -cyclo_root(3), cyclo_root(10, 3)):
+        v = phi * u
+        assert not (v * v.conj()).is_rational()
+        assert abs_as_cyclo(v) == phi
+        assert abs_as_cyclo(-v) == phi
+    # |1 + 2 zeta_5|^2 is irrational and 1 + 2 zeta_5 is no rotated real value
+    with pytest.raises(ValueError, match="not supported"):
+        abs_as_cyclo(1 + 2 * cyclo_root(5))
