@@ -9,17 +9,17 @@ the product identity chi(g)*chi(h) = (chi(1)/|G|) * sum_z chi(g * h^z) on
 every pair of class representatives, at every order.  The report of that
 validation is stored on the table.
 
-Table-scale work runs on one integer array per table (`table_array`, a
-`CycloArray` of shape (k, k, N) stored on the table): validation, the
-decomposition into irreducibles and the reconstruction from coefficients
-are integer matrix products on it.
+Table-scale work runs on one integer array per table (`CharacterTable.array`,
+a `CycloArray` of shape (rows, classes, phi(N)) built with the table):
+validation, the decomposition into irreducibles and the reconstruction from
+coefficients are integer matrix products on it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 from math import lcm
 
@@ -126,7 +126,11 @@ class CharacterTable:
     labels: tuple[str, ...]
     provenance: str
     report: ValidationReport | None = None
-    array: CycloArray | None = field(default=None, repr=False, compare=False)
+    # The values chi_i(class c), N the lcm of the table's conductors.
+    array: CycloArray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.array = CycloArray.of([chi.values for chi in self.irreducibles])
 
     @property
     def validated(self) -> bool:
@@ -136,18 +140,10 @@ class CharacterTable:
         return len(self.irreducibles)
 
 
-def table_array(T: CharacterTable) -> CycloArray:
-    """The values chi_i(class c) as one CycloArray of shape (k, k, N), N the
-    lcm of the table's conductors; built on first use and stored on T."""
-    if T.array is None:
-        T.array = CycloArray.of([chi.values for chi in T.irreducibles])
-    return T.array
-
-
 def decompose(f: ClassFunction, T: CharacterTable) -> tuple[Fraction, ...]:
     """Multiplicities <f, chi> for each irreducible, as exact rationals."""
     sizes = conjugacy_classes(T.group).sizes
-    X = table_array(T)
+    X = T.array
     F = CycloArray.of([f.values], X.conductor)
     X = X.lifted(F.conductor)
     scale = T.group.order * F.den * X.den
@@ -159,10 +155,10 @@ def decompose(f: ClassFunction, T: CharacterTable) -> tuple[Fraction, ...]:
 
 def reconstruct(T: CharacterTable, coeffs) -> ClassFunction:
     """sum_i coeffs[i] * chi_i as a ClassFunction."""
-    X = table_array(T)
+    X = T.array
     den = lcm(1, *(Fraction(q).denominator for q in coeffs))
     nums = np.array([int(Fraction(q) * den) for q in coeffs], dtype=object)
-    by_class = CycloArray(X.ints.swapaxes(0, 1), X.den, X.conductor, X.reduction)
+    by_class = CycloArray(X.ints.swapaxes(0, 1), X.den, X.conductor)
     return ClassFunction(T.group, tuple(by_class.weighted(nums, den).cyclos()))
 
 
@@ -236,7 +232,7 @@ def validate_table(T: CharacterTable) -> ValidationReport:
         )
     )
 
-    X = table_array(T)
+    X = T.array
     gram = X.gram(X, part.sizes)  # |G| <chi_i, chi_j>, scaled by den^2
     want = np.eye(k, dtype=object) * (G.order * X.den**2)
     wrong = (gram[..., 1:] != 0).any(axis=-1) | (gram[..., 0] != want)
@@ -275,8 +271,8 @@ def _check_product_identity(T: CharacterTable, part: ClassPartition) -> CheckRec
     # every pair of class reps, one character at a time.
     G = T.group
     k = len(part)
-    X = table_array(T)
-    res = X.residues()
+    X = T.array
+    res = X.ints
     ab, c, count = _class_pair_counts(G, part)
     starts = np.flatnonzero(np.diff(ab, prepend=-1))  # first entry of each pair
     failing = []
@@ -348,8 +344,6 @@ def _build_unvalidated(G: GroupTable, provider: str) -> CharacterTable:
 
 def _auto_provider(G: GroupTable) -> str:
     fam = G.family
-    if fam == "cyclic":
-        return "cyclic-closed-form"
     if fam == "dihedral":
         return "dihedral-closed-form"
     if fam == "symmetric":
@@ -383,25 +377,21 @@ def _cyclic_generator(G: GroupTable) -> int | None:
 
 def _cyclic_table(G: GroupTable) -> CharacterTable:
     n = G.order
-    if G.family == "cyclic":
-        # element index is already the exponent
-        log = range(n)
-    else:
-        gen = _cyclic_generator(G)
-        if gen is None:
-            raise TableProviderError(
-                f"cyclic-closed-form requires a cyclic group; no element of "
-                f"{G.spec or 'the group'} has order {n}"
-            )
-        # cyclic groups are abelian, so class index == element index
-        log = [0] * n
-        x, k, times_gen = 0, 0, G.table[:, gen].tolist()
-        while True:
-            log[x] = k
-            x = times_gen[x]
-            k += 1
-            if x == 0:
-                break
+    gen = _cyclic_generator(G)
+    if gen is None:
+        raise TableProviderError(
+            f"cyclic-closed-form requires a cyclic group; no element of "
+            f"{G.spec or 'the group'} has order {n}"
+        )
+    # cyclic groups are abelian, so class index == element index
+    log = [0] * n
+    x, k, times_gen = 0, 0, G.table[:, gen].tolist()
+    while True:
+        log[x] = k
+        x = times_gen[x]
+        k += 1
+        if x == 0:
+            break
     rows = []
     for j in range(n):
         vals = tuple(cyclo_root(n, j * log[r]) for r in range(n))
@@ -460,7 +450,7 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def rimhook_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """chi_lam evaluated at cycle type mu, by rim-hook removal on beta
     numbers."""

@@ -16,7 +16,7 @@ n = 3), which bounds every count.  `naive_f_n` enumerates all |G|^n tuples.
 Everything here is exact: brute-force tallies are plain integers, and
 character-formula values are certified to be non-negative integers
 before they are returned.  The formulas run on the table's integer array
-(`chars.table_array`): the theta weights are an integer matrix applied to
+(`CharacterTable.array`): the theta weights are an integer matrix applied to
 it, and the t_n coefficients are weighted norms of its rows.
 
 The paper's pair weight H[a, b] = |C(ab) b  intersect  C(a)| is evaluated in
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .chars import (
     TableValidationError,
     build_table,
     reconstruct,
-    table_array,
 )
 from .cyclo import Cyclo, CycloArray, NotRationalError, exact_matmul
 from .groups import _BLOCK_PRODUCTS, GroupTable, SubgroupRef, conjugacy_classes
@@ -185,36 +185,31 @@ def brute_f_n(
 def naive_f_n(
     G: GroupTable, n: int, budget: int = DEFAULT_BUDGET
 ) -> ClassCounts:
-    """f_n by literal enumeration of all |G|^n tuples.  Ground truth for
-    the optimized search; only viable for small groups."""
+    """f_n by literal enumeration of all |G|^n tuples: a loop over the first
+    n - 2 entries, with the last two as one matrix.  Ground truth for the
+    optimized search; only viable for small groups."""
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_budget(G.order, n, budget)
     comm = G.comm_table()
     if n == 2:
-        counts = sum(np.bincount(row, minlength=G.order) for row in comm).tolist()
-    elif n == 3:
-        tally = np.zeros(G.order, dtype=np.int64)
-        for row in comm:  # row[y] = [x, y]
+        counts = sum(np.bincount(row, minlength=G.order) for row in comm)
+        return _as_class_counts(G, counts.tolist(), "f", n)
+    tally = np.zeros(G.order, dtype=np.int64)
+    for head in product(range(G.order), repeat=n - 2):
+        if n == 3:  # x_2 = y, so g = [x_1, y] is one value per row y
+            row = comm[head[0]]
             g = row[:, None]
-            hits = (row == g) & (comm == g)  # [x, z] = [y, z] = [x, y]
+            hits = (row == g) & (comm == g)  # [x_1, z] = [y, z] = [x_1, y]
             np.add.at(tally, row, hits.sum(axis=1))
-        counts = tally.tolist()
-    else:
-        from itertools import product
-
-        ct = comm.tolist()
-        counts = [0] * G.order
-        for tup in product(range(G.order), repeat=n):
-            g = ct[tup[0]][tup[1]]
-            if all(
-                ct[tup[i]][tup[j]] == g
-                for i in range(n)
-                for j in range(i + 1, n)
-                if (i, j) != (0, 1)
-            ):
-                counts[g] += 1
-    return _as_class_counts(G, counts, "f", n)
+            continue
+        g = comm[head[0], head[1]]
+        if any(comm[a, b] != g for a, b in combinations(head, 2)):
+            continue
+        # the w with [x_i, w] = g for every head entry; y and z range over them
+        ok = np.flatnonzero((comm[list(head)] == g).all(axis=0))
+        tally[g] += np.count_nonzero(comm[np.ix_(ok, ok)] == g)
+    return _as_class_counts(G, tally.tolist(), "f", n)
 
 
 def f3_parametrized(G: GroupTable, budget: int = DEFAULT_BUDGET) -> ClassCounts:
@@ -373,7 +368,7 @@ def _m_values(G: GroupTable, X: CycloArray, labels) -> list[Cyclo]:
     weights = G.cached("theta-weights", _aggregated_theta_weights)
     m = X.weighted(exact_matmul(np.array(part.sizes), weights))
     out = []
-    for label, res, conj in zip(labels, m.residues(), m.conj().residues()):
+    for label, res, conj in zip(labels, m.ints, m.conj().ints):
         total = Cyclo(X.conductor, res, X.den)
         if (res != conj).any():
             raise ValueError(
@@ -395,7 +390,7 @@ def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction,
     rational."""
     T = T or build_table(G)
     out = []
-    for m, label in zip(_m_values(G, table_array(T), T.labels), T.labels):
+    for m, label in zip(_m_values(G, T.array, T.labels), T.labels):
         try:
             q = m.to_rational()
         except NotRationalError:
@@ -433,7 +428,7 @@ def conjecture_report(
 ) -> list[ConjectureRecord]:
     T = T or build_table(G)
     out = []
-    for m, label in zip(_m_values(G, table_array(T), T.labels), T.labels):
+    for m, label in zip(_m_values(G, T.array, T.labels), T.labels):
         m = m / G.order
         rational = m.is_rational()
         integer = rational and m.den == 1
@@ -459,7 +454,7 @@ def t_coeffs(
     weights = np.array(
         [size * (G.order // size) ** (n - 2) for size in part.sizes], dtype=object
     )
-    X = table_array(T)
+    X = T.array
     out = []
     for i, (d, label) in enumerate(zip(T.degrees, T.labels)):
         row = X[i : i + 1]

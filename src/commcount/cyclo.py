@@ -10,8 +10,9 @@ inverse is provided; the only division is by a nonzero rational.
 `Cyclo` is the scalar type.  `CycloArray` holds many values at one
 conductor over one common denominator as a single integer numpy array, for
 table-scale work (see its docstring); a `Cyclo` has the format of one of its
-reduced rows.  Both reduce powers of zeta_n through the same cached table of
-integer residues, `_power_rows`.
+rows.  Both reduce powers of zeta_n through the same cached integer
+residues: `_power_rows` for the scalar loops, and `_reduction`, built on
+it, for the roots of unity and the array products.
 """
 from __future__ import annotations
 
@@ -85,6 +86,17 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
         top = row[-1]
         row = tuple(top * a + b for a, b in zip(rows[0], (0,) + row[:-1]))
     return tuple(rows)
+
+
+@cache
+def _reduction(n: int):
+    """Row e is the canonical residue of zeta_n^e, for 0 <= e < n, as a
+    read-only int64 array of shape (n, phi(n))."""
+    d = degree(n)
+    rows = np.array(_power_rows(n), dtype=np.int64).reshape(-1, d)
+    out = np.concatenate([np.eye(d, dtype=np.int64), rows])
+    out.flags.writeable = False
+    return out
 
 
 def _reduce(vec: list[int], n: int) -> tuple[int, ...]:
@@ -322,7 +334,7 @@ def cyclo_root(n: int, k: int = 1) -> Cyclo:
 
 @cache
 def _root(n: int, k: int) -> Cyclo:
-    return Cyclo(n, _reduce([0] * k + [1], n))
+    return Cyclo(n, _reduction(n)[k].tolist())
 
 
 # -- literal grammar -------------------------------------------------------
@@ -452,73 +464,65 @@ def exact_scaled(a, c, terms: int = 1):
 class CycloArray:
     """Cyclotomic values at one conductor N over one common denominator.
 
-    ``ints`` is an integer array of shape (..., N): a value is
-    sum_e ints[..., e] * zeta_N^e / den.  Each value is stored as its `Cyclo`
-    residue lifted to conductor N (exponent j at conductor n goes to
-    j * N/n), so the vectors are not canonical until ``residues`` reduces
-    them through ``reduction``, the residues of zeta_N^e for e < N.  Entries
-    are int64 when they fit and Python ints otherwise; every product goes
-    through `exact_matmul` or `exact_scaled`, which use int64 only under a
-    bound on the result.  Indexing selects along the leading axes.
+    ``ints`` is an integer array of shape (..., phi(N)): each row is the
+    canonical residue at N of a value times ``den``, exactly a `Cyclo` at N,
+    so equal arrays hold equal values.  Entries are int64 when they fit and
+    Python ints otherwise; every product goes through `exact_matmul` or
+    `exact_scaled`, which use int64 only under a bound on the result.
+    Indexing selects along the leading axes.
     """
 
-    __slots__ = ("ints", "den", "conductor", "reduction")
+    __slots__ = ("ints", "den", "conductor")
 
-    def __init__(self, ints, den: int, conductor: int, reduction=None):
+    def __init__(self, ints, den: int, conductor: int):
         self.ints = ints
         self.den = den
         self.conductor = conductor
-        if reduction is None:
-            reduction = np.array([_root(conductor, e).ints for e in range(conductor)])
-        self.reduction = reduction
 
     @staticmethod
     def of(values, conductor: int = 1) -> "CycloArray":
         """A nested sequence of Cyclo values at the lcm of their conductors
-        and `conductor`: the sequence's shape plus one axis of length N."""
+        and `conductor`: the sequence's shape plus one axis of length phi(N)."""
         grid = np.array(values, dtype=object)
         flat = grid.ravel().tolist()
         n = lcm(conductor, *(v.conductor for v in flat))
         den = lcm(1, *(v.den for v in flat))
-        ints = np.zeros((len(flat), n), dtype=object)
-        for row, v in zip(ints, flat):
+        lifted = np.zeros((len(flat), n), dtype=object)
+        for row, v in zip(lifted, flat):
             step = n // v.conductor
             row[: len(v.ints) * step : step] = [c * (den // v.den) for c in v.ints]
+        ints = exact_matmul(lifted, _reduction(n))
         (ints,) = _exact(_amax(ints), ints)
-        return CycloArray(ints.reshape(grid.shape + (n,)), den, n)
+        return CycloArray(ints.reshape(grid.shape + (degree(n),)), den, n)
 
     def __getitem__(self, index) -> "CycloArray":
-        return CycloArray(self.ints[index], self.den, self.conductor, self.reduction)
+        return CycloArray(self.ints[index], self.den, self.conductor)
+
+    def _mapped(self, exponents, m: int) -> "CycloArray":
+        # the values with zeta_N^i sent to zeta_m^exponents[i]
+        return CycloArray(
+            exact_matmul(self.ints, _reduction(m)[exponents % m]), self.den, m
+        )
 
     def lifted(self, m: int) -> "CycloArray":
         """The same values at conductor m, a multiple of N."""
         if m == self.conductor:
             return self
-        ints = np.zeros(self.ints.shape[:-1] + (m,), dtype=self.ints.dtype)
-        ints[..., :: m // self.conductor] = self.ints
-        return CycloArray(ints, self.den, m)
+        return self._mapped(np.arange(self.ints.shape[-1]) * (m // self.conductor), m)
 
     def conj(self) -> "CycloArray":
-        """Complex conjugates: exponent e goes to -e mod N."""
-        n = self.conductor
-        return CycloArray(
-            self.ints[..., -np.arange(n) % n], self.den, n, self.reduction
-        )
-
-    def residues(self):
-        """Canonical residues at N, shape (..., phi(N)), scaled by den."""
-        return exact_matmul(self.ints, self.reduction)
+        """Complex conjugates: zeta_N^i goes to zeta_N^-i."""
+        return self._mapped(-np.arange(self.ints.shape[-1]), self.conductor)
 
     def cyclos(self) -> list[Cyclo]:
         """The values of a one-axis array as Cyclo values."""
-        return [Cyclo(self.conductor, r, self.den) for r in self.residues().tolist()]
+        return [Cyclo(self.conductor, r, self.den) for r in self.ints.tolist()]
 
     def weighted(self, weights, den: int = 1) -> "CycloArray":
         """weights @ values over den: integer weights contracted, by matmul
         rules, with the axis before the value axis."""
         return CycloArray(
-            exact_matmul(weights, self.ints), den * self.den, self.conductor,
-            self.reduction,
+            exact_matmul(weights, self.ints), den * self.den, self.conductor
         )
 
     def mult_matrices(self):
@@ -528,11 +532,12 @@ class CycloArray:
         phi = cyclotomic_polynomial(self.conductor)
         d = len(phi) - 1
         lead = np.array([-c for c in phi[:d]])  # the residue of zeta_N^d
-        # A residue of zeta_N^g times a value is at most N * max|ints| *
-        # max|reduction|; one step of the recurrence adds max|lead| times that.
-        bound = (self.conductor * _amax(self.ints) * _amax(self.reduction)
-                 * (1 + _amax(lead)))
-        row, lead = _exact(bound, self.residues(), lead)
+        reduction = _reduction(self.conductor)
+        # zeta_N^g times a value is sum_i ints[i] * reduction[(i + g) % N],
+        # at most phi(N) * max|ints| * max|reduction|; one step of the
+        # recurrence adds max|lead| times that.
+        bound = d * _amax(self.ints) * _amax(reduction) * (1 + _amax(lead))
+        row, lead = _exact(bound, self.ints, lead)
         rows = [row]
         for _ in range(1, d):
             nxt = np.zeros_like(row)
@@ -544,11 +549,11 @@ class CycloArray:
 
     def gram(self, other: "CycloArray", weights):
         """out[a, b] = sum_c weights[c] * self[a, c] * conj(other[b, c]) for
-        arrays of shape (rows, classes, N) at one conductor, as residues of
-        shape (rows_a, rows_b, phi(N)) scaled by self.den * other.den.  One
-        row a at a time, so temporaries stay O(classes * N^2)."""
+        arrays of shape (rows, classes, phi(N)) at one conductor, as residues
+        of shape (rows_a, rows_b, phi(N)) scaled by self.den * other.den.  One
+        row a at a time, so temporaries stay O(classes * phi(N)^2)."""
         kb = other.ints.shape[0]
-        right = exact_scaled(other.conj().residues(), np.asarray(weights)[:, None])
+        right = exact_scaled(other.conj().ints, np.asarray(weights)[:, None])
         right = right.reshape(kb, -1)
         return np.stack([
             exact_matmul(right, self[a].mult_matrices().reshape(right.shape[1], -1))

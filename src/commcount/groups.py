@@ -484,12 +484,7 @@ def _product(A: GroupTable, B: GroupTable, spec: str) -> GroupTable:
 
 
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
-    # ClassFunction.at and ClassCounts.at call this per lookup: a plain dict
-    # hit once the partition is built.
-    try:
-        return G._memo["classes"]
-    except KeyError:
-        return G.cached("classes", _class_partition)
+    return G.cached("classes", _class_partition)
 
 
 def _class_partition(G: GroupTable) -> ClassPartition:

@@ -10,7 +10,7 @@ values stay inside the field.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import factorial, lcm
 
 from .cyclo import Cyclo, cyclo_root
@@ -18,10 +18,19 @@ from .cyclo import Cyclo, cyclo_root
 _ZERO = Fraction(0)
 
 
-@lru_cache(maxsize=None)
+def _dyadic_floor(x: Fraction, terms: int) -> Fraction:
+    # x rounded down to a multiple of 2^-(5 terms), below 5^-(2 terms), the
+    # error of pi_bounds(terms).  Rounding the enclosures onto this grid
+    # keeps their denominators from growing with every term.
+    scale = 1 << (5 * terms)
+    return Fraction(x.numerator * scale // x.denominator, scale)
+
+
+@cache
 def pi_bounds(terms: int) -> tuple[Fraction, Fraction]:
     """Rational lo < pi < hi from Machin's formula
-    pi = 16 atan(1/5) - 4 atan(1/239), with alternating-series tail bounds."""
+    pi = 16 atan(1/5) - 4 atan(1/239), with alternating-series tail bounds,
+    rounded outward onto the grid of `_dyadic_floor`."""
 
     def atan_bounds(inv_x: int) -> tuple[Fraction, Fraction]:
         # atan(1/inv_x) for inv_x > 1: partial sums of the alternating
@@ -46,16 +55,20 @@ def pi_bounds(terms: int) -> tuple[Fraction, Fraction]:
 
     lo5, hi5 = atan_bounds(5)
     lo239, hi239 = atan_bounds(239)
-    return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+    return (
+        _dyadic_floor(16 * lo5 - 4 * hi239, terms),
+        -_dyadic_floor(4 * lo239 - 16 * hi5, terms),
+    )
 
 
 def cos_bounds(lo: Fraction, hi: Fraction, terms: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure of cos over the interval [lo, hi].
 
-    Taylor expansion at the midpoint with a geometric tail bound, widened
-    by the half-width of the argument interval (|cos'| <= 1)."""
-    mid = (lo + hi) / 2
-    halfwidth = (hi - lo) / 2
+    Taylor expansion at the midpoint, rounded onto the grid of
+    `_dyadic_floor`, with a geometric tail bound, widened by the distance
+    to the farther end of the argument interval (|cos'| <= 1)."""
+    mid = _dyadic_floor((lo + hi) / 2, terms)
+    halfwidth = max(hi - mid, mid - lo)
     t2 = mid * mid
     total = Fraction(1)
     power = Fraction(1)

@@ -13,6 +13,7 @@ commutator values.  Every returned triple is re-verified from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -109,9 +110,6 @@ def _system_value(G: GroupTable, t: tuple[int, int, int]) -> int:
 
 # -- block solvers (local, canonical targets, cached) ---------------------------
 
-_odd_cycle_cache: dict[int, PermTriple] = {}
-_even_pair_cache: dict[tuple[int, int], PermTriple] = {}
-
 
 def _dihedral_members(m: int) -> list[tuple[int, ...]]:
     # the order-2m subgroup generated by the canonical m-cycle and the
@@ -127,12 +125,10 @@ def _dihedral_members(m: int) -> list[tuple[int, ...]]:
     return members
 
 
+@cache
 def _solve_odd_cycle(m: int) -> PermTriple:
     """A triple in the dihedral subgroup of Sym(m) solving for the
     canonical m-cycle; exists for every odd m >= 3."""
-    got = _odd_cycle_cache.get(m)
-    if got is not None:
-        return got
     target = tuple((i + 1) % m for i in range(m))
     members = _dihedral_members(m)
     for x in members:
@@ -141,7 +137,6 @@ def _solve_odd_cycle(m: int) -> PermTriple:
                 continue
             for z in members:
                 if pcomm(x, z) == target and pcomm(y, z) == target:
-                    _odd_cycle_cache[m] = (x, y, z)
                     return x, y, z
     raise TripleSearchError(f"no dihedral solution for an {m}-cycle")
 
@@ -164,6 +159,7 @@ def _perms_by_centralizer_size(s: int):
         yield from buckets[typ]
 
 
+@cache
 def _solve_even_pair(l1: int, l2: int) -> PermTriple:
     """A triple in Sym(l1 + l2) solving for the product of the canonical
     cycles (0..l1-1)(l1..l1+l2-1), both of even length.
@@ -172,10 +168,6 @@ def _solve_even_pair(l1: int, l2: int) -> PermTriple:
     [x, y] = g lies in the coset C(x)·y0 for any one solution y0, so the
     search space per x is |C(x)|^2 pairs.
     """
-    key = (l1, l2)
-    got = _even_pair_cache.get(key)
-    if got is not None:
-        return got
     s = l1 + l2
     first = tuple(range(1, l1)) + (0,)
     second = tuple(range(l1 + 1, s)) + (l1,)
@@ -190,10 +182,9 @@ def _solve_even_pair(l1: int, l2: int) -> PermTriple:
         for y in coset:
             for z in coset:
                 if pcomm(y, z) == target:
-                    _even_pair_cache[key] = (x, y, z)
                     return x, y, z
     raise TripleSearchError(
-        f"no solution for an even cycle pair of lengths {key}"
+        f"no solution for an even cycle pair of lengths {(l1, l2)}"
     )
 
 

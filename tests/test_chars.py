@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -272,6 +273,19 @@ def test_validation_catches_corruption(tmp_path):
     assert exc.value.report.failures()
 
 
+@pytest.mark.parametrize("rows", [slice(0, -1), slice(0, 0)])
+def test_documents_missing_rows_fail_only_the_class_count(rows):
+    # the table array is built with the table, so a table with rows missing,
+    # or with none, must reach validation and fail there
+    G = make_group("alternating:5")
+    doc = table_to_document(build_table(G))
+    doc["irreducibles"] = doc["irreducibles"][rows]
+    doc["labels"] = doc["labels"][rows]
+    report = validate_table(table_from_document(G, doc, "file:mem"))
+    assert [c.name for c in report.checks] == ["class-count"]
+    assert not report.passed
+
+
 def test_validation_catches_wrong_degree():
     G = make_group("quaternion")
     doc = table_to_document(build_table(G))
@@ -288,7 +302,8 @@ def test_sweep_row_names_a_failing_table(monkeypatch):
     def corrupt(G, provider):
         T = build(G, provider)
         if G.spec == "cyclic:7":  # last row replaced by a copy of the first
-            T.irreducibles = T.irreducibles[:-1] + T.irreducibles[:1]
+            rows = T.irreducibles[:-1] + T.irreducibles[:1]
+            return dataclasses.replace(T, irreducibles=rows)
         return T
 
     monkeypatch.setattr(chars, "_build_unvalidated", corrupt)

@@ -267,6 +267,9 @@ def test_naive_enumeration_matches_pruned_search():
         G = make_group(spec)
         for n in (2, 3, 4):
             assert naive_f_n(G, n) == brute_f_n(G, n), (spec, n)
+    for spec, n in (("dihedral:12", 4), ("dihedral:20", 4), ("quaternion", 5)):
+        G = make_group(spec)
+        assert naive_f_n(G, n) == brute_f_n(G, n), (spec, n)
 
 
 def test_f3_parametrized_matches_brute():

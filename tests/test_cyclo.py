@@ -264,3 +264,23 @@ def test_array_round_trip_over_different_denominators():
     back = X.cyclos()
     assert back == vs
     assert [z.den for z in back] == [z.den for z in vs] == [2, 3, 1, 2, 4]
+
+
+def test_array_rows_are_the_scalar_residues():
+    def at(v: Cyclo, n: int) -> Cyclo:
+        return v + Cyclo(n, [0] * degree(n))  # v as a value at conductor n
+
+    rng = random.Random(5)
+    for _ in range(40):
+        vs = [random_value(rng) for _ in range(4)]
+        X = CycloArray.of(vs, rng.choice([1, 2, 3, 4]))
+        n = X.conductor
+        for row, v in zip(X.ints.tolist(), vs):
+            w = at(v, n)
+            assert row == [c * (X.den // w.den) for c in w.ints]
+        for Y, want in ((X.conj(), [v.conj() for v in vs]), (X.lifted(3 * n), vs)):
+            for got, v in zip(Y.cyclos(), want):
+                w = at(v, Y.conductor)
+                assert (got.conductor, got.ints, got.den) == (
+                    w.conductor, w.ints, w.den
+                )

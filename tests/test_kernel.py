@@ -10,7 +10,6 @@ from commcount.chars import (
     build_table,
     inner_product,
     reconstruct,
-    table_array,
     table_from_document,
     table_to_document,
     validate_table,
@@ -30,7 +29,7 @@ def cyclo_sum(weights, values) -> Cyclo:
 def test_kernel_matches_scalar_cyclo(spec):
     G = make_group(spec)
     T = build_table(G)
-    X = table_array(T)
+    X = T.array
     part = conjugacy_classes(G)
     rows = T.irreducibles
 
