@@ -42,7 +42,7 @@ from .groups import (
     make_group,
     subgroup_generated,
 )
-from .perms import format_cycles, parse_cycles, pcomm
+from .perms import format_cycles, parse_cycles
 from .triples import TripleSearchError, ore_triple_symmetric
 from .verify import SUITES, run_suite
 
@@ -385,18 +385,13 @@ def cmd_ore(args) -> int:
 
 def cmd_triple(args) -> int:
     g = parse_cycles(args.g, args.n)
-    x1, x2, x3 = ore_triple_symmetric(args.n, g)
-    ok = pcomm(x1, x2) == pcomm(x1, x3) == pcomm(x2, x3) == g
+    x1, x2, x3 = ore_triple_symmetric(args.n, g)  # re-verified, or it raises
     print(f"target g = {format_cycles(g)} on {args.n} points")
     print(f"x1 = {format_cycles(x1)}")
     print(f"x2 = {format_cycles(x2)}")
     print(f"x3 = {format_cycles(x3)}")
-    print(
-        "verified: [x1,x2] = [x1,x3] = [x2,x3] = g"
-        if ok
-        else "VERIFICATION FAILED"
-    )
-    return 0 if ok else 1
+    print("verified: [x1,x2] = [x1,x3] = [x2,x3] = g")
+    return 0
 
 
 def cmd_verify(args) -> int:

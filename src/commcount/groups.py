@@ -9,10 +9,11 @@ associativity at every order, by Light's test on a greedy generating set
 (complete, O(n^2 log n)).
 
 Tables are built and analysed by numpy indexing, not by Python loops over
-pairs: permutation products by composing the rows of the sorted element
-array and ranking them by key (``perms.keys``), direct products as a
-broadcast of the factor tables, and commutators, classes, element orders
-and subgroup closure by gathers on ``table``.
+pairs: a permutation group's rows as gathers of the rows of a few
+generators (row x*y is row(x)[row(y)]; no product of two elements is ever
+looked up), direct products as a broadcast of the factor tables, and
+commutators, classes, element orders and subgroup closure by gathers on
+``table``.
 
 Commutators have one representation, ``G.comm_table()``: the read-only
 int32 matrix of [x, y] = x^-1 y^-1 x y, filled one row (``comm_row``) at a
@@ -242,9 +243,11 @@ def _close(M, reached, frontier, gens) -> None:
     """Mark in reached everything frontier * gens^k reaches (k >= 1)."""
     gens = np.asarray(gens, dtype=np.intp)
     while frontier.size:
-        prods = np.unique(M[np.ix_(frontier, gens)])
-        frontier = prods[~reached[prods]]
-        reached[frontier] = True
+        fresh = np.zeros(len(M), dtype=bool)
+        fresh[M[frontier[:, None], gens]] = True
+        fresh[reached] = False
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
 
 
 def _comm_table(G: GroupTable):
@@ -415,33 +418,64 @@ def _quaternion() -> GroupTable:
 
 
 def _table_from_perms(plist, family, spec) -> GroupTable:
-    """The table of a permutation list, which must be closed under products.
+    """The table of a repeat-free permutation list closed under products.
 
-    Row a is P[:, P[a]] (p_a * q for every q, since (p*q)[i] = q[p[i]]);
-    each product is found in the list by its key, and one that is missing
-    raises."""
+    Row a holds the index of p_a * q for every q: it is the
+    left-multiplication map of p_a, so row(x*y) = row(x)[row(y)].  Each
+    generator s is the last element that no filled row reaches; its row is
+    found by one dict lookup per element, and a product missing from the
+    list raises there.  Every other row is a gather of filled rows, by
+    Dimino's coset enumeration: with the subgroup H of the earlier
+    generators filled, the group that s adds is a union of cosets y*H, with
+    y = g*x for a generator g and a coset rep x, and row(y*h) =
+    row(y)[row(h)].  Each generator at least doubles the rows filled, so
+    there are log2 of the order of them at most."""
     n = len(plist)
     _check_cap(n)
-    P = perms.perm_array(plist, len(plist[0]))
-    key = perms.keys(P)
-    by_key = np.argsort(key)
-    sorted_keys = key[by_key]
+    index = {p: i for i, p in enumerate(plist)}
+    if len(index) < n:
+        raise GroupLawError("permutation list has a repeated element")
+    one = index.get(perms.identity(len(plist[0])))
+    if one is None:
+        raise GroupLawError("permutation list not closed: () is not in it")
     mul = np.empty((n, n), dtype=np.int32)
+    mul[one] = np.arange(n)
+    filled = np.zeros(n, dtype=bool)
+    filled[one] = True
+    gens: list[int] = []
     step = max(1, _BLOCK_PRODUCTS // n)
-    for lo in range(0, n, step):
-        prods = perms.keys(P[:, P[lo:lo + step]])  # [q, a] = key of p_a * q
-        pos = np.minimum(np.searchsorted(sorted_keys, prods), n - 1)
-        missing = np.argwhere(sorted_keys[pos] != prods)
-        if missing.size:
-            q, a = missing[0]
-            raise GroupLawError(
-                "permutation list not closed: "
-                f"{perms.format_cycles(plist[lo + a])}*"
-                f"{perms.format_cycles(plist[q])} is not in it"
-            )
-        mul[lo:lo + step] = by_key[pos].T
+    while not filled.all():
+        s = n - 1 - int(filled[::-1].argmin())
+        mul[s] = _left_map(plist[s], plist, index)
+        gens.append(s)
+        H = np.flatnonzero(filled)
+        blocks = [H[lo:lo + step] for lo in range(0, len(H), step)]
+        reps = [one]
+        for x in reps:
+            for g in gens:
+                y = mul[g, x]
+                if filled[y]:
+                    continue
+                row = mul[g][mul[x]]  # row(y), and row(y*h) = row[row(h)]
+                for rows in blocks:
+                    coset = row[rows]
+                    mul[coset] = row[mul[rows]]
+                    filled[coset] = True
+                reps.append(y)
     names = [perms.format_cycles(p) for p in plist]
     return GroupTable(mul, names, family=family, spec=spec, perm_list=plist)
+
+
+def _left_map(s, plist, index):
+    """The row of s: the index of s * p_x for every x, as int32."""
+    try:
+        return np.array([index[perms.pmul(s, p)] for p in plist], dtype=np.int32)
+    except KeyError:
+        p = next(p for p in plist if perms.pmul(s, p) not in index)
+        raise GroupLawError(
+            "permutation list not closed: "
+            f"{perms.format_cycles(s)}*{perms.format_cycles(p)} is not in it"
+        ) from None
 
 
 def _symmetric(n: int, even_only: bool) -> GroupTable:
@@ -496,7 +530,9 @@ def _class_partition(G: GroupTable) -> ClassPartition:
         if class_of[start] >= 0:
             continue
         # the orbit y^-1 * start * y over all y; start is its least member
-        orbit = np.unique(M[M[inv, start], every])
+        member = np.zeros(G.order, dtype=bool)
+        member[M[M[inv, start], every]] = True
+        orbit = np.flatnonzero(member)
         class_of[orbit] = len(classes)
         classes.append(tuple(orbit.tolist()))
     return ClassPartition(

@@ -2,18 +2,13 @@
 
 Products compose left-to-right: (p * q) means apply p, then q.  Text
 notation is disjoint cycles on points 1..n, identity written '()'.
-
-Whole lists of permutations are also held as (count, n) integer arrays: row
-p composes with every row of Q as ``Q[:, p]`` (apply p, then each q), and
-``keys`` turns rows into sortable scalars for ``argsort``/``searchsorted``
-lookups.
+Everything here is plain Python on tuples; whole groups of permutations
+become dense tables in ``groups``.
 """
 from __future__ import annotations
 
 import itertools
 import re
-
-import numpy as np
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -21,7 +16,7 @@ def identity(n: int) -> tuple[int, ...]:
 
 
 def pmul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def pinv(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -85,28 +80,6 @@ def even_perms(n: int) -> list[tuple[int, ...]]:
     )
 
 
-def perm_array(plist, n: int) -> np.ndarray:
-    """The permutations of {0..n-1} in plist as the rows of a (len, n) array
-    of the smallest unsigned dtype that holds n - 1."""
-    dtype = np.min_scalar_type(max(n - 1, 0))
-    return np.array(plist, dtype=dtype).reshape(len(plist), n)
-
-
-def keys(P: np.ndarray) -> np.ndarray:
-    """One sortable scalar per permutation on the last axis of P: its
-    one-line form read as a base-n integer, or as raw bytes when n**n does
-    not fit in int64 (n > 15).  Equal keys mean equal permutations."""
-    n = P.shape[-1]
-    if n**n < 2**63:
-        key = np.zeros(P.shape[:-1], dtype=np.int64)
-        for i in range(n):
-            key *= n
-            key += P[..., i]
-        return key
-    P = np.ascontiguousarray(P)
-    return P.view(np.dtype((np.void, n * P.itemsize)))[..., 0]
-
-
 def closure(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
     """All products of the generators, canonically sorted.  Raises if the
     enumeration exceeds cap elements."""
@@ -115,21 +88,15 @@ def closure(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise ValueError("generators act on different point sets")
-    G = perm_array(gens, n)
-    frontier = perm_array([identity(n)], n)
-    found = [frontier]
-    seen = keys(frontier)  # sorted
-    while len(frontier):
-        prods = G[:, frontier].reshape(len(G) * len(frontier), n)
-        k, first = np.unique(keys(prods), return_index=True)
-        pos = np.searchsorted(seen, k)
-        new = seen[np.minimum(pos, len(seen) - 1)] != k
-        frontier = prods[first[new]]
-        if len(seen) + len(frontier) > cap:
+    frontier = [identity(n)]
+    seen = set(frontier)
+    while frontier:
+        frontier = [q for q in {pmul(p, g) for p in frontier for g in gens}
+                    if q not in seen]
+        seen.update(frontier)
+        if len(seen) > cap:
             raise ValueError(f"permutation closure exceeds cap of {cap} elements")
-        seen = np.insert(seen, pos[new], k[new])
-        found.append(frontier)
-    return sorted(map(tuple, np.concatenate(found).tolist()), key=sort_key)
+    return sorted(seen, key=sort_key)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -12,11 +12,13 @@ commutator values.  Every returned triple is re-verified from scratch.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
+from .chars import partitions_of
 from .groups import GroupTable
 from .perms import (
     centralizer_perms,
@@ -141,22 +143,18 @@ def _solve_odd_cycle(m: int) -> PermTriple:
     raise TripleSearchError(f"no dihedral solution for an {m}-cycle")
 
 
+def _centralizer_order(typ: tuple[int, ...]) -> int:
+    """|C(p)| in Sym(n) for p of cycle type typ: prod l^m * m! over the
+    lengths l that occur m times."""
+    return prod(length**m * factorial(m) for length, m in Counter(typ).items())
+
+
 def _perms_by_centralizer_size(s: int):
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for p in permutations(range(s)):
-        buckets.setdefault(cycle_type(p), []).append(p)
-
-    def cent_order(typ: tuple[int, ...]) -> int:
-        mult: dict[int, int] = {}
-        for length in typ:
-            mult[length] = mult.get(length, 0) + 1
-        z = 1
-        for length, m in mult.items():
-            z *= length**m * factorial(m)
-        return z
-
-    for typ in sorted(buckets, key=lambda t: (cent_order(t), t)):
-        yield from buckets[typ]
+    """Every permutation of s points, by ascending centralizer order of its
+    cycle type (ties by type), each type in itertools order.  Each type is
+    filtered lazily from its own pass, so nothing is buffered."""
+    for typ in sorted(partitions_of(s), key=lambda t: (_centralizer_order(t), t)):
+        yield from (p for p in permutations(range(s)) if cycle_type(p) == typ)
 
 
 @cache

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .chars import (
     ClassFunction,
     TableValidationError,
@@ -29,6 +31,8 @@ from .chars import (
 from .counts import (
     BudgetExceededError,
     ClassCounts,
+    _aggregated_theta_weights,
+    _tau_weights,
     brute_f_n,
     brute_t_n,
     conjecture_report,
@@ -41,8 +45,6 @@ from .counts import (
     recursive_fn1,
     t_coeffs,
     t_from_characters,
-    tau_values,
-    theta_class_function,
 )
 from .cyclo import Cyclo, cyclo_root
 from .dihedral import (
@@ -493,20 +495,16 @@ def _m_chi_real(groups) -> CheckResult:
 
 
 def _theta_tau_sums(groups) -> CheckResult:
+    # sum_c |c| theta_chi(c) = (sizes @ W_theta) . chi and
+    # sum_b tau_chi(b) = (1 @ W_tau) . chi, so on an invertible table the two
+    # sums agree for every chi exactly when these integer vectors agree.
     bad = []
     for G in groups:
-        T = build_table(G)
-        part = conjugacy_classes(G)
-        for chi in T.irreducibles:
-            theta = theta_class_function(G, chi)
-            by_rows = sum(
-                (size * theta.values[c] for c, size in enumerate(part.sizes)),
-                Cyclo.zero(),
-            )
-            by_cols = sum(tau_values(G, chi), Cyclo.zero())
-            if not (by_rows == m_chi(G, chi) == by_cols):
-                bad.append(G.spec)
-                break
+        sizes = np.array(conjugacy_classes(G).sizes)
+        by_rows = sizes @ G.cached("theta-weights", _aggregated_theta_weights)
+        by_cols = G.cached("tau-weights", _tau_weights).sum(axis=0)
+        if (by_rows != by_cols).any():
+            bad.append(G.spec)
     return CheckResult(
         "properties",
         "theta-tau-sum-agreement",

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,9 +364,10 @@ def _generated(G, gens):
     "spec",
     [
         "symmetric:4",
+        "symmetric:5",  # three generator maps
         "alternating:5",
         "perm:(1 2 3 4 5),(2 5)(3 4)",
-        "perm:(1 2)(3 4 5)(6 7 8 9 10 11 12 13 14 15 16 17)",  # keys as bytes
+        "perm:(1 2)(3 4 5)(6 7 8 9 10 11 12 13 14 15 16 17)",  # degree 17
         "dihedral:7",
         "quaternion",
         "product:symmetric:3,dihedral:4",
@@ -429,3 +435,61 @@ def test_non_closed_sets_rejected():
     cycle = perms.parse_cycles("(1 2 3)")
     with pytest.raises(GroupLawError, match="not closed"):
         _table_from_perms([perms.identity(3), cycle], "perm", "perm:broken")
+
+
+def test_missing_product_found_by_a_later_generator_map():
+    # Two right cosets of <(1 4 3)>, whose generator is the list's last
+    # element: its map stays inside, and only the second generator's map,
+    # that of (1 4 2), meets a product outside the list.
+    plist = sorted(
+        (perms.parse_cycles(t, 4)
+         for t in ("()", "(1 2)(3 4)", "(1 3 2)", "(1 3 4)", "(1 4 2)", "(1 4 3)")),
+        key=perms.sort_key,
+    )
+    first = plist[-1]
+    assert perms.format_cycles(first) == "(1 4 3)"
+    assert {perms.pmul(first, p) for p in plist} == set(plist)
+    with pytest.raises(GroupLawError, match=r"not closed: \(1 4 2\)\*\(1 3 2\) is not"):
+        _table_from_perms(plist, "perm", "perm:broken")
+
+
+def test_permutation_lists_with_a_repeat_or_no_identity_are_refused():
+    e, t = perms.identity(3), perms.parse_cycles("(1 2)", 3)
+    with pytest.raises(GroupLawError, match="repeated element"):
+        _table_from_perms([e, t, t], "perm", "perm:broken")
+    with pytest.raises(GroupLawError, match=r"not closed: \(\) is not in it"):
+        _table_from_perms([t], "perm", "perm:broken")
+    # the table is right, but the identity is not at index 0
+    with pytest.raises(GroupLawError, match="index 0 is not a two-sided identity"):
+        _table_from_perms([t, e], "perm", "perm:broken")
+
+
+def test_symmetric_7_table_agrees_with_composition_on_random_pairs():
+    G = make_group("symmetric:7")
+    rng = np.random.default_rng(7)
+    a, b = rng.integers(0, G.order, size=(2, 10**4))
+    got = G.table[a, b]
+    assert all(
+        G.perm_list[int(ab)] == perms.pmul(G.perm_list[int(x)], G.perm_list[int(y)])
+        for x, y, ab in zip(a, b, got)
+    )
+
+
+def test_cold_start_does_not_load_numpy_ma():
+    # A plain np.unique imports numpy.ma on its first call; building a
+    # group, its table and f3 both ways must not pay for it.
+    script = textwrap.dedent("""
+        import sys, numpy
+        before = "numpy.ma" in sys.modules
+        from commcount.chars import build_table
+        from commcount.counts import brute_f_n, f3_from_characters
+        from commcount.groups import make_group
+        G = make_group("symmetric:4")
+        f3_from_characters(G, build_table(G))
+        brute_f_n(G, 3)
+        print(before, "numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(groups.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=300, check=True).stdout.split()
+    assert out[1] == out[0]

@@ -2,9 +2,10 @@ import pytest
 
 from commcount.chars import partitions_of
 from commcount.groups import make_group
-from commcount.perms import even_perms, identity, parse_cycles, pcomm
+from commcount.perms import even_perms, format_cycles, identity, parse_cycles, pcomm
 from commcount.triples import (
     CycleDecomposition,
+    _solve_even_pair,
     combine_disjoint_triples,
     decompose_cycles,
     ore_triple_symmetric,
@@ -45,6 +46,21 @@ def test_every_even_class_rep_is_solved(n):
     assert len(reps) > 5
     for g in reps:
         assert_solves(n, g)
+
+
+@pytest.mark.parametrize(
+    "lengths, want",
+    [
+        ((2, 2), "(2 3 4), (1 3 2), (1 3)(2 4)"),
+        ((2, 4), "(1 3 6 2 4), (1 2)(3 5), (1 5 3 6)(2 4)"),
+        ((4, 4), "(2 3 4 5 7 6 8), (1 7)(2 6)(3 5)(4 8), (1 7 2 5)(3 8 6 4)"),
+        ((2, 6), "(1 3 5 8 7 2 4), (1 2)(3 5)(6 8), (1 5 6 8 7)(2 4)"),
+    ],
+)
+def test_even_pair_solutions_are_the_first_in_candidate_order(lengths, want):
+    # Candidates come by ascending centralizer order of their cycle type,
+    # each type in itertools order; the first solution found is pinned.
+    assert ", ".join(map(format_cycles, _solve_even_pair(*lengths))) == want
 
 
 def test_identity_target():
