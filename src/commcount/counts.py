@@ -8,10 +8,13 @@ with f_n at n = 2 and dominates f_3 away from the identity.
 
 The exhaustive oracles are gathers on the group table, its commutator
 matrix and its commuting matrix.  `brute_f_n` uses the coset lemma
-{y : [x, y] = [x, x2]} = C(x) x2: given (x1, x2), every later entry is in
-C_H(x1) x2.  Its budget projects the candidate tuples it visits,
-|H| * sum over x in H of |C_H(x)|^(n-2) (the t_n total, k(H) * |H|^2 at
-n = 3), which bounds every count.  `naive_f_n` enumerates all |G|^n tuples.
+{y : [x, y] = [x, x2]} = C(x) x2: given (x1, x2), every later entry is
+y = c x2 with c in C_H(x1).  As [x2, c x2] = x2^-1 [x2, c] x2, the test
+[x2, y] = [x1, x2] is [c, x2] = [x1, x2^-1]: per x1, the rows C_H(x1) of the
+commutator matrix, read in order, against one vector.  The budget projects
+the candidate tuples it visits, |H| * sum over x in H of |C_H(x)|^(n-2)
+(the t_n total; k(H) * |H|^2 at n = 3, one commutator entry read each),
+which bounds every count.  `naive_f_n` enumerates all |G|^n tuples.
 
 Everything here is exact: brute-force tallies are plain integers, and
 character-formula values are certified to be non-negative integers
@@ -111,11 +114,12 @@ def _fn_element_counts(G: GroupTable, members, n: int, budget: int) -> list[int]
         raise ValueError("n must be at least 2")
     members = np.asarray(members)
     K = G.commuting()
-    sizes = [int(np.count_nonzero(K[x, members])) for x in members]
+    sizes = K[np.ix_(members, members)].sum(axis=1).tolist()
     projected = len(members) * sum(c ** (n - 2) for c in sizes)
     if projected > budget:
         raise BudgetExceededError(projected, budget)
     comm = G.comm_table()
+    whole = len(members) == G.order
     counts = np.zeros(G.order, dtype=np.int64)
     for x1 in members:
         firsts = comm[x1, members]  # g = [x1, x2] for every x2
@@ -123,16 +127,18 @@ def _fn_element_counts(G: GroupTable, members, n: int, budget: int) -> list[int]
             counts += np.bincount(firsts, minlength=G.order)
             continue
         C = members[K[x1, members]]
+        wanted = comm[x1, G.inv[members]]  # [x1, x2^-1] for every x2
         step = max(1, _BLOCK_PRODUCTS // len(C) ** min(n - 2, 2))
         for lo in range(0, len(members), step):
             x2, g = members[lo:lo + step], firsts[lo:lo + step]
-            cands = G.table[np.ix_(C, x2)].T  # row j: the y with [x1, y] = g[j]
-            hit = comm[x2[:, None], cands] == g[:, None]  # ... and [x2[j], y] = g[j]
+            rows = comm[C, lo:lo + step] if whole else comm[np.ix_(C, x2)]
+            hit = rows == wanted[lo:lo + step]  # y = C[i] * x2[j] is a solution
             if n == 3:
-                found = hit.sum(axis=1)
+                found = hit.sum(axis=0)
             else:
+                cands = G.table[np.ix_(C, x2)].T  # row j: the y = c*x2[j]
                 pairs = comm[cands[:, :, None], cands[:, None, :]] == g[:, None, None]
-                found = _chains(hit, pairs, n - 2)
+                found = _chains(hit.T, pairs, n - 2)
             np.add.at(counts, g, found)
     return counts.tolist()
 

@@ -5,8 +5,8 @@ holds one read-only int32 numpy table, ``GroupTable.table``, which every
 reader in the package indexes, and its inverses as a read-only int32
 vector, ``GroupTable.inv``.  Every constructor produces a fully validated
 table: identity and inverse laws, Latin-square rows and columns, and
-associativity at every order, by Light's test on a greedy generating set
-(complete, O(n^2 log n)).
+associativity at every order, by Light's test on a greedy generating set,
+each generator the largest index not yet reached (complete, O(n^2 log n)).
 
 Tables are built and analysed by numpy indexing, not by Python loops over
 pairs: a permutation group's rows as gathers of the rows of a few
@@ -16,8 +16,8 @@ commutators, classes, element orders and subgroup closure by gathers on
 ``table``.
 
 Commutators have one representation, ``G.comm_table()``: the read-only
-int32 matrix of [x, y] = x^-1 y^-1 x y, filled one row (``comm_row``) at a
-time.  Centralizers have one representation, the commuting matrix
+int32 matrix of [x, y] = x^-1 y^-1 x y, filled by ``comm_row`` in row
+blocks.  Centralizers have one representation, the commuting matrix
 ``G.commuting()``: the read-only boolean matrix K = (table == table.T), so
 row x is C(x), its row sums are the centralizer orders and the rows that are
 all true are the center.  It costs n^2 bytes, where per-element index tuples
@@ -169,11 +169,11 @@ class GroupTable:
         """x * y; kept only for the benchmark in ``perfbench/``."""
         return int(self.table[x, y])
 
-    def comm_row(self, x: int):
+    def comm_row(self, x):
         """x^-1 * y^-1 * x * y for every y, as an int32 array: three gathers
-        on table."""
+        on table.  An array of x gives one row per x."""
         M, inv = self.table, self.inv
-        return M[M[M[inv[x], inv], x], np.arange(self.order)]
+        return M[M[M[inv[x]][..., inv], np.expand_dims(x, -1)], np.arange(self.order)]
 
     def comm_table(self):
         """The read-only int32 matrix C[x, y] = x^-1 * y^-1 * x * y."""
@@ -224,7 +224,7 @@ def _check_group_laws(M):
     reached[0] = True
     gens: list[int] = []
     while not reached.all():
-        a = int(reached.argmin())
+        a = n - 1 - int(reached[::-1].argmin())
         gens.append(a)
         if len(gens) > n.bit_length() - 1:
             raise GroupLawError(
@@ -251,10 +251,12 @@ def _close(M, reached, frontier, gens) -> None:
 
 
 def _comm_table(G: GroupTable):
-    """Filled one comm_row at a time, so no n^2 temporaries are made."""
+    """Filled in row blocks of about _BLOCK_PRODUCTS entries, so no n^2
+    temporaries are made."""
+    step = max(1, _BLOCK_PRODUCTS // G.order)
     C = np.empty((G.order, G.order), dtype=np.int32)
-    for x in range(G.order):
-        C[x] = G.comm_row(x)
+    for lo in range(0, G.order, step):
+        C[lo:lo + step] = G.comm_row(np.arange(lo, min(lo + step, G.order)))
     C.flags.writeable = False
     return C
 
@@ -560,8 +562,10 @@ def center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
 
 def _center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
     central = tuple(np.flatnonzero(G.commuting().all(axis=1)).tolist())
-    is_commutator = np.zeros(G.order, dtype=bool)
-    for x in range(G.order):
-        is_commutator[G.comm_row(x)] = True
-    commutators = np.flatnonzero(is_commutator).tolist()
+    part = conjugacy_classes(G)
+    class_of = np.array(part.class_of)
+    hit = np.zeros(len(part), dtype=bool)
+    for r in part.reps:  # [x^h, y^h] = [x, y]^h: every class a rep's row hits
+        hit[class_of[G.comm_row(r)]] = True
+    commutators = np.flatnonzero(hit[class_of]).tolist()
     return SubgroupRef(G, central), subgroup_generated(G, commutators)

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from commcount import counts as counts_module
@@ -481,3 +484,48 @@ def test_subgroup_counts_grow_with_the_subgroup():
         assert all(small.values()), (n, small)  # zero values are omitted
         for g, c in small.items():
             assert c <= big.at(g)
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:6"])
+def test_coset_candidate_identity(spec):
+    # For y = c*x2: [x2, y] = [x1, x2] exactly when [c, x2] = [x1, x2^-1],
+    # the row compare brute_f_n runs; checked on every triple (x1, x2, c).
+    G = make_group(spec)
+    M, inv = G.table, G.inv
+
+    def comm(x, y):
+        return M[M[inv[x], inv[y]], M[x, y]]
+
+    x1, x2, c = np.indices((G.order,) * 3)
+    lhs = comm(x2, M[c, x2]) == comm(x1, x2)
+    rhs = comm(c, x2) == comm(x1, inv[x2])
+    assert (lhs == rhs).all()
+
+
+# The character table of A6 (ATLAS), in the canonical class order of
+# alternating:6: 1, (3 4)(5 6), (4 5 6), (1 2 3)(4 5 6), (1 2)(3 4 5 6) and
+# the two classes of 5-cycles.  No built-in provider covers A6.
+_A6_TABLE = {
+    "group_order": 360,
+    "class_sizes": [1, 45, 40, 40, 90, 72, 72],
+    "class_rep_orders": [1, 2, 3, 3, 4, 5, 5],
+    "irreducibles": [
+        ["1", "1", "1", "1", "1", "1", "1"],
+        ["5", "1", "2", "-1", "-1", "0", "0"],
+        ["5", "1", "-1", "2", "-1", "0", "0"],
+        ["8", "0", "-1", "-1", "0", "-E(5)-E(5)^4", "-E(5)^2-E(5)^3"],
+        ["8", "0", "-1", "-1", "0", "-E(5)^2-E(5)^3", "-E(5)-E(5)^4"],
+        ["9", "1", "0", "0", "1", "-1", "-1"],
+        ["10", "-2", "1", "1", "0", "0", "0"],
+    ],
+}
+
+
+def test_brute_f3_matches_characters_on_larger_groups(tmp_path):
+    path = tmp_path / "a6.json"
+    path.write_text(json.dumps(_A6_TABLE))
+    A6 = make_group("alternating:6")
+    T = build_table(A6, f"file:{path}")  # fully validated on load
+    assert brute_f_n(A6, 3) == f3_from_characters(A6, T)
+    G = make_group("product:alternating:5,cyclic:5")
+    assert brute_f_n(G, 3) == f3_from_characters(G)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commcount import groups, perms
+from commcount import groups, perms, verify
 from commcount.groups import (
     GroupLawError,
     GroupSpecError,
@@ -418,6 +418,47 @@ def test_vectorized_builders_match_definitions(spec):
             y, k = G.m(y, x), k + 1
         orders.append(k)
     assert G.element_orders() == orders
+
+
+@pytest.mark.parametrize("spec", verify.sweep_specs())
+def test_derived_subgroup_is_generated_by_every_commutator(spec):
+    G = make_group(spec)
+    commutators = {_comm(G, x, y) for x in range(G.order) for y in range(G.order)}
+    assert center_and_derived(G)[1].members == _generated(G, commutators)
+
+
+def test_comm_table_blocks_match_single_rows():
+    # order 300 fills in blocks of 65536 // 300 = 218 rows; the last is partial
+    G = make_group("product:dihedral:5,cyclic:30")
+    assert G.order % (groups._BLOCK_PRODUCTS // G.order) != 0
+    rows = np.stack([G.comm_row(x) for x in range(G.order)])
+    assert np.array_equal(G.comm_table(), rows)
+
+
+# Greedy generators Light's test took when it chose the smallest unreached
+# index; the largest, the rule of _table_from_perms, needs no more here.
+_SMALLEST_FIRST_GENERATORS = {
+    "symmetric:3": 2, "symmetric:4": 3, "symmetric:5": 4, "symmetric:6": 5,
+    "symmetric:7": 6, "alternating:4": 3, "alternating:5": 3,
+    "alternating:6": 4, "alternating:7": 5,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_SMALLEST_FIRST_GENERATORS))
+def test_light_test_needs_few_generators(spec, monkeypatch):
+    G = make_group(spec)
+    seen = []
+
+    def spy(M, reached, frontier, gens):
+        seen.append(len(gens))
+        close(M, reached, frontier, gens)
+
+    close = groups._close
+    monkeypatch.setattr(groups, "_close", spy)
+    groups._check_group_laws(G.table)
+    count = max(seen)
+    assert 2**count <= G.order
+    assert count <= _SMALLEST_FIRST_GENERATORS[spec]
 
 
 def test_non_closed_sets_rejected():
