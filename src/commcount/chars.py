@@ -4,15 +4,17 @@ Tables are never computed by a generic algorithm: each one comes from a
 closed-form provider (cyclic, dihedral), the rim-hook recursion for
 symmetric groups, a bundled data file (a4, a5, q8), a tensor product of
 factor tables, or an explicit file.  Every table is validated exactly
-before use: class count, degrees, degree-square sum, row orthogonality, and
-the product identity chi(g)*chi(h) = (chi(1)/|G|) * sum_z chi(g * h^z) on
-every pair of class representatives, at every order.  The report of that
-validation is stored on the table.
+before use: class count, degrees, degree-square sum, closure under the
+Galois group of Q(zeta_N), row orthogonality, and the product identity
+chi(g)*chi(h) = (chi(1)/|G|) * sum_z chi(g * h^z) on every pair of class
+representatives, at every order.  The last two are identities in Z[zeta_N]
+with bounded coefficients, proved at split primes p = 1 (mod N) (see
+`validate_table`).  The report of that validation is stored on the table.
 
 Table-scale work runs on one integer array per table (`CharacterTable.array`,
 a `CycloArray` of shape (rows, classes, phi(N)) built with the table):
 validation, the decomposition into irreducibles and the reconstruction from
-coefficients are integer matrix products on it.
+coefficients run on it.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -29,10 +31,9 @@ from .cyclo import (
     Cyclo,
     CycloArray,
     cyclo_root,
-    exact_matmul,
-    exact_scaled,
     format_cyclo,
     parse_cyclo,
+    root_of_unity,
 )
 from .groups import ClassPartition, GroupTable, conjugacy_classes
 
@@ -190,11 +191,21 @@ def validate_table(T: CharacterTable) -> ValidationReport:
     reported as data, never raised.
 
     The checks: as many irreducibles as classes; chi(1) equals the degree;
-    the degree squares sum to |G|; row orthogonality, as one size-weighted
-    Gram product of the table array with its conjugate, equal to |G| I;
-    and the product identity on every pair of class representatives.  No
-    column check: with k rows for k classes, X D X* = |G| I (row
-    orthogonality) gives X* X = |G| D^-1 (column orthogonality).
+    the degree squares sum to |G|; the rows, as a multiset, are closed under
+    zeta_N -> zeta_N^u for each generator u of (Z/N)^x; row orthogonality,
+    X D X* = |G| I; and the product identity on every pair of class reps,
+    with the table's own chi(1).  No column check: with k rows for k
+    classes, row orthogonality gives X* X = |G| D^-1.
+
+    The last two say that differences alpha in Z[zeta_N] (scaled by den^2)
+    vanish.  Their coefficients are at most a bound B read off the array,
+    and they are evaluated at zeta_N -> w, of order N mod primes p = 1
+    (mod N) with prod p > 2B: modulo one prime ideal P over each p.  Under
+    closure sigma(alpha_ij) = alpha_pi(i)pi(j) for a row permutation pi, so
+    if every alpha is in P, each is in every sigma^-1(P), hence in
+    pZ[zeta_N], and is 0 by the bound.  Without closure every ideal over p
+    is evaluated.  A row pair or class-rep pair reported as failing is
+    nonzero at some ideal, so it truly fails.
     """
     G = T.group
     part = conjugacy_classes(G)
@@ -233,10 +244,14 @@ def validate_table(T: CharacterTable) -> ValidationReport:
     )
 
     X = T.array
-    gram = X.gram(X, part.sizes)  # |G| <chi_i, chi_j>, scaled by den^2
-    want = np.eye(k, dtype=object) * (G.order * X.den**2)
-    wrong = (gram[..., 1:] != 0).any(axis=-1) | (gram[..., 0] != want)
-    bad_rows = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(wrong)))]
+    moved = X.galois_moved()
+    detail = f"rows not permuted by zeta -> zeta^u for u in {moved}" if moved else ""
+    checks.append(CheckRecord("galois-closure", not moved, detail))
+    # one prime ideal over each prime if closed (see above), else all of them
+    n = X.conductor
+    exponents = [u for u in range(1, n) if gcd(u, n) == 1] if moved else [1]
+    wrong, failing = _nonzero_at_split_primes(T, part, exponents)
+    bad_rows = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(wrong | wrong.T)))]
     checks.append(
         CheckRecord(
             "row-orthogonality",
@@ -244,8 +259,13 @@ def validate_table(T: CharacterTable) -> ValidationReport:
             f"failing row pairs {bad_rows}" if bad_rows else "",
         )
     )
-
-    checks.append(_check_product_identity(T, part))
+    if not failing.any():
+        checks.append(CheckRecord("product-identity", True, "all class-rep pairs"))
+    else:
+        first = int(np.flatnonzero(failing.any(axis=0))[0])  # a*k + b
+        a, b = divmod(first, k)
+        bad = [(part.reps[a], part.reps[b], int(i)) for i in np.flatnonzero(failing[:, first])]
+        checks.append(CheckRecord("product-identity", False, f"fails at (g, h, row) {bad}"))
     T.report = ValidationReport(tuple(checks))
     return T.report
 
@@ -265,32 +285,36 @@ def _class_pair_counts(G: GroupTable, part: ClassPartition):
     return ab, c, count * (G.order // np.asarray(part.sizes))[ab % k]
 
 
-def _check_product_identity(T: CharacterTable, part: ClassPartition) -> CheckRecord:
-    # chi(g) chi(h) = (chi(1)/|G|) sum_z chi(g * h^z), checked on residues as
-    # |G| * chi(g) chi(h) = chi(1) * sum over classes of count * chi(c), for
-    # every pair of class reps, one character at a time.
-    G = T.group
+def _validation_primes(T: CharacterTable) -> tuple[int, list[int]]:
+    # both differences weigh den^2 and products of two entries by 2|G| in all
+    return T.array.bounded_primes(2 * T.group.order)
+
+
+def _nonzero_at_split_primes(T: CharacterTable, part: ClassPartition, exponents):
+    """The (row, row) and (row, a*k + b) entries of both differences that
+    are nonzero at zeta_N -> w^u mod p, for some u in `exponents` and p
+    from `_validation_primes`."""
+    G, X = T.group, T.array
     k = len(part)
-    X = T.array
-    res = X.ints
     ab, c, count = _class_pair_counts(G, part)
     starts = np.flatnonzero(np.diff(ab, prepend=-1))  # first entry of each pair
-    failing = []
-    for i, deg in enumerate(T.degrees):
-        # row g of mult_matrices(X[i, b]) is zeta^g * chi_i(b): res @ it
-        # multiplies, so this is chi_i(a) * chi_i(b) for all a, b at once.
-        mult = X[i].mult_matrices()
-        pairs = exact_matmul(res[i], mult.swapaxes(0, 1).reshape(res.shape[-1], -1))
-        lhs = exact_scaled(pairs.reshape(k * k, -1), G.order)
-        terms = exact_scaled(res[i][c], count[:, None], k)  # <= k classes per pair
-        rhs = exact_scaled(np.add.reduceat(terms, starts), deg * X.den)
-        failing.append(np.flatnonzero((lhs != rhs).any(axis=-1)))  # a*k + b
-    if not any(f.size for f in failing):
-        return CheckRecord("product-identity", True, "all class-rep pairs")
-    first = min(int(f[0]) for f in failing if f.size)
-    a, b = divmod(first, k)
-    bad = [(part.reps[a], part.reps[b], i) for i, f in enumerate(failing) if first in f]
-    return CheckRecord("product-identity", False, f"fails at (g, h, row) {bad}")
+    wrong = np.zeros((k, k), dtype=bool)
+    failing = np.zeros((k, k * k), dtype=bool)
+    block = max(1, 2**20 // len(c))  # rows per (block, entries) temporary
+    for p in _validation_primes(T)[1]:
+        w = root_of_unity(X.conductor, p)
+        sizes, weights = np.asarray(part.sizes) % p, count % p
+        want = np.eye(k, dtype=np.int64) * (G.order * X.den**2 % p)
+        for u in exponents:
+            E, Ebar = X.at_root(pow(w, u, p), p), X.at_root(pow(w, -u, p), p)
+            wrong |= (E * sizes % p @ Ebar.T - want) % p != 0  # k * p^2 < 2^63
+            for lo in range(0, k, block):
+                Eb = E[lo : lo + block]
+                # at most k classes c per pair, so the sums stay below k * p^2
+                rhs = Eb[:, :1] * (np.add.reduceat(Eb[:, c] * weights, starts, axis=1) % p)
+                lhs = Eb[:, :, None] * Eb[:, None, :] % p * (G.order % p)
+                failing[lo : lo + block] |= (lhs.reshape(len(Eb), -1) - rhs) % p != 0
+    return wrong, failing
 
 
 # -- providers ----------------------------------------------------------------

@@ -20,7 +20,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import index
 
 import numpy as np
@@ -430,6 +430,56 @@ def format_cyclo(z: Cyclo) -> str:
     return "".join(parts) if parts else "0"
 
 
+# -- split primes: for p = 1 (mod n), Z[zeta_n] / p is F_p^phi(n), one factor
+# per root of exact order n mod p --------------------------------------------
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on bases 2, 3, 5 and 7, a proof below 3,215,031,751 (the
+    least strong pseudoprime to all four); larger n are refused."""
+    if n >= 3_215_031_751:
+        raise ValueError(f"{n} is beyond the proven Miller-Rabin range")
+    if n < 2 or any(n % a == 0 for a in (2, 3, 5, 7)):
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << j, n) == n - 1 for j in range(s))
+        for a in (2, 3, 5, 7)
+    )
+
+
+def split_primes(n: int, bound: int, ceiling: int) -> list[int]:
+    """Primes p = 1 (mod n) below ceiling, descending, until their product
+    exceeds bound."""
+    primes = []
+    for p in range(ceiling - 1 - (ceiling - 2) % n, 1, -n):
+        if is_prime(p):
+            primes.append(p)
+            if prod(primes) > bound:
+                return primes
+    raise ArithmeticError(f"too few primes = 1 (mod {n}) below {ceiling}")
+
+
+def root_of_unity(n: int, p: int) -> int:
+    """A root of exact multiplicative order n mod a prime p = 1 (mod n)."""
+    qs = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+    roots = (pow(g, (p - 1) // n, p) for g in range(2, p))
+    return next(w for w in roots if all(pow(w, n // q, p) != 1 for q in qs))
+
+
+def unit_generators(n: int) -> list[int]:
+    """Generators of (Z/n)^x, each the least unit outside the subgroup of
+    those before it."""
+    gens, reached = [], {1 % n}
+    for u in range(2, n):
+        if gcd(u, n) == 1 and u not in reached:
+            gens.append(u)
+            powers = {pow(u, j, n) for j in range(n)}
+            reached = {r * q % n for r in reached for q in powers}
+    return gens
+
+
 # -- table-scale arrays ----------------------------------------------------------
 
 _INT64_MAX = 2**63 - 1
@@ -454,11 +504,11 @@ def exact_matmul(a, b):
     return a @ b
 
 
-def exact_scaled(a, c, terms: int = 1):
-    """a * c on integer arrays (c broadcasts against a), exactly, with room
-    to add up to `terms` of the products afterwards."""
-    a, c = _exact(terms * _amax(a) * _amax(c), a, c)
-    return a * c
+def _sorted_rows(ints) -> list:
+    # the rows along the first axis, sorted: bytes of int64 where the whole
+    # array fits, else Python ints, so equal multisets give equal lists
+    (rows,) = _exact(_amax(ints), ints.reshape(len(ints), -1))
+    return sorted(r.tobytes() if rows.dtype != object else tuple(r) for r in rows)
 
 
 class CycloArray:
@@ -467,8 +517,8 @@ class CycloArray:
     ``ints`` is an integer array of shape (..., phi(N)): each row is the
     canonical residue at N of a value times ``den``, exactly a `Cyclo` at N,
     so equal arrays hold equal values.  Entries are int64 when they fit and
-    Python ints otherwise; every product goes through `exact_matmul` or
-    `exact_scaled`, which use int64 only under a bound on the result.
+    Python ints otherwise; every product is typed by `_exact`, which uses
+    int64 only under a bound on the result.
     Indexing selects along the leading axes.
     """
 
@@ -514,6 +564,33 @@ class CycloArray:
         """Complex conjugates: zeta_N^i goes to zeta_N^-i."""
         return self._mapped(-np.arange(self.ints.shape[-1]), self.conductor)
 
+    def galois_moved(self) -> list[int]:
+        """The generators u of (Z/N)^x, from `unit_generators`, under which
+        the multiset of rows along the first axis changes."""
+        rows, e = _sorted_rows(self.ints), np.arange(self.ints.shape[-1])
+        return [
+            u for u in unit_generators(self.conductor)
+            if _sorted_rows(self._mapped(u * e, self.conductor).ints) != rows
+        ]
+
+    def bounded_primes(self, weight: int) -> tuple[int, list[int]]:
+        """A bound on the coefficients of an integer combination, weights
+        summing to `weight`, of den^2 and of products x * y and x * conj(y)
+        of entries times den; and primes p = 1 (mod N) whose product exceeds
+        twice it, with m * p^2 < 2^63 for every axis length m."""
+        # sum_e v_e zeta_N^e has coefficients at most max|_reduction(N)| *
+        # sum |v_e|; an entry has sum |v_e| <= phi(N) * max|ints|
+        size = max(self.ints.shape[-1] * _amax(self.ints), self.den)
+        bound = weight * _amax(_reduction(self.conductor)) * size**2
+        ceiling = isqrt(_INT64_MAX // max(self.ints.shape))
+        return bound, split_primes(self.conductor, 2 * bound, ceiling)
+
+    def at_root(self, w: int, p: int):
+        """The residues (values times den) with zeta_N -> w mod p, as int64
+        of the leading shape; phi(N) * p^2 must stay below 2^63."""
+        powers = np.array([pow(w, e, p) for e in range(self.ints.shape[-1])])
+        return (self.ints % p).astype(np.int64) @ powers % p
+
     def cyclos(self) -> list[Cyclo]:
         """The values of a one-axis array as Cyclo values."""
         return [Cyclo(self.conductor, r, self.den) for r in self.ints.tolist()]
@@ -552,9 +629,9 @@ class CycloArray:
         arrays of shape (rows, classes, phi(N)) at one conductor, as residues
         of shape (rows_a, rows_b, phi(N)) scaled by self.den * other.den.  One
         row a at a time, so temporaries stay O(classes * phi(N)^2)."""
-        kb = other.ints.shape[0]
-        right = exact_scaled(other.conj().ints, np.asarray(weights)[:, None])
-        right = right.reshape(kb, -1)
+        conj = other.conj().ints
+        right, w = _exact(_amax(conj) * _amax(weights), conj, np.asarray(weights)[:, None])
+        right = (right * w).reshape(len(conj), -1)
         return np.stack([
             exact_matmul(right, self[a].mult_matrices().reshape(right.shape[1], -1))
             for a in range(self.ints.shape[0])

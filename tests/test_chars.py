@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from math import gcd
 
 import pytest
 
@@ -258,6 +259,7 @@ def test_validation_catches_corruption(tmp_path):
         "class-count",
         "degrees-match-identity-column",
         "degree-square-sum",
+        "galois-closure",
         "row-orthogonality",
         "product-identity",
     ]
@@ -338,3 +340,103 @@ def test_product_identity_catches_swapped_central_columns(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(TableValidationError, match="product-identity"):
         build_table(G, f"file:{path}")
+
+
+def _oracle_verdicts(T) -> dict[str, bool]:
+    # each check of validate_table by literal Cyclo arithmetic: the Galois
+    # action on every unit, inner products, and sum_z chi(g * h^z) over z
+    G, rows = T.group, T.irreducibles
+    part = conjugacy_classes(G)
+    n = T.array.conductor
+    inv = [G.table[g].tolist().index(0) for g in range(G.order)]
+
+    def sigma(v, u):
+        return sum(
+            (c * cyclo_root(v.conductor, u * e) for e, c in enumerate(v.ints)),
+            Cyclo.zero(),
+        ) / v.den
+
+    def closed(u):
+        left = [chi.values for chi in rows]
+        for chi in rows:
+            image = [sigma(v, u) for v in chi.values]
+            hit = [j for j, vals in enumerate(left) if all(map(Cyclo.__eq__, image, vals))]
+            if not hit:
+                return False
+            left.pop(hit[0])
+        return True
+
+    def identity(chi, a, b):
+        total = Cyclo.zero()
+        for z in range(G.order):
+            conj_b = G.table[G.table[inv[z], b], z]
+            total = total + chi.at(int(G.table[a, conj_b]))
+        return G.order * chi.at(a) * chi.at(b) == chi.values[0] * total
+
+    k = len(rows)
+    return {
+        "class-count": True,
+        "degrees-match-identity-column": all(
+            chi.values[0] == d for chi, d in zip(rows, T.degrees)
+        ),
+        "degree-square-sum": sum(d * d for d in T.degrees) == G.order,
+        "galois-closure": all(closed(u) for u in range(1, n) if gcd(u, n) == 1),
+        "row-orthogonality": all(
+            inner_product(rows[i], rows[j]) == (i == j)
+            for i in range(k) for j in range(i, k)
+        ),
+        "product-identity": all(
+            identity(chi, a, b) for chi in rows for a in part.reps for b in part.reps
+        ),
+    }
+
+
+@pytest.mark.parametrize("spec", ["alternating:5", "dihedral:5"])
+def test_single_entry_perturbations_match_the_cyclo_oracle(spec):
+    T = build_table(make_group(spec))
+    assert _oracle_verdicts(T) == {c.name: c.passed for c in T.report.checks}
+    for i, chi in enumerate(T.irreducibles):
+        for c in range(len(chi.values)):
+            vals = list(chi.values)
+            vals[c] = vals[c] + 1
+            rows = list(T.irreducibles)
+            rows[i] = ClassFunction(T.group, tuple(vals))
+            bad = dataclasses.replace(T, irreducibles=tuple(rows))
+            got = {r.name: r.passed for r in validate_table(bad).checks}
+            assert got == _oracle_verdicts(bad), (i, c)
+            assert not bad.validated
+
+
+def test_entry_shifted_by_the_first_prime_is_rejected():
+    # the shift vanishes at every ideal over the first prime, so only the
+    # bound, which calls for further primes, can catch it
+    G = make_group("alternating:5")
+    T = build_table(G)
+    p = chars._validation_primes(T)[1][0]
+    doc = table_to_document(T)
+    doc["irreducibles"][4][1] = str(1 + p)
+    bad = table_from_document(G, doc, "file:mem")
+    assert chars._validation_primes(bad)[1][0] == p
+    report = validate_table(bad)
+    assert [c.name for c in report.failures()] == ["row-orthogonality", "product-identity"]
+
+
+def test_duplicated_row_fails_closure_and_orthogonality():
+    T = build_table(make_group("cyclic:5"))
+    rows = list(T.irreducibles)
+    rows[2] = rows[1]
+    report = validate_table(dataclasses.replace(T, irreducibles=tuple(rows)))
+    names = [c.name for c in report.failures()]
+    assert "galois-closure" in names and "row-orthogonality" in names
+
+
+def test_large_conductor_table_validates_and_rejects_one_corrupt_entry():
+    G = make_group("dihedral:100")
+    T = build_table(G)
+    assert T.validated and (T.array.conductor, len(T)) == (100, 53)
+    rows = list(T.irreducibles)
+    psi = rows[-1].values
+    rows[-1] = ClassFunction(G, (psi[0], psi[1] + 1) + psi[2:])
+    report = validate_table(dataclasses.replace(T, irreducibles=tuple(rows)))
+    assert not report.passed
+    assert "row-orthogonality" in [c.name for c in report.failures()]

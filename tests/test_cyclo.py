@@ -3,7 +3,7 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -16,7 +16,10 @@ from commcount.cyclo import (
     cyclotomic_polynomial,
     degree,
     format_cyclo,
+    is_prime,
     parse_cyclo,
+    split_primes,
+    unit_generators,
 )
 
 
@@ -284,3 +287,60 @@ def test_array_rows_are_the_scalar_residues():
                 assert (got.conductor, got.ints, got.den) == (
                     w.conductor, w.ints, w.den
                 )
+
+
+# -- split primes ------------------------------------------------------------
+
+
+def test_miller_rabin_matches_trial_division():
+    limit = 2 * 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(sieve[q * q :: q])
+    assert [n for n in range(limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+
+
+def test_miller_rabin_needs_base_seven():
+    # 25326001 = 2251 * 11251 is a strong pseudoprime to bases 2, 3 and 5
+    n = 25326001
+    assert n == 2251 * 11251
+    d, s = (n - 1) >> 4, 4
+    assert d % 2 == 1 and d << s == n - 1
+    for a in (2, 3, 5):
+        assert pow(a, d, n) == 1 or any(pow(a, d << j, n) == n - 1 for j in range(s))
+    assert not is_prime(n)
+
+
+def test_prime_search_stays_in_the_proven_range():
+    limit = 3_215_031_751
+    assert all(p < limit for p in split_primes(1, 2**64, limit))
+    for ceiling in (limit + 1, limit + 2, 2 * limit):
+        with pytest.raises(ValueError, match="Miller-Rabin"):
+            split_primes(1, 10, ceiling)
+    with pytest.raises(ValueError):
+        is_prime(limit)
+
+
+def test_split_primes_are_descending_and_cover_the_bound():
+    primes = split_primes(240, 10**30, 10**6)
+    assert primes == sorted(primes, reverse=True) and max(primes) < 10**6
+    assert prod(primes) > 10**30 >= prod(primes[:-1])
+    candidates = [q for q in reversed(range(1, 10**6, 240)) if is_prime(q)]
+    assert primes == candidates[: len(primes)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 16, 23, 24, 240, 300])
+def test_unit_generators_generate_the_units(n):
+    units = {u for u in range(n) if gcd(u, n) == 1}
+    reached = {1 % n}
+    for u in unit_generators(n):
+        assert u in units
+        while True:
+            grown = reached | {r * u % n for r in reached}
+            if grown == reached:
+                break
+            reached = grown
+    assert reached == units

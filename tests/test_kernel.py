@@ -1,10 +1,11 @@
 """The integer table kernel against plain Cyclo arithmetic."""
 import json
+from math import prod
 
 import numpy as np
 import pytest
 
-from commcount import counts, verify
+from commcount import chars, counts, verify
 from commcount.chars import (
     TableValidationError,
     build_table,
@@ -14,7 +15,12 @@ from commcount.chars import (
     table_to_document,
     validate_table,
 )
-from commcount.cyclo import Cyclo, exact_matmul, exact_scaled
+from commcount.cyclo import (
+    Cyclo,
+    exact_matmul,
+    root_of_unity,
+    split_primes,
+)
 from commcount.groups import conjugacy_classes, make_group
 
 
@@ -67,7 +73,6 @@ def test_exact_products_switch_to_python_ints():
     assert prod.dtype == object and prod[0, 0] == 2**81
     small = exact_matmul(np.array([[3, 4]]), np.array([[5], [6]]))
     assert small.dtype == np.int64 and small[0, 0] == 39
-    assert exact_scaled(np.array([2**62]), 4)[0] == 2**64
 
 
 @pytest.mark.parametrize(
@@ -85,8 +90,32 @@ def test_corrupt_file_tables_fail_validation(tmp_path, entry, dtype, den):
     assert not report.passed
     assert "row-orthogonality" in [c.name for c in report.failures()]
     assert T.array.den == den and T.array.ints.dtype == dtype
+    bound, primes = chars._validation_primes(T)
+    assert prod(primes) > 2 * bound
+    if entry == str(2**70):
+        assert len(primes) > 2
 
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TableValidationError):
         build_table(G, f"file:{path}")
+
+
+def exact_order(w: int, p: int) -> int:
+    m, x = 1, w
+    while x != 1:
+        x, m = x * w % p, m + 1
+    return m
+
+
+def test_roots_of_unity_at_every_sweep_conductor():
+    # the validation primes of the sweep tables, then edge and large conductors
+    cases = []
+    for spec in verify.sweep_specs():
+        T = build_table(make_group(spec))
+        primes = chars._validation_primes(T)[1]
+        cases += [(T.array.conductor, p) for p in primes]
+    for n in (1, 2, 200, 240, 300):
+        cases += [(n, p) for p in split_primes(n, 2**64, 2**28)]
+    for n, p in cases:
+        assert exact_order(root_of_unity(n, p), p) == n, (n, p)
