@@ -12,9 +12,9 @@ with bounded coefficients, proved at split primes p = 1 (mod N) (see
 `validate_table`).  The report of that validation is stored on the table.
 
 Table-scale work runs on one integer array per table (`CharacterTable.array`,
-a `CycloArray` of shape (rows, classes, phi(N)) built with the table):
-validation, the decomposition into irreducibles and the reconstruction from
-coefficients run on it.
+a `CycloArray` of shape (rows, classes, phi(N)) built with the table, and
+used only with class functions of its own group): validation, decomposition
+(one `CycloArray.dot`) and reconstruction from coefficients run on it.
 """
 from __future__ import annotations
 
@@ -143,14 +143,13 @@ class CharacterTable:
 
 def decompose(f: ClassFunction, T: CharacterTable) -> tuple[Fraction, ...]:
     """Multiplicities <f, chi> for each irreducible, as exact rationals."""
+    if f.group is not T.group:
+        raise ValueError("class functions live on different groups")
     sizes = conjugacy_classes(T.group).sizes
-    X = T.array
-    F = CycloArray.of([f.values], X.conductor)
-    X = X.lifted(F.conductor)
-    scale = T.group.order * F.den * X.den
+    F = CycloArray.of(f.values, T.array.conductor)
+    X = T.array.lifted(F.conductor)
     return tuple(
-        Cyclo(F.conductor, r, scale).to_rational()
-        for r in F.gram(X, sizes)[0].tolist()
+        (v / T.group.order).to_rational() for v in F.dot(X, sizes).cyclos()
     )
 
 
@@ -328,6 +327,14 @@ def build_table(G: GroupTable, provider: str = "auto") -> CharacterTable:
     ``file:<path>``.  A table that fails validation is rejected.
     """
     return G.cached(("table", provider), _build_validated, provider)
+
+
+def table_for(G: GroupTable, T: CharacterTable | None = None) -> CharacterTable:
+    """T, or the validated table of G when T is None; a table of another
+    group is refused."""
+    if T is not None and T.group is not G:
+        raise ValueError("character table belongs to a different group")
+    return build_table(G) if T is None else T
 
 
 def _build_validated(G: GroupTable, provider: str) -> CharacterTable:

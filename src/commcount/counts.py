@@ -41,8 +41,8 @@ from .chars import (
     ClassFunction,
     TableProviderError,
     TableValidationError,
-    build_table,
     reconstruct,
+    table_for,
 )
 from .cyclo import Cyclo, CycloArray, NotRationalError, exact_matmul
 from .groups import _BLOCK_PRODUCTS, GroupTable, SubgroupRef, conjugacy_classes
@@ -287,7 +287,7 @@ def f2_coeffs(T: CharacterTable) -> tuple[Fraction, ...]:
 
 def f2_from_characters(G: GroupTable, T: CharacterTable | None = None) -> ClassCounts:
     """f_2 via the classical class-equation formula, certified integral."""
-    T = T or build_table(G)
+    T = table_for(G, T)
     return _certified_counts(G, T, f2_coeffs(T), "f", 2)
 
 
@@ -394,7 +394,7 @@ def m_chi(G: GroupTable, chi: ClassFunction) -> Cyclo:
 def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction, ...]:
     """Coefficients of f_3 in the irreducible basis: m_chi / |G|, certified
     rational."""
-    T = T or build_table(G)
+    T = table_for(G, T)
     out = []
     for m, label in zip(_m_values(G, T.array, T.labels), T.labels):
         try:
@@ -409,7 +409,7 @@ def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction,
 
 
 def f3_from_characters(G: GroupTable, T: CharacterTable | None = None) -> ClassCounts:
-    T = T or build_table(G)
+    T = table_for(G, T)
     return _certified_counts(G, T, f3_coeffs(G, T), "f", 3)
 
 
@@ -432,7 +432,7 @@ class ConjectureRecord:
 def conjecture_report(
     G: GroupTable, T: CharacterTable | None = None
 ) -> list[ConjectureRecord]:
-    T = T or build_table(G)
+    T = table_for(G, T)
     out = []
     for m, label in zip(_m_values(G, T.array, T.labels), T.labels):
         m = m / G.order
@@ -455,16 +455,14 @@ def t_coeffs(
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    T = T or build_table(G)
+    T = table_for(G, T)
     part = conjugacy_classes(G)
     weights = np.array(
         [size * (G.order // size) ** (n - 2) for size in part.sizes], dtype=object
     )
-    X = T.array
+    norms = T.array.dot(T.array, weights).cyclos()
     out = []
-    for i, (d, label) in enumerate(zip(T.degrees, T.labels)):
-        row = X[i : i + 1]
-        total = Cyclo(X.conductor, row.gram(row, weights)[0, 0], X.den**2)
+    for total, d, label in zip(norms, T.degrees, T.labels):
         try:
             q = total.to_rational() / d
         except NotRationalError:
@@ -485,7 +483,7 @@ def t_coeffs(
 def t_from_characters(
     G: GroupTable, n: int, T: CharacterTable | None = None
 ) -> ClassCounts:
-    T = T or build_table(G)
+    T = table_for(G, T)
     return _certified_counts(G, T, t_coeffs(G, n, T), "t", n)
 
 

@@ -11,8 +11,9 @@ inverse is provided; the only division is by a nonzero rational.
 conductor over one common denominator as a single integer numpy array, for
 table-scale work (see its docstring); a `Cyclo` has the format of one of its
 rows.  Both reduce powers of zeta_n through the same cached integer
-residues: `_power_rows` for the scalar loops, and `_reduction`, built on
-it, for the roots of unity and the array products.
+residues: `_power_rows` for the scalar loops; `_reduction`, built on it,
+for the roots of unity and array maps; and `_products`, the residues of
+zeta_n^i * zeta_n^j, the one rule by which arrays are multiplied.
 """
 from __future__ import annotations
 
@@ -95,6 +96,17 @@ def _reduction(n: int):
     d = degree(n)
     rows = np.array(_power_rows(n), dtype=np.int64).reshape(-1, d)
     out = np.concatenate([np.eye(d, dtype=np.int64), rows])
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def _products(n: int):
+    """Row i * phi(n) + j is the canonical residue of zeta_n^i * zeta_n^j,
+    for i, j < phi(n): the structure constants of Z[zeta_n] in the power
+    basis, as a read-only int64 array of shape (phi(n)^2, phi(n))."""
+    e = np.arange(degree(n))
+    out = _reduction(n)[(e[:, None] + e).ravel() % n]
     out.flags.writeable = False
     return out
 
@@ -518,8 +530,8 @@ class CycloArray:
     canonical residue at N of a value times ``den``, exactly a `Cyclo` at N,
     so equal arrays hold equal values.  Entries are int64 when they fit and
     Python ints otherwise; every product is typed by `_exact`, which uses
-    int64 only under a bound on the result.
-    Indexing selects along the leading axes.
+    int64 only under a bound on the result.  Values are multiplied only in
+    `dot`, through the structure constants `_products(N)`.
     """
 
     __slots__ = ("ints", "den", "conductor")
@@ -537,16 +549,13 @@ class CycloArray:
         flat = grid.ravel().tolist()
         n = lcm(conductor, *(v.conductor for v in flat))
         den = lcm(1, *(v.den for v in flat))
-        lifted = np.zeros((len(flat), n), dtype=object)
-        for row, v in zip(lifted, flat):
-            step = n // v.conductor
-            row[: len(v.ints) * step : step] = [c * (den // v.den) for c in v.ints]
-        ints = exact_matmul(lifted, _reduction(n))
+        ints = np.zeros((len(flat), degree(n)), dtype=object)
+        for c in {v.conductor for v in flat}:
+            at = [i for i, v in enumerate(flat) if v.conductor == c]
+            rows = [[x * (den // flat[i].den) for x in flat[i].ints] for i in at]
+            ints[at] = CycloArray(np.array(rows, dtype=object), den, c).lifted(n).ints
         (ints,) = _exact(_amax(ints), ints)
         return CycloArray(ints.reshape(grid.shape + (degree(n),)), den, n)
-
-    def __getitem__(self, index) -> "CycloArray":
-        return CycloArray(self.ints[index], self.den, self.conductor)
 
     def _mapped(self, exponents, m: int) -> "CycloArray":
         # the values with zeta_N^i sent to zeta_m^exponents[i]
@@ -602,37 +611,19 @@ class CycloArray:
             exact_matmul(weights, self.ints), den * self.den, self.conductor
         )
 
-    def mult_matrices(self):
-        """Shape (..., phi(N), phi(N)): row g is the residue of zeta_N^g
-        times the value (scaled by den), so r @ m is the residue of r times
-        the value for any residue vector r."""
-        phi = cyclotomic_polynomial(self.conductor)
-        d = len(phi) - 1
-        lead = np.array([-c for c in phi[:d]])  # the residue of zeta_N^d
-        reduction = _reduction(self.conductor)
-        # zeta_N^g times a value is sum_i ints[i] * reduction[(i + g) % N],
-        # at most phi(N) * max|ints| * max|reduction|; one step of the
-        # recurrence adds max|lead| times that.
-        bound = d * _amax(self.ints) * _amax(reduction) * (1 + _amax(lead))
-        row, lead = _exact(bound, self.ints, lead)
-        rows = [row]
-        for _ in range(1, d):
-            nxt = np.zeros_like(row)
-            nxt[..., 1:] = row[..., :-1]
-            nxt += row[..., -1:] * lead
-            rows.append(nxt)
-            row = nxt
-        return np.stack(rows, axis=-2)
-
-    def gram(self, other: "CycloArray", weights):
-        """out[a, b] = sum_c weights[c] * self[a, c] * conj(other[b, c]) for
-        arrays of shape (rows, classes, phi(N)) at one conductor, as residues
-        of shape (rows_a, rows_b, phi(N)) scaled by self.den * other.den.  One
-        row a at a time, so temporaries stay O(classes * phi(N)^2)."""
+    def dot(self, other: "CycloArray", weights) -> "CycloArray":
+        """sum_c weights[c] * self[..., c] * conj(other[..., c]) over the axis
+        before the value axis, both at one conductor, leading axes broadcast
+        by matmul rules; over self.den * other.den.  The sums of coefficient
+        pairs, (..., phi(N), phi(N)), are reduced through `_products`."""
         conj = other.conj().ints
-        right, w = _exact(_amax(conj) * _amax(weights), conj, np.asarray(weights)[:, None])
-        right = (right * w).reshape(len(conj), -1)
-        return np.stack([
-            exact_matmul(right, self[a].mult_matrices().reshape(right.shape[1], -1))
-            for a in range(self.ints.shape[0])
-        ])
+        w = np.asarray(weights)
+        bound = len(w) * _amax(w) * _amax(self.ints) * _amax(conj)
+        a, b, w = _exact(bound, self.ints, conj, w[:, None])
+        pairs = np.matmul((a * w).swapaxes(-1, -2), b)
+        pairs = pairs.reshape(pairs.shape[:-2] + (-1,))
+        return CycloArray(
+            exact_matmul(pairs, _products(self.conductor)),
+            self.den * other.den,
+            self.conductor,
+        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chars import CharacterTable, build_table
+from .chars import CharacterTable, table_for
 from .counts import ClassCounts, count_f_n
 from .cyclo import Cyclo, format_cyclo
 from .groups import GroupTable, center_and_derived, conjugacy_classes
@@ -183,7 +183,7 @@ def bounds_report(
 
     f2 = f2 if f2 is not None else count_f_n(G, 2)
     f3 = f3 if f3 is not None else count_f_n(G, 3)
-    T = T or build_table(G)
+    T = table_for(G, T)
     part = conjugacy_classes(G)
     order = G.order
     alpha = Fraction(len(center), order)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from commcount import counts as counts_module
-from commcount.chars import build_table
+from commcount.chars import build_table, decompose
 from commcount.counts import (
     BudgetExceededError,
     brute_f_n,
@@ -36,7 +36,7 @@ from commcount.groups import (
     conjugacy_classes,
     make_group,
 )
-from commcount.distributions import convolve, q3
+from commcount.distributions import bounds_report, convolve, q3
 from commcount.fileio import load_group, save_group
 from commcount.perms import is_even
 from commcount.triples import combine_disjoint_triples
@@ -100,6 +100,30 @@ def test_t2_equals_f2():
     for spec in ("symmetric:3", "dihedral:4", "quaternion", "alternating:4"):
         G = make_group(spec)
         assert brute_t_n(G, 2) == brute_f_n(G, 2)
+
+
+def test_a_table_of_another_group_is_refused():
+    # Q8 and D4 have tables of the same shape: before the check, f3 on Q8
+    # from the D4 table read 24 where brute force gives 48.
+    Q, D = make_group("quaternion"), make_group("dihedral:4")
+    T = build_table(D)
+    calls = [
+        lambda: f2_from_characters(Q, T),
+        lambda: f3_coeffs(Q, T),
+        lambda: f3_from_characters(Q, T),
+        lambda: conjecture_report(Q, T),
+        lambda: t_coeffs(Q, 3, T),
+        lambda: t_from_characters(Q, 3, T),
+        lambda: t_coeffs(D, 3, build_table(make_group("cyclic:5"))),
+        lambda: bounds_report(Q, T=T),
+    ]
+    for spec in ("quaternion", "cyclic:5"):
+        f = build_table(make_group(spec)).irreducibles[0]
+        calls.append(lambda f=f: decompose(f, T))
+    for call in calls:
+        with pytest.raises(ValueError, match="different group"):
+            call()
+    assert f3_from_characters(Q, build_table(Q)) == brute_f_n(Q, 3)
 
 
 def test_q8_f2_includes_zero_classes():

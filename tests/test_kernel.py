@@ -17,6 +17,7 @@ from commcount.chars import (
 )
 from commcount.cyclo import (
     Cyclo,
+    CycloArray,
     exact_matmul,
     root_of_unity,
     split_primes,
@@ -39,13 +40,19 @@ def test_kernel_matches_scalar_cyclo(spec):
     part = conjugacy_classes(G)
     rows = T.irreducibles
 
-    gram = X.gram(X, part.sizes)
+    # rows along axis 0 against rows along axis 1: every pair of rows
+    column = CycloArray(X.ints[:, None], X.den, X.conductor)
+    gram = column.dot(CycloArray(X.ints[None], X.den, X.conductor), part.sizes)
+    assert gram.den == X.den**2
     for i, chi in enumerate(rows):
         for j, psi in enumerate(rows[i:], i):
-            got = Cyclo(X.conductor, gram[i, j], G.order * X.den**2)
+            got = Cyclo(X.conductor, gram.ints[i, j], G.order * gram.den)
             assert got == inner_product(chi, psi)
-            back = Cyclo(X.conductor, gram[j, i], G.order * X.den**2)
+            back = Cyclo(X.conductor, gram.ints[j, i], G.order * gram.den)
             assert back == got.conj()
+    # one row broadcast against every row is that row of the full product
+    first = CycloArray(X.ints[0], X.den, X.conductor).dot(X, part.sizes)
+    assert (first.ints == gram.ints[0]).all() and first.den == gram.den
 
     weights = counts._aggregated_theta_weights(G).tolist()
     for chi, coeff in zip(rows, counts.f3_coeffs(G, T)):
@@ -73,6 +80,11 @@ def test_exact_products_switch_to_python_ints():
     assert prod.dtype == object and prod[0, 0] == 2**81
     small = exact_matmul(np.array([[3, 4]]), np.array([[5], [6]]))
     assert small.dtype == np.int64 and small[0, 0] == 39
+    z = Cyclo(5, [2**70, -3, 0, 1])
+    w = Cyclo(5, [1, 2, -(2**40), 5], 3)
+    got = CycloArray.of([[z]]).dot(CycloArray.of([[w]]), [7])
+    assert got.ints.dtype == object
+    assert got.cyclos() == [7 * z * w.conj()]
 
 
 @pytest.mark.parametrize(
