@@ -11,17 +11,18 @@ representatives, at every order.  The last two are identities in Z[zeta_N]
 with bounded coefficients, proved at split primes p = 1 (mod N) (see
 `validate_table`).  The report of that validation is stored on the table.
 
-Table-scale work runs on one integer array per table (`CharacterTable.array`,
-a `CycloArray` of shape (rows, classes, phi(N)) built with the table, and
-used only with class functions of its own group): validation, decomposition
-(one `CycloArray.dot`) and reconstruction from coefficients run on it.
+A table is held once, as one integer array (`CharacterTable.array`, a
+`CycloArray` of shape (rows, classes, phi(N)), used only with class functions
+of its own group).  The providers write that array directly; documents are
+parsed into it in one `CycloArray.of`; `irreducibles` is a view of its rows.
+Validation, decomposition (one `CycloArray.dot`) and reconstruction from
+coefficients run on the array.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from math import gcd, lcm
 
@@ -30,7 +31,7 @@ import numpy as np
 from .cyclo import (
     Cyclo,
     CycloArray,
-    cyclo_root,
+    _reduction,
     format_cyclo,
     parse_cyclo,
     root_of_unity,
@@ -119,26 +120,33 @@ def conjugation_character(G: GroupTable) -> ClassFunction:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class CharacterTable:
+    """The values chi_i(class c) of the irreducibles of `group`, held once as
+    `array`, at the table's conductor N; `irreducibles` views its rows as
+    class functions, each value a `Cyclo` at N."""
+
     group: GroupTable
-    irreducibles: tuple[ClassFunction, ...]
+    array: CycloArray
     degrees: tuple[int, ...]
     labels: tuple[str, ...]
     provenance: str
     report: ValidationReport | None = None
-    # The values chi_i(class c), N the lcm of the table's conductors.
-    array: CycloArray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.array = CycloArray.of([chi.values for chi in self.irreducibles])
+    @cached_property
+    def irreducibles(self) -> tuple[ClassFunction, ...]:
+        X = self.array
+        return tuple(
+            ClassFunction(self.group, tuple(CycloArray(row, X.den, X.conductor).cyclos()))
+            for row in X.ints
+        )
 
     @property
     def validated(self) -> bool:
         return self.report is not None and self.report.passed
 
     def __len__(self) -> int:
-        return len(self.irreducibles)
+        return len(self.array.ints)
 
 
 def decompose(f: ClassFunction, T: CharacterTable) -> tuple[Fraction, ...]:
@@ -210,20 +218,20 @@ def validate_table(T: CharacterTable) -> ValidationReport:
     part = conjugacy_classes(G)
     k = len(part)
     checks: list[CheckRecord] = []
+    X = T.array
 
-    ok = len(T.irreducibles) == k
+    ok = X.ints.shape[:2] == (k, k)
     checks.append(
-        CheckRecord(
-            "class-count", ok, f"{len(T.irreducibles)} irreducibles vs {k} classes"
-        )
+        CheckRecord("class-count", ok, f"{len(T)} irreducibles vs {k} classes")
     )
     if not ok:
         T.report = ValidationReport(tuple(checks))
         return T.report
 
+    # chi(1) = d exactly when its residue times den is (d * den, 0, ..., 0)
     bad = [
-        i for i, (chi, d) in enumerate(zip(T.irreducibles, T.degrees))
-        if chi.values[0] != d or d < 1
+        i for i, (r, d) in enumerate(zip(X.ints[:, 0].tolist(), T.degrees))
+        if r != [d * X.den] + [0] * (len(r) - 1) or d < 1
     ]
     checks.append(
         CheckRecord(
@@ -242,7 +250,6 @@ def validate_table(T: CharacterTable) -> ValidationReport:
         )
     )
 
-    X = T.array
     moved = X.galois_moved()
     detail = f"rows not permuted by zeta -> zeta^u for u in {moved}" if moved else ""
     checks.append(CheckRecord("galois-closure", not moved, detail))
@@ -356,20 +363,13 @@ def _build_unvalidated(G: GroupTable, provider: str) -> CharacterTable:
         return _symmetric_table(G)
     if provider == "product-tensor":
         return _tensor_table(G)
-    if provider.startswith("bundled:"):
-        name = provider.split(":", 1)[1]
-        text = (
-            resources.files("commcount")
-            .joinpath("data")
-            .joinpath(f"{name}_chartable.json")
-            .read_text()
-        )
-        return table_from_document(G, json.loads(text), provider)
-    if provider.startswith("file:"):
-        path = provider.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return table_from_document(G, doc, provider)
+    if provider.startswith(("bundled:", "file:")):
+        from .fileio import _read_doc  # fileio imports this module
+
+        kind, name = provider.split(":", 1)
+        if kind == "bundled":
+            name = resources.files("commcount") / "data" / f"{name}_chartable.json"
+        return table_from_document(G, _read_doc(name), provider)
     raise TableProviderError(f"unknown character-table provider {provider!r}")
 
 
@@ -423,42 +423,36 @@ def _cyclic_table(G: GroupTable) -> CharacterTable:
         k += 1
         if x == 0:
             break
-    rows = []
-    for j in range(n):
-        vals = tuple(cyclo_root(n, j * log[r]) for r in range(n))
-        rows.append(ClassFunction(G, vals))
+    # chi_j(x) = zeta_n^(j * log x)
+    X = CycloArray(_reduction(n)[np.outer(range(n), log) % n], 1, n)
     labels = tuple(f"chi{j}" for j in range(n))
-    return CharacterTable(G, tuple(rows), (1,) * n, labels, "cyclic-closed-form")
+    return CharacterTable(G, X, (1,) * n, labels, "cyclic-closed-form")
 
 
 def _dihedral_table(G: GroupTable) -> CharacterTable:
     if G.family != "dihedral":
         raise TableProviderError("dihedral-closed-form requires a dihedral: group")
     n = int(G.spec.split(":")[1])
-    reps = conjugacy_classes(G).reps
-    # Linear characters by their signs on a and on b; index n+s is a^s*b.
+    reps = np.asarray(conjugacy_classes(G).reps)
+    # index e < n is a^e and index n+e is a^e*b
+    rotation = reps < n
+    e = np.where(rotation, reps, reps - n)
+    R = _reduction(n)
+    # Linear characters by their signs on a and on b: integers in column 0.
     signs = ((1, 1), (1, -1)) if n % 2 else ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    rows: list[tuple[str, int, list[Cyclo]]] = []
-    for i, (on_a, on_b) in enumerate(signs, 1):
-        vals = [
-            Cyclo.rational(on_a**rep if rep < n else on_a ** (rep - n) * on_b)
-            for rep in reps
-        ]
-        rows.append((f"chi{i}", 1, vals))
-    two, zero = Cyclo.rational(2), Cyclo.rational(0)
-    # psi_j(a^r) = zeta^(jr) + zeta^(-jr) depends on jr mod n only
-    cos2 = [cyclo_root(n, e) + cyclo_root(n, -e) for e in range(n)]
-    for j in range(1, (n - 1) // 2 + 1):
-        vals = [
-            two if rep == 0 else zero if rep >= n else cos2[j * rep % n]
-            for rep in reps
-        ]
-        rows.append((f"psi{j}", 2, vals))
+    on_a, on_b = np.array(signs).T[:, :, None]
+    linear = np.zeros((len(signs), len(reps), R.shape[1]), dtype=np.int64)
+    linear[..., 0] = on_a**e * np.where(rotation, 1, on_b)
+    # psi_j(a^e) = zeta^(je) + zeta^(-je), and psi_j(a^e*b) = 0
+    j = np.arange(1, (n - 1) // 2 + 1)[:, None]
+    psi = R[j * e % n] + R[-j * e % n]
+    psi[:, ~rotation] = 0
     return CharacterTable(
         G,
-        tuple(ClassFunction(G, tuple(vals)) for _, _, vals in rows),
-        tuple(d for _, d, _ in rows),
-        tuple(name for name, _, _ in rows),
+        CycloArray(np.concatenate([linear, psi]), 1, n),
+        (1,) * len(signs) + (2,) * len(psi),
+        tuple(f"chi{i}" for i in range(1, len(signs) + 1))
+        + tuple(f"psi{i}" for i in range(1, len(psi) + 1)),
         "dihedral-closed-form",
     )
 
@@ -517,22 +511,14 @@ def _symmetric_table(G: GroupTable) -> CharacterTable:
 
     types = [cycle_type(G.perm_list[rep]) for rep in part.reps]
     ident = tuple([1] * n)
-    lams = partitions_of(n)
-    entries = []
-    for lam in lams:
-        deg = rimhook_character(lam, ident)
-        entries.append((deg, lam))
-    entries.sort()
-    rows, degrees, labels = [], [], []
-    for deg, lam in entries:
-        vals = tuple(
-            Cyclo.rational(rimhook_character(lam, mu)) for mu in types
-        )
-        rows.append(ClassFunction(G, vals))
-        degrees.append(deg)
-        labels.append("(" + ",".join(str(p) for p in lam) + ")")
+    entries = sorted((rimhook_character(lam, ident), lam) for lam in partitions_of(n))
+    ints = [[rimhook_character(lam, mu) for mu in types] for _, lam in entries]
     return CharacterTable(
-        G, tuple(rows), tuple(degrees), tuple(labels), "symmetric-mn"
+        G,
+        CycloArray(np.array(ints, dtype=np.int64)[..., None], 1, 1),
+        tuple(deg for deg, _ in entries),
+        tuple("(" + ",".join(map(str, lam)) + ")" for _, lam in entries),
+        "symmetric-mn",
     )
 
 
@@ -541,68 +527,83 @@ def _tensor_table(G: GroupTable) -> CharacterTable:
         raise TableProviderError("product-tensor requires a product: group")
     A, B = G.product_parts
     TA, TB = build_table(A), build_table(B)
-    part = conjugacy_classes(G)
-    pa, pb = conjugacy_classes(A), conjugacy_classes(B)
-    nb = B.order
-    pair_of_class = [
-        (pa.class_of[rep // nb], pb.class_of[rep % nb]) for rep in part.reps
-    ]
-    rows, degrees, labels = [], [], []
-    for i, ca in enumerate(TA.irreducibles):
-        for j, cb in enumerate(TB.irreducibles):
-            vals = tuple(
-                ca.values[x] * cb.values[y] for x, y in pair_of_class
-            )
-            rows.append(ClassFunction(G, vals))
-            degrees.append(TA.degrees[i] * TB.degrees[j])
-            labels.append(f"{TA.labels[i]}*{TB.labels[j]}")
+    reps = np.asarray(conjugacy_classes(G).reps)
+    x = np.asarray(conjugacy_classes(A).class_of)[reps // B.order]
+    y = np.asarray(conjugacy_classes(B).class_of)[reps % B.order]
+    n = lcm(TA.array.conductor, TB.array.conductor)
+    XA, XB = TA.array.lifted(n), TB.array.lifted(n).conj()
+    # (chi_i * psi_j)(x, y) over a contracted axis of length 1
+    a = CycloArray(XA.ints[:, None, x, None], XA.den, n)
+    b = CycloArray(XB.ints[None, :, y, None], XB.den, n)
+    X = a.dot(b, [1])
     return CharacterTable(
-        G, tuple(rows), tuple(degrees), tuple(labels), "product-tensor"
+        G,
+        CycloArray(X.ints.reshape(-1, *X.ints.shape[2:]), X.den, n),
+        tuple(d * e for d in TA.degrees for e in TB.degrees),
+        tuple(f"{s}*{t}" for s in TA.labels for t in TB.labels),
+        "product-tensor",
     )
 
 
 def table_from_document(G: GroupTable, doc: dict, provenance: str) -> CharacterTable:
     """Build a table from a chartable document, aligning it against the
-    group's canonical classes.  Misalignment is a hard error."""
+    group's canonical classes.  A malformed document raises DocumentError;
+    misalignment is a hard error too."""
+    from .fileio import DocumentError, _check_fields  # fileio imports this module
+
+    _check_fields(
+        doc,
+        "table",
+        required=("group_order", "class_sizes", "class_rep_orders", "irreducibles"),
+        optional=("labels",),
+    )
+    for name in ("class_sizes", "class_rep_orders", "irreducibles"):
+        if not isinstance(doc[name], list):
+            raise DocumentError(f"field {name!r}: expected a list")
     part = conjugacy_classes(G)
-    if doc.get("group_order") != G.order:
+    k = len(part)
+    if doc["group_order"] != G.order:
         raise ValueError(
-            f"table document is for order {doc.get('group_order')}, "
+            f"table document is for order {doc['group_order']}, "
             f"group has order {G.order}"
         )
-    sizes = tuple(doc.get("class_sizes", ()))
+    sizes = tuple(doc["class_sizes"])
     if sizes != part.sizes:
         for i, (a, b) in enumerate(zip(sizes, part.sizes)):
             if a != b:
                 raise ValueError(
                     f"class_sizes mismatch at class {i}: file {a}, group {b}"
                 )
-        raise ValueError(
-            f"class_sizes length {len(sizes)} vs {len(part.sizes)} classes"
-        )
-    rep_orders = tuple(doc.get("class_rep_orders", ()))
+        raise ValueError(f"class_sizes length {len(sizes)} vs {k} classes")
+    rep_orders = tuple(doc["class_rep_orders"])
     actual = tuple(G.element_orders()[r] for r in part.reps)
     if rep_orders != actual:
         raise ValueError(
             f"class_rep_orders mismatch: file {rep_orders}, group {actual}"
         )
-    raw = doc.get("irreducibles", [])
-    rows = []
-    for row in raw:
-        vals = tuple(parse_cyclo(s) for s in row)
-        rows.append(ClassFunction(G, vals))
-    degrees = tuple(r.values[0].to_rational() for r in rows)
-    if any(d.denominator != 1 or d <= 0 for d in degrees):
+    raw = doc["irreducibles"]
+    for i, row in enumerate(raw):
+        if not _strings(row, k):
+            raise DocumentError(f"field 'irreducibles': row {i} is not a list of {k} strings")
+    labels = doc.get("labels")
+    if labels is None:
+        labels = [f"chi{i+1}" for i in range(len(raw))]
+    elif not _strings(labels, len(raw)):
+        raise DocumentError(f"field 'labels': expected one string per row, {len(raw)} in all")
+    values = [[parse_cyclo(s) for s in row] for row in raw]
+    X = CycloArray.of(np.array(values, dtype=object).reshape(len(raw), k))
+    first = X.ints[:, 0].tolist()  # chi(1) times den
+    if any(any(r[1:]) or r[0] % X.den or r[0] <= 0 for r in first):
         raise ValueError("character degrees must be positive integers")
-    labels = tuple(
-        doc.get("labels") or (f"chi{i+1}" for i in range(len(rows)))
-    )
-    return CharacterTable(
-        G,
-        tuple(rows),
-        tuple(int(d) for d in degrees),
-        labels,
-        provenance,
+    degrees = tuple(r[0] // X.den for r in first)
+    return CharacterTable(G, X, degrees, tuple(labels), provenance)
+
+
+def _strings(value, count: int) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == count
+        and all(isinstance(s, str) for s in value)
     )
 
 

@@ -101,8 +101,8 @@ class ClassCounts:
         return frozenset(out)
 
 
-def _check_budget(m: int, n: int, budget: int) -> None:
-    projected = m**n * (n * (n - 1) // 2)
+def _check_budget(projected: int, budget: int) -> None:
+    """Refuse a search whose own projection of its work exceeds the budget."""
     if projected > budget:
         raise BudgetExceededError(projected, budget)
 
@@ -115,9 +115,7 @@ def _fn_element_counts(G: GroupTable, members, n: int, budget: int) -> list[int]
     members = np.asarray(members)
     K = G.commuting()
     sizes = K[np.ix_(members, members)].sum(axis=1).tolist()
-    projected = len(members) * sum(c ** (n - 2) for c in sizes)
-    if projected > budget:
-        raise BudgetExceededError(projected, budget)
+    _check_budget(len(members) * sum(c ** (n - 2) for c in sizes), budget)
     comm = G.comm_table()
     whole = len(members) == G.order
     counts = np.zeros(G.order, dtype=np.int64)
@@ -196,7 +194,7 @@ def naive_f_n(
     optimized search; only viable for small groups."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_budget(G.order, n, budget)
+    _check_budget(G.order**n * (n * (n - 1) // 2), budget)
     comm = G.comm_table()
     if n == 2:
         counts = sum(np.bincount(row, minlength=G.order) for row in comm)
@@ -222,9 +220,7 @@ def f3_parametrized(G: GroupTable, budget: int = DEFAULT_BUDGET) -> ClassCounts:
     """f_3 via the coset parametrization: for each pair (c, z) with
     [c, z] = g, count x with x in C(cz)z and x in C(c).  The work is the
     k(G) * |G|^2 pair-weight terms."""
-    projected = len(conjugacy_classes(G)) * G.order**2
-    if projected > budget:
-        raise BudgetExceededError(projected, budget)
+    _check_budget(len(conjugacy_classes(G)) * G.order**2, budget)
     counts = np.zeros(G.order, dtype=np.int64)
     for c in range(G.order):
         np.add.at(counts, G.comm_row(c), _pair_weights(G, c))
@@ -236,7 +232,7 @@ def brute_t_n(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> ClassCount
     bincount per commutator row, tallied per distinct |C(x)|."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    _check_budget(G.order, 2, budget)
+    _check_budget(G.order**2, budget)
     sizes, which = np.unique(G.commuting().sum(axis=1), return_inverse=True)
     comm = G.comm_table()
     tally = np.zeros((len(sizes), G.order), dtype=np.int64)
@@ -510,8 +506,7 @@ def recursive_fn1(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> int:
         got = memo.get(key)
         if got is None:
             work += len(members)
-            if work > budget:
-                raise BudgetExceededError(work, budget)
+            _check_budget(work, budget)
             got = sum(
                 fn1(members & cent_sets[g], level - 1) for g in members
             )

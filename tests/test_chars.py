@@ -2,6 +2,7 @@ import dataclasses
 import json
 from math import gcd
 
+import numpy as np
 import pytest
 
 from commcount import chars, verify
@@ -22,7 +23,8 @@ from commcount.chars import (
     table_to_document,
     validate_table,
 )
-from commcount.cyclo import Cyclo, cyclo_root, parse_cyclo
+from commcount.cyclo import Cyclo, CycloArray, cyclo_root, parse_cyclo
+from commcount.fileio import load_chartable, save_chartable
 from commcount.groups import conjugacy_classes, make_group
 
 
@@ -228,6 +230,44 @@ def test_document_roundtrip(tmp_path):
     assert T3.provenance == f"file:{path}"
 
 
+def _same_array(X: CycloArray, Y: CycloArray) -> bool:
+    same_format = (X.ints.dtype, X.den, X.conductor) == (Y.ints.dtype, Y.den, Y.conductor)
+    return same_format and np.array_equal(X.ints, Y.ints)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    verify.sweep_specs()
+    + ("product:dihedral:6,cyclic:4", "product:quaternion,cyclic:3", "product:cyclic:4,cyclic:3"),
+)
+def test_irreducibles_view_the_array(spec, tmp_path):
+    G = make_group(spec)
+    T = build_table(G)
+    assert _same_array(T.array, CycloArray.of([chi.values for chi in T.irreducibles]))
+    # a document names no conductor: a rational table (cyclic:2, dihedral:3)
+    # reloads at conductor 1, so the reloaded array is compared at the table's
+    path = tmp_path / "table.json"
+    save_chartable(T, str(path))
+    back = load_chartable(str(path), G).array
+    assert back.conductor in (1, T.array.conductor)
+    assert _same_array(back.lifted(T.array.conductor), T.array)
+
+
+def test_tensor_documents_write_entries_at_the_table_conductor(tmp_path):
+    # chi1*chi1 takes the value i = E(4) on some class; the table is at 12
+    G = make_group("product:dihedral:6,cyclic:4")
+    T = build_table(G)
+    doc = table_to_document(T)
+    assert "E(12)^3" in doc["irreducibles"][T.labels.index("chi1*chi1")]
+    assert not any("E(4)" in v for row in doc["irreducibles"] for v in row)
+    path = tmp_path / "table.json"
+    save_chartable(T, str(path))
+    T2 = load_chartable(str(path), G)
+    assert _same_array(T2.array, T.array)
+    save_chartable(T2, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
 def test_document_alignment_errors():
     G4 = make_group("alternating:4")
     doc = table_to_document(build_table(make_group("alternating:5")))
@@ -305,7 +345,7 @@ def test_sweep_row_names_a_failing_table(monkeypatch):
         T = build(G, provider)
         if G.spec == "cyclic:7":  # last row replaced by a copy of the first
             rows = T.irreducibles[:-1] + T.irreducibles[:1]
-            return dataclasses.replace(T, irreducibles=rows)
+            return dataclasses.replace(T, array=CycloArray.of([r.values for r in rows]))
         return T
 
     monkeypatch.setattr(chars, "_build_unvalidated", corrupt)
@@ -401,7 +441,7 @@ def test_single_entry_perturbations_match_the_cyclo_oracle(spec):
             vals[c] = vals[c] + 1
             rows = list(T.irreducibles)
             rows[i] = ClassFunction(T.group, tuple(vals))
-            bad = dataclasses.replace(T, irreducibles=tuple(rows))
+            bad = dataclasses.replace(T, array=CycloArray.of([r.values for r in rows]))
             got = {r.name: r.passed for r in validate_table(bad).checks}
             assert got == _oracle_verdicts(bad), (i, c)
             assert not bad.validated
@@ -425,7 +465,7 @@ def test_duplicated_row_fails_closure_and_orthogonality():
     T = build_table(make_group("cyclic:5"))
     rows = list(T.irreducibles)
     rows[2] = rows[1]
-    report = validate_table(dataclasses.replace(T, irreducibles=tuple(rows)))
+    report = validate_table(dataclasses.replace(T, array=CycloArray.of([r.values for r in rows])))
     names = [c.name for c in report.failures()]
     assert "galois-closure" in names and "row-orthogonality" in names
 
@@ -437,6 +477,6 @@ def test_large_conductor_table_validates_and_rejects_one_corrupt_entry():
     rows = list(T.irreducibles)
     psi = rows[-1].values
     rows[-1] = ClassFunction(G, (psi[0], psi[1] + 1) + psi[2:])
-    report = validate_table(dataclasses.replace(T, irreducibles=tuple(rows)))
+    report = validate_table(dataclasses.replace(T, array=CycloArray.of([r.values for r in rows])))
     assert not report.passed
     assert "row-orthogonality" in [c.name for c in report.failures()]

@@ -68,6 +68,49 @@ def test_group_document_errors(tmp_path, text, error, fragment):
         load_group(str(path))
 
 
+def _c2_table(**edit) -> str:
+    # a cyclic:2 table document, with fields replaced (or dropped for None)
+    doc = {
+        "group_order": 2,
+        "class_sizes": [1, 1],
+        "class_rep_orders": [1, 2],
+        "irreducibles": [["1", "1"], ["1", "-1"]],
+        **edit,
+    }
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param("[]", "top level must be an object", id="list"),
+        pytest.param(_c2_table(irreducibles=None), "missing field 'irreducibles'", id="no-rows"),
+        pytest.param(_c2_table(notes="x"), "unknown field 'notes'", id="unknown-field"),
+        pytest.param(_c2_table(class_sizes=2), "'class_sizes': expected a list", id="sizes"),
+        pytest.param(
+            _c2_table(irreducibles=[[1, 1], [1, -1]]),
+            "row 0 is not a list of 2 strings",
+            id="number-entries",
+        ),
+        pytest.param(_c2_table(labels=5), "'labels': expected one string per row", id="labels"),
+        # too few labels once truncated coeffs to one coefficient, exit 0
+        pytest.param(
+            _c2_table(labels=["a"]), "'labels': expected one string per row", id="too-few-labels"
+        ),
+    ],
+)
+def test_table_document_errors(tmp_path, capsys, text, fragment):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(DocumentError, match=fragment):
+        load_chartable(str(path), make_group("cyclic:2"))
+    code, out, err = run_cli(
+        capsys, "coeffs", "--group", "cyclic:2", "--fn", "f3", "--table", f"file:{path}"
+    )
+    assert (code, out) == (2, "")
+    assert fragment in err
+
+
 def test_chartable_round_trip(tmp_path):
     G = make_group("dihedral:5")
     T = build_table(G)
@@ -327,6 +370,22 @@ def test_exit_codes(capsys, argv, want):
     code = main(list(argv))
     capsys.readouterr()
     assert code == want
+
+
+GOLDEN_CLI = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "golden.json").read_text(encoding="utf-8")
+)["cli"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [(c["argv"], c["stdout"]) for c in GOLDEN_CLI],
+    ids=[" ".join(c["argv"]) for c in GOLDEN_CLI],
+)
+def test_benchmark_golden_cli_output(capsys, argv, stdout):
+    # the commands whose stdout the benchmark checks, byte for byte
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, stdout)
 
 
 def test_python_m_runs_the_cli(capsys):
