@@ -276,19 +276,19 @@ def validate_table(T: CharacterTable) -> ValidationReport:
     return T.report
 
 
-def _class_pair_counts(G: GroupTable, part: ClassPartition):
-    """The nonzero counts cnt[a, b, c] = #{z : g_a * h_b^z in class c} for
-    the class reps g_a, h_b, as arrays (a*k + b, c, count) sorted by
-    a*k + b, every pair present.  z -> h_b^z covers each member of class b
-    |C(h_b)| times, so count = |C(h_b)| * #{y in class b : g_a * y in
-    class c}; at most |G| entries per rep g_a."""
+def _class_pair_counts(G: GroupTable, part: ClassPartition, members=None):
+    """The nonzero counts m[a, b, c] = #{y in class b : g_a * y in class c}
+    for the class reps g_a, as arrays (a*k + b, c, m) sorted by a*k + b,
+    with y over `members`, a union of classes (the whole group by default,
+    where every pair is present); at most len(members) entries per rep."""
     k = len(part)
     class_of = np.asarray(part.class_of)
-    prod_class = class_of[G.table[list(part.reps)]]  # g_a * y
-    pair = k * np.arange(k)[:, None] + class_of  # a*k + (class of y)
-    keys, count = np.unique((pair * k + prod_class).ravel(), return_counts=True)
+    ys = np.arange(G.order) if members is None else np.asarray(members)
+    prod_class = class_of[G.table[np.ix_(part.reps, ys)]]  # g_a * y
+    pair = k * np.arange(k)[:, None] + class_of[ys]  # a*k + (class of y)
+    keys, m = np.unique((pair * k + prod_class).ravel(), return_counts=True)
     ab, c = np.divmod(keys, k)
-    return ab, c, count * (G.order // np.asarray(part.sizes))[ab % k]
+    return ab, c, m
 
 
 def _validation_primes(T: CharacterTable) -> tuple[int, list[int]]:
@@ -302,7 +302,10 @@ def _nonzero_at_split_primes(T: CharacterTable, part: ClassPartition, exponents)
     from `_validation_primes`."""
     G, X = T.group, T.array
     k = len(part)
-    ab, c, count = _class_pair_counts(G, part)
+    ab, c, m = _class_pair_counts(G, part)
+    # z -> h_b^z covers each member of class b |C(h_b)| times, so
+    # cnt[a, b, c] = #{z : g_a * h_b^z in class c} = |C(h_b)| * m[a, b, c]
+    count = m * (G.order // np.asarray(part.sizes))[ab % k]
     starts = np.flatnonzero(np.diff(ab, prepend=-1))  # first entry of each pair
     wrong = np.zeros((k, k), dtype=bool)
     failing = np.zeros((k, k * k), dtype=bool)

@@ -2,7 +2,11 @@
 
 P_n(g) = f_n(g)/|G|^n is the probability that n uniformly random elements
 pairwise commute into g; Q_3 is f_3 normalized into an honest distribution.
-Everything is an exact Fraction, including the bound verdicts: comparisons
+A distribution is exact: non-negative integers over one denominator, one per
+element or, for a class function such as Q_3, one per conjugacy class.
+Convolution powers of a class function are computed on classes through the
+class structure constants, and Q_3^(*k) also from the character formula as
+an independent second path.  The bound verdicts are exact too: comparisons
 against irrational right-hand sides go through the exact cyclotomic sign
 machinery, never floating point.
 """
@@ -10,52 +14,98 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .chars import CharacterTable, table_for
-from .counts import ClassCounts, count_f_n
-from .cyclo import Cyclo, format_cyclo
+import numpy as np
+
+from .chars import CharacterTable, _class_pair_counts, reconstruct, table_for
+from .counts import ClassCounts, _certified_int, count_f_n, f3_coeffs
+from .cyclo import Cyclo, _exact, format_cyclo
 from .groups import GroupTable, center_and_derived, conjugacy_classes
 from .realcmp import abs_as_cyclo, compare
 
 
-@dataclass(frozen=True, eq=False)
 class GroupDistribution:
-    """An exact probability distribution on the elements of a group."""
+    """An exact probability distribution on the elements of a group.
 
-    group: GroupTable
-    mass: tuple[Fraction, ...]
+    The masses are ``ints`` over one denominator ``den``: one integer per
+    element, or, when ``classes`` is the group's class partition, one per
+    conjugacy class, the mass of each of its members.  The constructor takes
+    one exact mass per element; `on_classes` builds a class function.
+    """
 
-    def __post_init__(self):
-        if len(self.mass) != self.group.order:
+    __slots__ = ("group", "ints", "den", "classes")
+
+    def __init__(self, group: GroupTable, mass):
+        if len(mass) != group.order:
             raise ValueError("need one mass per group element")
-        if any(m < 0 for m in self.mass):
+        mass = [Fraction(m) for m in mass]
+        den = lcm(1, *(m.denominator for m in mass))
+        self._set(group, [m.numerator * (den // m.denominator) for m in mass], den, None)
+
+    @classmethod
+    def on_classes(cls, group: GroupTable, ints, den: int) -> GroupDistribution:
+        """ints[c] / den on every member of conjugacy class c."""
+        return cls._of(group, ints, den, conjugacy_classes(group))
+
+    @classmethod
+    def _of(cls, group: GroupTable, ints, den: int, classes=None) -> GroupDistribution:
+        d = cls.__new__(cls)
+        d._set(group, ints, den, classes)
+        return d
+
+    def _set(self, group, ints, den, classes) -> None:
+        self.group, self.ints, self.den, self.classes = group, tuple(ints), den, classes
+        if classes is not None and len(self.ints) != len(classes):
+            raise ValueError("need one mass per conjugacy class")
+        if any(u < 0 for u in self.ints):
             raise ValueError("masses must be non-negative")
-        if sum(self.mass) != 1:
+        if sum(s * u for s, u in zip(self._sizes(), self.ints)) != den:
             raise ValueError("masses must sum to exactly 1")
 
+    def _sizes(self):
+        # how many elements carry each of ints
+        return (1,) * len(self.ints) if self.classes is None else self.classes.sizes
+
+    def _element_ints(self):
+        if self.classes is None:
+            return self.ints
+        return [self.ints[c] for c in self.classes.class_of]
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        """One exact mass per element."""
+        return tuple(Fraction(u, self.den) for u in self._element_ints())
+
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupDistribution)
-            and self.group is other.group
-            and self.mass == other.mass
-        )
+        if not isinstance(other, GroupDistribution) or self.group is not other.group:
+            return False
+        if self.classes is not None and other.classes is not None:
+            pairs = zip(self.ints, other.ints)
+        else:
+            pairs = zip(self._element_ints(), other._element_ints())
+        return all(u * other.den == v * self.den for u, v in pairs)
 
     def at(self, g: int) -> Fraction:
-        return self.mass[g]
+        c = g if self.classes is None else self.classes.class_of[g]
+        return Fraction(self.ints[c], self.den)
 
     def support(self) -> frozenset[int]:
-        return frozenset(g for g, m in enumerate(self.mass) if m)
+        if self.classes is None:
+            return frozenset(g for g, u in enumerate(self.ints) if u)
+        members = self.classes.classes
+        return frozenset(g for c, u in enumerate(self.ints) if u for g in members[c])
 
 
 def uniform(G: GroupTable) -> GroupDistribution:
-    share = Fraction(1, G.order)
-    return GroupDistribution(G, (share,) * G.order)
+    k = len(conjugacy_classes(G))
+    return GroupDistribution.on_classes(G, (1,) * k, G.order)
 
 
 def point_mass(G: GroupTable, g: int = 0) -> GroupDistribution:
-    mass = [Fraction(0)] * G.order
-    mass[g] = Fraction(1)
-    return GroupDistribution(G, tuple(mass))
+    ints = [0] * G.order
+    ints[g] = 1
+    return GroupDistribution._of(G, ints, 1)
 
 
 def p_n(count: ClassCounts, g: int) -> Fraction:
@@ -67,12 +117,7 @@ def distribution_from_counts(count: ClassCounts) -> GroupDistribution:
     total = count.total()
     if total <= 0:
         raise ValueError("cannot normalize a count with zero total")
-    part = conjugacy_classes(count.group)
-    mass = tuple(
-        Fraction(count.values[part.class_of[g]], total)
-        for g in range(count.group.order)
-    )
-    return GroupDistribution(count.group, mass)
+    return GroupDistribution.on_classes(count.group, count.values, total)
 
 
 def q3(count: ClassCounts) -> GroupDistribution:
@@ -83,49 +128,130 @@ def q3(count: ClassCounts) -> GroupDistribution:
 
 
 def convolve(d1: GroupDistribution, d2: GroupDistribution) -> GroupDistribution:
-    """(d1 * d2)(g) = sum over h of d1(h) d2(h^-1 g)."""
+    """(d1 * d2)(g) = sum over h of d1(h) d2(h^-1 g), element by element."""
     if d1.group is not d2.group:
         raise ValueError("distributions live on different groups")
     G = d1.group
-    mass = [Fraction(0)] * G.order
-    for h, m1 in enumerate(d1.mass):
-        if not m1:
+    a, b = d1._element_ints(), d2._element_ints()
+    out = [0] * G.order
+    for h, u in enumerate(a):
+        if not u:
             continue
         row = G.table[G.inv[h]].tolist()
         for g in range(G.order):
-            m2 = d2.mass[row[g]]
-            if m2:
-                mass[g] += m1 * m2
-    return GroupDistribution(G, tuple(mass))
+            v = b[row[g]]
+            if v:
+                out[g] += u * v
+    return GroupDistribution._of(G, out, d1.den * d2.den)
+
+
+def _class_products(d: GroupDistribution):
+    """The nonzero terms of right convolution by the class function d, as
+    arrays (a, c, w): (p * d)(g_c) = sum of p_a * w over the terms (a, c, w),
+    over p's denominator times d.den, for any class function p.
+
+    With N[a, b, c] = #{(x, y) in class a x class b : x y = g_c}, there is
+    one term w = u_b * N[a, b, c] per nonzero N and class b in d's support.
+    Conjugating x and the pair count give |c| N[a, b, c] = |a| m[a, b, c],
+    m from `_class_pair_counts` over the support: k gathers of its size."""
+    part = d.classes
+    k = len(part)
+    u = np.array(d.ints, dtype=object)
+    members = np.flatnonzero(u[np.asarray(part.class_of)])
+    ab, c, m = _class_pair_counts(d.group, part, members)
+    a, b = np.divmod(ab, k)
+    sizes = np.asarray(part.sizes)
+    # N[a, b, c] <= |b| (y fixes x), so w <= sum_b u_b |b| = d.den
+    (u,) = _exact(d.den, u)
+    return a, c, u[b] * (sizes[a] * m // sizes[c])
 
 
 def convolve_power(d: GroupDistribution, k: int) -> GroupDistribution:
     """The k-fold convolution d * d * ... * d; k = 0 is the point mass
-    at the identity."""
+    at the identity.  A class function stays on classes: each step is one
+    pass over the terms of `_class_products`."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    out = point_mass(d.group)
+    G = d.group
+    if d.classes is None:
+        out = point_mass(G)
+        for _ in range(k):
+            out = convolve(out, d)
+        return out
+    a, c, w = _class_products(d)
+    vec, den = [1] + [0] * (len(d.classes) - 1), 1
     for _ in range(k):
-        out = convolve(out, d)
-    return out
+        # masses are non-negative, so every partial sum is at most the
+        # new denominator
+        den *= d.den
+        (nxt,) = _exact(den, np.zeros(len(vec), dtype=np.int64))
+        np.add.at(nxt, c, np.array(vec, dtype=nxt.dtype)[a] * w)
+        vec = nxt.tolist()
+    return GroupDistribution.on_classes(G, vec, den)
 
 
 def first_saturating_k(d: GroupDistribution, k_max: int = 30) -> int | None:
-    """The smallest k with support(d^(*k)) = the whole group, or None if
-    that does not happen by k_max.  Supports only grow once the identity
-    carries mass, so the first hit is definitive."""
-    full = frozenset(range(d.group.order))
-    power = d
+    """The smallest k <= k_max with support(d^(*k)) = the whole group, or
+    None.  Masses are non-negative, so support(d^(*(k+1))) is exactly
+    support(d^(*k)) * support(d): the supports are iterated alone, and once
+    one equals the one before, every later one does."""
+    G = d.group
+    if d.classes is None:
+        step = np.flatnonzero(d.ints)
+
+        def grow(supp):
+            nxt = np.zeros(G.order, dtype=bool)
+            nxt[G.table[np.ix_(np.flatnonzero(supp), step)]] = True
+            return nxt
+
+    else:
+        a, c, _ = _class_products(d)
+
+        def grow(supp):
+            nxt = np.zeros(len(supp), dtype=bool)
+            nxt[c[supp[a]]] = True
+            return nxt
+
+    supp = np.array([u > 0 for u in d.ints])
     for k in range(1, k_max + 1):
-        if power.support() == full:
+        if supp.all():
             return k
-        power = convolve(power, d)
+        nxt = grow(supp)
+        if (nxt == supp).all():
+            return None
+        supp = nxt
     return None
 
 
 def l1_to_uniform(d: GroupDistribution) -> Fraction:
-    share = Fraction(1, d.group.order)
-    return sum((abs(m - share) for m in d.mass), Fraction(0))
+    """sum over g of |d(g) - 1/|G||, a class at a time."""
+    n = d.group.order
+    total = sum(s * abs(u * n - d.den) for s, u in zip(d._sizes(), d.ints))
+    return Fraction(total, d.den * n)
+
+
+def q3_power_by_characters(
+    G: GroupTable, k: int, T: CharacterTable | None = None
+) -> GroupDistribution:
+    """Q_3^(*k) from the character formula, independently of any count.
+
+    Irreducibles convolve as chi * psi = [chi = psi] (|G|/chi(1)) chi, so
+    f_3 = sum_chi q_chi chi gives f_3^(*k) = sum_chi q_chi^k (|G|/chi(1))^(k-1)
+    chi.  Its value at every class is certified a non-negative integer; its
+    mass is the f_3 total to the k-th power, which normalizes it."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    T = table_for(G, T)
+    weights = [
+        q**k * Fraction(G.order, d) ** (k - 1)
+        for q, d in zip(f3_coeffs(G, T), T.degrees)
+    ]
+    ints = [
+        _certified_int(v, f"f_3^*{k} at class {c}")
+        for c, v in enumerate(reconstruct(T, weights).values)
+    ]
+    sizes = conjugacy_classes(G).sizes
+    return GroupDistribution.on_classes(G, ints, sum(s * u for s, u in zip(sizes, ints)))
 
 
 # -- the bound suite -----------------------------------------------------------

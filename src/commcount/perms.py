@@ -147,48 +147,3 @@ def format_cycles(p: tuple[int, ...]) -> str:
         if len(c) > 1
     ]
     return "".join(parts) if parts else "()"
-
-
-def conjugator(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Some w with w^-1 * p * w == q, or None if p and q are not conjugate."""
-    if cycle_type(p) != cycle_type(q):
-        return None
-    by_len_p: dict[int, list] = {}
-    by_len_q: dict[int, list] = {}
-    for c in cycles_of(p):
-        by_len_p.setdefault(len(c), []).append(c)
-    for c in cycles_of(q):
-        by_len_q.setdefault(len(c), []).append(c)
-    w = [0] * len(p)
-    for length, cps in by_len_p.items():
-        for cp, cq in zip(cps, by_len_q[length]):
-            for a, b in zip(cp, cq):
-                w[a] = b
-    return tuple(w)
-
-
-def centralizer_perms(p: tuple[int, ...]):
-    """Iterate every permutation commuting with p (rotations of the cycles
-    composed with permutations of equal-length cycles)."""
-    n = len(p)
-    by_len: dict[int, list] = {}
-    for c in cycles_of(p):
-        by_len.setdefault(len(c), []).append(c)
-    lengths = sorted(by_len)
-    choice_sets = []
-    for length in lengths:
-        group = by_len[length]
-        m = len(group)
-        perms_of_cycles = list(itertools.permutations(range(m)))
-        rotations = list(itertools.product(range(length), repeat=m))
-        choice_sets.append([(pi, rot) for pi in perms_of_cycles for rot in rotations])
-    for combo in itertools.product(*choice_sets):
-        w = [0] * n
-        for length, (pi, rot) in zip(lengths, combo):
-            group = by_len[length]
-            for i, src in enumerate(group):
-                dst = group[pi[i]]
-                r = rot[i]
-                for j, a in enumerate(src):
-                    w[a] = dst[(j + r) % length]
-        yield tuple(w)

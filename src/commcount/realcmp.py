@@ -84,10 +84,16 @@ def cos_bounds(lo: Fraction, hi: Fraction, terms: int) -> tuple[Fraction, Fracti
     return total - slack, total + slack
 
 
+@cache
+def _cos_enclosure(k: int, n: int, terms: int) -> tuple[Fraction, Fraction]:
+    """`cos_bounds` of cos(2 pi k / n) at the `pi_bounds` of `terms`."""
+    pi_lo, pi_hi = pi_bounds(terms)
+    return cos_bounds(2 * k * pi_lo / n, 2 * k * pi_hi / n, terms)
+
+
 def _enclose_real(v: Cyclo, terms: int) -> tuple[Fraction, Fraction]:
     # v is real, so v = Re(v) = sum_k c_k cos(2 pi k / N) / den; the sum
     # is enclosed first and divided by den > 0 at the end
-    pi_lo, pi_hi = pi_bounds(terms)
     n = v.conductor
     lo = hi = _ZERO
     for k, c in enumerate(v.ints):
@@ -97,9 +103,7 @@ def _enclose_real(v: Cyclo, terms: int) -> tuple[Fraction, Fraction]:
             lo += c
             hi += c
             continue
-        c_lo, c_hi = cos_bounds(
-            2 * k * pi_lo / n, 2 * k * pi_hi / n, terms
-        )
+        c_lo, c_hi = _cos_enclosure(k, n, terms)
         if c >= 0:
             lo += c * c_lo
             hi += c * c_hi

@@ -5,31 +5,19 @@ The solver works block by block on the disjoint cycles of the target.  An
 odd-length cycle is solved inside the order-2m dihedral subgroup generated
 by the cycle and a reversal (where the count is known to be positive), and
 even-length cycles — whose individual cycles are odd permutations and so
-cannot be solved alone — are paired up and solved by a targeted search over
-the pair's support.  Block solutions are grafted together, which is sound
-because componentwise products of commuting triples multiply their
-commutator values.  Every returned triple is re-verified from scratch.
+cannot be solved alone — are paired up and solved by a fixed triple per pair
+of lengths, found once by a search over the pair's support.  Block
+solutions are grafted together, which is sound because componentwise
+products of commuting triples multiply their commutator values.  Every
+returned triple is re-verified from scratch.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
-from math import factorial, prod
 
-from .chars import partitions_of
 from .groups import GroupTable
-from .perms import (
-    centralizer_perms,
-    conjugator,
-    cycle_type,
-    cycles_of,
-    identity,
-    is_even,
-    pcomm,
-    pmul,
-)
+from .perms import cycles_of, identity, is_even, pcomm, pmul
 
 PermTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -143,47 +131,25 @@ def _solve_odd_cycle(m: int) -> PermTriple:
     raise TripleSearchError(f"no dihedral solution for an {m}-cycle")
 
 
-def _centralizer_order(typ: tuple[int, ...]) -> int:
-    """|C(p)| in Sym(n) for p of cycle type typ: prod l^m * m! over the
-    lengths l that occur m times."""
-    return prod(length**m * factorial(m) for length, m in Counter(typ).items())
-
-
-def _perms_by_centralizer_size(s: int):
-    """Every permutation of s points, by ascending centralizer order of its
-    cycle type (ties by type), each type in itertools order.  Each type is
-    filtered lazily from its own pass, so nothing is buffered."""
-    for typ in sorted(partitions_of(s), key=lambda t: (_centralizer_order(t), t)):
-        yield from (p for p in permutations(range(s)) if cycle_type(p) == typ)
-
-
-@cache
-def _solve_even_pair(l1: int, l2: int) -> PermTriple:
-    """A triple in Sym(l1 + l2) solving for the product of the canonical
-    cycles (0..l1-1)(l1..l1+l2-1), both of even length.
-
-    Candidates x are scanned by ascending centralizer size; every y with
-    [x, y] = g lies in the coset C(x)·y0 for any one solution y0, so the
-    search space per x is |C(x)|^2 pairs.
-    """
-    s = l1 + l2
-    first = tuple(range(1, l1)) + (0,)
-    second = tuple(range(l1 + 1, s)) + (l1,)
-    target = first + second
-
-    for x in _perms_by_centralizer_size(s):
-        shifted = pmul(x, target)
-        y0 = conjugator(x, shifted)
-        if y0 is None:
-            continue
-        coset = [pmul(c, y0) for c in centralizer_perms(x)]
-        for y in coset:
-            for z in coset:
-                if pcomm(y, z) == target:
-                    return x, y, z
-    raise TripleSearchError(
-        f"no solution for an even cycle pair of lengths {(l1, l2)}"
-    )
+# The triple in Sym(l1 + l2) solving for the product of the canonical even
+# cycles (0..l1-1)(l1..l1+l2-1), for each pair l1 <= l2 with l1 + l2 <=
+# MAX_DEGREE: the first solution of a search over the pair's support, which
+# tests/test_triples.py repeats.  `ore_triple_symmetric` verifies every
+# triple it builds from them.
+_EVEN_PAIR_TRIPLES: dict[tuple[int, int], PermTriple] = {
+    (2, 2): ((0, 2, 3, 1), (2, 0, 1, 3), (2, 3, 0, 1)),
+    (2, 4): ((2, 3, 5, 0, 4, 1), (1, 0, 4, 3, 2, 5), (4, 3, 5, 1, 2, 0)),
+    (4, 4): (
+        (0, 2, 3, 4, 6, 7, 5, 1),
+        (6, 5, 4, 7, 2, 1, 0, 3),
+        (6, 4, 7, 2, 0, 3, 1, 5),
+    ),
+    (2, 6): (
+        (2, 3, 4, 0, 7, 5, 1, 6),
+        (1, 0, 4, 3, 2, 7, 6, 5),
+        (4, 3, 2, 1, 5, 7, 0, 6),
+    ),
+}
 
 
 def _embed(local: tuple[int, ...], points: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -216,7 +182,7 @@ def ore_triple_symmetric(n: int, g: tuple[int, ...]) -> PermTriple:
     for c1, c2 in zip(ordered[0::2], ordered[1::2]):
         if len(c1) > len(c2):
             c1, c2 = c2, c1
-        blocks.append((c1 + c2, _solve_even_pair(len(c1), len(c2))))
+        blocks.append((c1 + c2, _EVEN_PAIR_TRIPLES[len(c1), len(c2)]))
 
     x1 = x2 = x3 = identity(n)
     for points, triple in blocks:

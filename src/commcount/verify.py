@@ -6,8 +6,9 @@ Two suites shared by the ``verify`` subcommand and the test suite.  The
 counts, the dihedral closed forms against two independent computations, and
 the A5 closed form for P_n(1).  The ``properties`` suite replays structural
 identities over a fixed sweep of small groups: oracle equivalences, table
-validation, monotonicity and symmetry of the counts, the bound chains, Ore
-sets, and the constructive triple solver.
+validation, monotonicity and symmetry of the counts, the bound chains, the
+two paths to the convolution powers of Q_3, Ore sets, and the constructive
+triple solver.
 
 Every comparison is exact -- integers, rationals, cyclotomic literals.  A
 CheckResult never carries a tolerance, and the conjecture monitor is the one
@@ -53,7 +54,13 @@ from .dihedral import (
     t3_class_counts_closed,
     t3_coeffs_closed,
 )
-from .distributions import bounds_report, p_n, q3
+from .distributions import (
+    bounds_report,
+    convolve_power,
+    p_n,
+    q3,
+    q3_power_by_characters,
+)
 from .groups import (
     GroupTable,
     center_and_derived,
@@ -291,6 +298,7 @@ def _properties_suite() -> list[CheckResult]:
         _theta_tau_sums(tabled),
         _isoclinic_match(),
         *_bounds_checks(tabled),
+        _q3_power_paths(tabled),
         _ore_sets(),
         _triple_solver(),
         _conjecture_monitor(tabled),
@@ -556,6 +564,28 @@ def _bounds_checks(groups) -> list[CheckResult]:
             f"dihedral:4 attains P2(1) = {d8} (want 5/8)",
         ),
     ]
+
+
+def _q3_power_paths(groups) -> CheckResult:
+    """Q_3^(*k) by class structure constants on the brute f_3 count, and by
+    the character formula, which reads no count."""
+    bad = []
+    for G in groups:
+        T = build_table(G)
+        q = q3(brute_f_n(G, 3))
+        for k in range(1, 5):
+            try:
+                if convolve_power(q, k) != q3_power_by_characters(G, k, T):
+                    bad.append(f"{G.spec} (k={k})")
+            except ValueError as err:
+                bad.append(f"{G.spec} (k={k}): {err}")
+    return CheckResult(
+        "properties",
+        "q3-power-two-paths",
+        not bad,
+        "class structure constants on the oracle's f3 = character formula "
+        f"for Q3^*k, k = 1..4, on {len(groups)} groups{_bad(bad)}",
+    )
 
 
 def _ore_sets() -> CheckResult:

@@ -86,7 +86,7 @@ def test_criterion_07_table_validation(rows):
 
 
 def test_criterion_08_bounds_suite(rows):
-    _assert_rows(rows, ["bounds-chain", "gustafson-equality"])
+    _assert_rows(rows, ["bounds-chain", "gustafson-equality", "q3-power-two-paths"])
 
 
 def test_criterion_09_ore_sets(rows):

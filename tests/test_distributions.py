@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from commcount import distributions
 from commcount.chars import ClassFunction, build_table, decompose
 from commcount.counts import brute_f_n, brute_t_n, count_f_n
 from commcount.cyclo import Cyclo, parse_cyclo
@@ -17,9 +18,11 @@ from commcount.distributions import (
     p_n,
     point_mass,
     q3,
+    q3_power_by_characters,
     uniform,
 )
 from commcount.groups import conjugacy_classes, make_group
+from commcount.verify import sweep_specs
 from commcount.realcmp import compare
 
 
@@ -182,3 +185,100 @@ def test_class_constant_masses():
     part = conjugacy_classes(G)
     for cls in part.classes:
         assert len({d.at(g) for g in cls}) == 1
+
+
+# -- class-level powers against the element-level oracle ------------------------
+
+
+def literal_saturating_k(d, k_max=30):
+    # the element loop: convolve, then read the whole support
+    full = frozenset(range(d.group.order))
+    power = d
+    for k in range(1, k_max + 1):
+        if power.support() == full:
+            return k
+        power = convolve(power, d)
+    return None
+
+
+def on_elements(d):
+    return GroupDistribution(d.group, d.mass)
+
+
+@pytest.mark.parametrize("spec", sweep_specs())
+def test_class_powers_match_element_convolution(spec):
+    G = make_group(spec)
+    q = q3(brute_f_n(G, 3))
+    assert q.classes is not None
+    oracle = point_mass(G)
+    for k in range(1, 5):
+        oracle = convolve(oracle, on_elements(q))
+        d = convolve_power(q, k)
+        assert d.classes is not None and d.den == q.den**k
+        assert [d.at(g) for g in range(G.order)] == list(oracle.mass)
+        assert d.support() == oracle.support()
+        assert l1_to_uniform(d) == l1_to_uniform(oracle)
+        assert d == oracle and oracle == d
+    assert first_saturating_k(q, k_max=5) == literal_saturating_k(q, k_max=5)
+
+
+def test_saturation_cutoff_on_a_cyclic_walk():
+    # supports {0..k} of size k + 1: the whole of cyclic:10 first at k = 9
+    G = make_group("cyclic:10")
+    d = GroupDistribution(G, (Fraction(1, 2),) * 2 + (Fraction(0),) * 8)
+    for k_max, want in ((8, None), (9, 9), (10, 9)):
+        assert first_saturating_k(d, k_max) == want
+        assert literal_saturating_k(d, k_max) == want
+
+
+def test_saturation_without_mass_at_the_identity():
+    G = make_group("cyclic:10")
+    step = GroupDistribution(G, (0, Fraction(1, 2), Fraction(1, 2)) + (0,) * 7)
+    rotation = point_mass(G, 1)  # supports move round and never grow
+    S3, S4 = make_group("symmetric:3"), make_group("symmetric:4")
+    off_identity = GroupDistribution.on_classes(S3, (0, 1, 1), 5)
+    transpositions = GroupDistribution.on_classes(S4, (0, 1, 0, 0, 0), 6)
+    for d, want in ((step, 9), (rotation, None), (off_identity, 2),
+                    (transpositions, None)):
+        assert d.at(0) == 0
+        assert first_saturating_k(d, k_max=12) == want
+        assert literal_saturating_k(d, k_max=12) == want
+
+
+def test_saturation_reads_supports_only(monkeypatch, a5):
+    G, _, f3 = a5
+    S4 = make_group("symmetric:4")
+    q_s4 = q3(brute_f_n(S4, 3))
+
+    def refuse(*args):
+        raise AssertionError("convolve called")
+
+    monkeypatch.setattr(distributions, "convolve", refuse)
+    assert first_saturating_k(q3(f3)) == 1
+    assert first_saturating_k(q_s4) is None  # stops once the support is A4
+    assert first_saturating_k(on_elements(q_s4)) is None
+    assert first_saturating_k(point_mass(S4)) is None
+
+
+def test_class_distribution_validation():
+    G = make_group("symmetric:3")
+    with pytest.raises(ValueError, match="one mass per conjugacy class"):
+        GroupDistribution.on_classes(G, (1, 1), 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        GroupDistribution.on_classes(G, (2, -1, 1), 1)
+    with pytest.raises(ValueError, match="sum"):
+        GroupDistribution.on_classes(G, (1, 1, 1), 7)
+    assert uniform(G) == GroupDistribution(G, (Fraction(1, 6),) * 6)
+
+
+@pytest.mark.parametrize(
+    "spec", ["alternating:5", "symmetric:4", "dihedral:7", "quaternion"]
+)
+def test_character_path_matches_class_path(spec):
+    G = make_group(spec)
+    q = q3(brute_f_n(G, 3))
+    for k in range(4):
+        assert q3_power_by_characters(G, k) == convolve_power(q, k)
+    assert q3_power_by_characters(G, 0) == point_mass(G)
+    with pytest.raises(ValueError, match="non-negative"):
+        q3_power_by_characters(G, -1)

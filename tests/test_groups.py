@@ -60,32 +60,6 @@ def test_cycle_type_and_parity():
     assert perms.is_even(perms.parse_cycles("(1 2)(3 4)", 4))
 
 
-def test_conjugator():
-    rng = random.Random(5)
-    for _ in range(100):
-        n = rng.randrange(2, 8)
-        p = tuple(rng.sample(range(n), n))
-        w = tuple(rng.sample(range(n), n))
-        q = perms.pconj(p, w)
-        w2 = perms.conjugator(p, q)
-        assert w2 is not None
-        assert perms.pconj(p, w2) == q
-    assert perms.conjugator((1, 0, 2), (0, 1, 2)) is None
-
-
-def test_centralizer_perms():
-    p = perms.parse_cycles("(1 2)(3 4)", 4)
-    cent = list(perms.centralizer_perms(p))
-    assert len(cent) == len(set(cent)) == 8
-    assert all(perms.pmul(w, p) == perms.pmul(p, w) for w in cent)
-    q = perms.parse_cycles("(1 2 3)", 5)
-    cent_q = set(perms.centralizer_perms(q))
-    brute = {
-        w for w in perms.all_perms(5) if perms.pmul(w, q) == perms.pmul(q, w)
-    }
-    assert cent_q == brute
-
-
 # -- group construction -------------------------------------------------------
 
 

@@ -1,11 +1,26 @@
+import itertools
+import random
+from collections import Counter
+from math import factorial, prod
+
 import pytest
 
+from commcount import perms
 from commcount.chars import partitions_of
 from commcount.groups import make_group
-from commcount.perms import even_perms, format_cycles, identity, parse_cycles, pcomm
+from commcount.perms import (
+    cycle_type,
+    cycles_of,
+    even_perms,
+    format_cycles,
+    identity,
+    parse_cycles,
+    pcomm,
+    pmul,
+)
 from commcount.triples import (
+    _EVEN_PAIR_TRIPLES,
     CycleDecomposition,
-    _solve_even_pair,
     combine_disjoint_triples,
     decompose_cycles,
     ore_triple_symmetric,
@@ -48,6 +63,111 @@ def test_every_even_class_rep_is_solved(n):
         assert_solves(n, g)
 
 
+# -- the search that found the even-pair triples ------------------------------
+
+
+def conjugator(p, q):
+    """Some w with w^-1 * p * w == q, or None if p and q are not conjugate."""
+    if cycle_type(p) != cycle_type(q):
+        return None
+    by_len_p: dict[int, list] = {}
+    by_len_q: dict[int, list] = {}
+    for c in cycles_of(p):
+        by_len_p.setdefault(len(c), []).append(c)
+    for c in cycles_of(q):
+        by_len_q.setdefault(len(c), []).append(c)
+    w = [0] * len(p)
+    for length, cps in by_len_p.items():
+        for cp, cq in zip(cps, by_len_q[length]):
+            for a, b in zip(cp, cq):
+                w[a] = b
+    return tuple(w)
+
+
+def centralizer_perms(p):
+    """Iterate every permutation commuting with p (rotations of the cycles
+    composed with permutations of equal-length cycles)."""
+    n = len(p)
+    by_len: dict[int, list] = {}
+    for c in cycles_of(p):
+        by_len.setdefault(len(c), []).append(c)
+    lengths = sorted(by_len)
+    choice_sets = []
+    for length in lengths:
+        m = len(by_len[length])
+        perms_of_cycles = list(itertools.permutations(range(m)))
+        rotations = list(itertools.product(range(length), repeat=m))
+        choice_sets.append([(pi, rot) for pi in perms_of_cycles for rot in rotations])
+    for combo in itertools.product(*choice_sets):
+        w = [0] * n
+        for length, (pi, rot) in zip(lengths, combo):
+            group = by_len[length]
+            for i, src in enumerate(group):
+                dst = group[pi[i]]
+                for j, a in enumerate(src):
+                    w[a] = dst[(j + rot[i]) % length]
+        yield tuple(w)
+
+
+def _centralizer_order(typ):
+    """|C(p)| in Sym(n) for p of cycle type typ: prod l^m * m! over the
+    lengths l that occur m times."""
+    return prod(length**m * factorial(m) for length, m in Counter(typ).items())
+
+
+def _perms_by_centralizer_size(s):
+    """Every permutation of s points, by ascending centralizer order of its
+    cycle type (ties by type), each type in itertools order."""
+    for typ in sorted(partitions_of(s), key=lambda t: (_centralizer_order(t), t)):
+        yield from (p for p in itertools.permutations(range(s)) if cycle_type(p) == typ)
+
+
+def search_even_pair(l1, l2):
+    """The first triple in Sym(l1 + l2) solving for (0..l1-1)(l1..l1+l2-1).
+
+    Candidates x are scanned by ascending centralizer size; every y with
+    [x, y] = g lies in the coset C(x)·y0 for any one solution y0, so the
+    search space per x is |C(x)|^2 pairs."""
+    s = l1 + l2
+    target = tuple(range(1, l1)) + (0,) + tuple(range(l1 + 1, s)) + (l1,)
+    for x in _perms_by_centralizer_size(s):
+        y0 = conjugator(x, pmul(x, target))
+        if y0 is None:
+            continue
+        coset = [pmul(c, y0) for c in centralizer_perms(x)]
+        for y in coset:
+            for z in coset:
+                if pcomm(y, z) == target:
+                    return x, y, z
+    return None
+
+
+def test_conjugator():
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randrange(2, 8)
+        p = tuple(rng.sample(range(n), n))
+        w = tuple(rng.sample(range(n), n))
+        q = perms.pconj(p, w)
+        w2 = conjugator(p, q)
+        assert w2 is not None
+        assert perms.pconj(p, w2) == q
+    assert conjugator((1, 0, 2), (0, 1, 2)) is None
+
+
+def test_centralizer_perms():
+    p = perms.parse_cycles("(1 2)(3 4)", 4)
+    cent = list(centralizer_perms(p))
+    assert len(cent) == len(set(cent)) == 8
+    assert all(perms.pmul(w, p) == perms.pmul(p, w) for w in cent)
+    q = perms.parse_cycles("(1 2 3)", 5)
+    cent_q = set(centralizer_perms(q))
+    brute = {
+        w for w in perms.all_perms(5) if perms.pmul(w, q) == perms.pmul(q, w)
+    }
+    assert cent_q == brute
+
+
 @pytest.mark.parametrize(
     "lengths, want",
     [
@@ -60,7 +180,13 @@ def test_every_even_class_rep_is_solved(n):
 def test_even_pair_solutions_are_the_first_in_candidate_order(lengths, want):
     # Candidates come by ascending centralizer order of their cycle type,
     # each type in itertools order; the first solution found is pinned.
-    assert ", ".join(map(format_cycles, _solve_even_pair(*lengths))) == want
+    assert ", ".join(map(format_cycles, _EVEN_PAIR_TRIPLES[lengths])) == want
+    assert search_even_pair(*lengths) == _EVEN_PAIR_TRIPLES[lengths]
+
+
+def test_even_pair_table_covers_every_pair_up_to_degree_9():
+    pairs = {(a, b) for a in range(2, 10, 2) for b in range(a, 10, 2) if a + b <= 9}
+    assert set(_EVEN_PAIR_TRIPLES) == pairs
 
 
 def test_identity_target():
