@@ -60,7 +60,7 @@ class GroupDistribution:
             raise ValueError("need one mass per conjugacy class")
         if any(u < 0 for u in self.ints):
             raise ValueError("masses must be non-negative")
-        if sum(s * u for s, u in zip(self._sizes(), self.ints)) != den:
+        if den <= 0 or sum(s * u for s, u in zip(self._sizes(), self.ints)) != den:
             raise ValueError("masses must sum to exactly 1")
 
     def _sizes(self):

@@ -268,6 +268,8 @@ def test_class_distribution_validation():
         GroupDistribution.on_classes(G, (2, -1, 1), 1)
     with pytest.raises(ValueError, match="sum"):
         GroupDistribution.on_classes(G, (1, 1, 1), 7)
+    with pytest.raises(ValueError, match="sum"):
+        GroupDistribution.on_classes(G, (0, 0, 0), 0)
     assert uniform(G) == GroupDistribution(G, (Fraction(1, 6),) * 6)
 
 
@@ -282,3 +284,14 @@ def test_character_path_matches_class_path(spec):
     assert q3_power_by_characters(G, 0) == point_mass(G)
     with pytest.raises(ValueError, match="non-negative"):
         q3_power_by_characters(G, -1)
+
+
+def test_powers_past_int64():
+    # denominators above 2^63 take the Python-int path of every product
+    S5 = make_group("symmetric:5")
+    q = q3(brute_f_n(S5, 3))
+    assert q.den**5 > 2**63
+    assert convolve_power(q, 6) == q3_power_by_characters(S5, 6)
+    big = 2**70
+    d = GroupDistribution.on_classes(make_group("symmetric:3"), (big, 2 * big, big), 9 * big)
+    assert convolve_power(d, 3) == convolve(convolve(d, d), d)
