@@ -36,7 +36,7 @@ from .cyclo import (
     parse_cyclo,
     root_of_unity,
 )
-from .groups import ClassPartition, GroupTable, conjugacy_classes
+from .groups import TABLE_CAP, ClassPartition, GroupTable, conjugacy_classes
 
 
 class TableProviderError(ValueError):
@@ -404,6 +404,18 @@ def _auto_provider(G: GroupTable) -> str:
     )
 
 
+def _check_table_cap(G: GroupTable, conductor: int) -> None:
+    """Refuse a table of G at this conductor above ``TABLE_CAP`` residues,
+    before it is allocated."""
+    k = len(conjugacy_classes(G))
+    phi = sum(gcd(u, conductor) == 1 for u in range(conductor))
+    if k * k * phi > TABLE_CAP:
+        raise TableProviderError(
+            f"the character table of {G.spec or 'the group'} would hold {k} x {k} "
+            f"x phi({conductor}) = {k * k * phi} residues, above the cap {TABLE_CAP}"
+        )
+
+
 def _cyclic_generator(G: GroupTable) -> int | None:
     orders = G.element_orders()
     return next((g for g in range(G.order) if orders[g] == G.order), None)
@@ -417,6 +429,7 @@ def _cyclic_table(G: GroupTable) -> CharacterTable:
             f"cyclic-closed-form requires a cyclic group; no element of "
             f"{G.spec or 'the group'} has order {n}"
         )
+    _check_table_cap(G, n)
     # cyclic groups are abelian, so class index == element index
     log = [0] * n
     x, k, times_gen = 0, 0, G.table[:, gen].tolist()
@@ -436,6 +449,7 @@ def _dihedral_table(G: GroupTable) -> CharacterTable:
     if G.family != "dihedral":
         raise TableProviderError("dihedral-closed-form requires a dihedral: group")
     n = int(G.spec.split(":")[1])
+    _check_table_cap(G, n)
     reps = np.asarray(conjugacy_classes(G).reps)
     # index e < n is a^e and index n+e is a^e*b
     rotation = reps < n
@@ -534,6 +548,7 @@ def _tensor_table(G: GroupTable) -> CharacterTable:
     x = np.asarray(conjugacy_classes(A).class_of)[reps // B.order]
     y = np.asarray(conjugacy_classes(B).class_of)[reps % B.order]
     n = lcm(TA.array.conductor, TB.array.conductor)
+    _check_table_cap(G, n)
     XA, XB = TA.array.lifted(n), TB.array.lifted(n).conj()
     # (chi_i * psi_j)(x, y) over a contracted axis of length 1
     a = CycloArray(XA.ints[:, None, x, None], XA.den, n)

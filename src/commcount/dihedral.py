@@ -94,23 +94,16 @@ def f3_value_closed(n: int, s: int | None = None) -> int:
 
 
 def f3_class_counts_closed(G: GroupTable) -> ClassCounts:
-    """f_3 on a dihedral group table, assembled from the closed-form values
-    alone: rotations a^(2s) get their formula value, everything outside the
-    derived subgroup gets 0."""
+    """f_3 on a dihedral group table, read from `f3_value_closed` alone: a
+    rotation a^r of the derived subgroup is a^(2s) with s = r/2 (r even) or
+    s = (n - r)/2 (r odd, n odd), and everything outside it gets 0."""
     n = _dihedral_parameter(G)
-    part = conjugacy_classes(G)
     vals = []
-    for rep in part.reps:
-        if rep == 0:
+    for r in conjugacy_classes(G).reps:
+        if r == 0:
             vals.append(f3_value_closed(n))
-        elif rep < n:
-            r = rep
-            if n % 2:
-                vals.append(2 * n)
-            elif r % 2:
-                vals.append(0)
-            else:
-                vals.append(12 * n if 2 * r == n else 8 * n)
+        elif r < n and (r % 2 == 0 or n % 2):
+            vals.append(f3_value_closed(n, r // 2 if r % 2 == 0 else (n - r) // 2))
         else:
             vals.append(0)
     return ClassCounts(G, tuple(vals), "f", 3)

@@ -47,6 +47,9 @@ import numpy as np
 from . import perms
 
 ORDER_CAP = 5040
+# A character table holds rows x classes x phi(N) int64 residues; one above
+# 2^24 (128 MB) is refused with TableProviderError before it is allocated.
+TABLE_CAP = 1 << 24
 # Products per block of a large gather (permutation tables, subgroup closure,
 # the brute search), about 2^16, so that each block's temporaries stay near
 # 0.5 MB.

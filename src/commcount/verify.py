@@ -8,7 +8,9 @@ the A5 closed form for P_n(1).  The ``properties`` suite replays structural
 identities over a fixed sweep of small groups: oracle equivalences, table
 validation, monotonicity and symmetry of the counts, the bound chains, the
 two paths to the convolution powers of Q_3, Ore sets, and the constructive
-triple solver.
+triple solver.  Its sweep rows read one exhaustive oracle per group (brute
+f2, f3 and t3); most are a claim and a per-group predicate run by
+`_sweep_row`, and a path that raises ValueError fails its row at that group.
 
 Every comparison is exact -- integers, rationals, cyclotomic literals.  A
 CheckResult never carries a tolerance, and the conjecture monitor is the one
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .counts import (
     BudgetExceededError,
     ClassCounts,
     _aggregated_theta_weights,
+    _m_values,
     _tau_weights,
     brute_f_n,
     brute_t_n,
@@ -41,7 +45,6 @@ from .counts import (
     f2_from_characters,
     f3_coeffs,
     f3_from_characters,
-    m_chi,
     ore_set,
     recursive_fn1,
     t_coeffs,
@@ -284,54 +287,86 @@ def _a5_pn_closed_form(G, f2, f3) -> CheckResult:
 
 
 def _properties_suite() -> list[CheckResult]:
-    groups = [make_group(s) for s in sweep_specs()]
+    sweep = {s: make_group(s) for s in sweep_specs()}
+    groups = list(sweep.values())
     validation, tabled = _table_validation(groups)
     # Rows that need a character table run on the groups whose table held.
-    out = [
+    return [
         validation,
         _root_of_unity_sums(),
-        *_oracle_equivalences(tabled),
+        _sweep_row("f2-oracle-equivalence", tabled, "class-equation formula = oracle",
+                   lambda G: f2_from_characters(G) != _oracle(G).f2),
+        _sweep_row("f3-oracle-equivalence", tabled, "coefficient reconstruction = oracle",
+                   lambda G: f3_from_characters(G) != _oracle(G).f3),
+        _sweep_row("t3-oracle-equivalence", tabled, "star-count reconstruction = oracle",
+                   lambda G: t_from_characters(G, 3) != _oracle(G).t3),
         _fn1_recursion(groups),
-        _subgroup_monotonicity(),
-        *_count_inequalities(groups),
-        _m_chi_real(tabled),
-        _theta_tau_sums(tabled),
+        _subgroup_monotonicity(sweep),
+        _sweep_row("star-peak-at-identity", groups, "t3(g) <= t3(1)",
+                   lambda G: max(_oracle(G).t3.values) > _oracle(G).t3.at(0)),
+        _sweep_row("f3-within-star-gap", groups, "f3(g) <= t3(g) - f2(g) for g != 1",
+                   _above_star_gap),
+        _sweep_row("inverse-symmetry", groups, "f2, f3, t3 take equal values at g and g^-1",
+                   lambda G: any(count.at(G.inv[r]) != count.at(r) for count in _oracle(G)
+                                 for r in conjugacy_classes(G).reps)),
+        _sweep_row("m-chi-real", tabled, "every f3 character weight is real", _m_not_real),
+        _sweep_row("theta-tau-sum-agreement", tabled,
+                   "summing the pair weights by rows and by columns agrees",
+                   _theta_tau_differ),
         _isoclinic_match(),
-        *_bounds_checks(tabled),
+        *_bounds_checks(tabled, sweep.get("dihedral:4") or make_group("dihedral:4")),
         _q3_power_paths(tabled),
         _ore_sets(),
         _triple_solver(),
         _conjecture_monitor(tabled),
     ]
-    return out
+
+
+def _sweep_row(name: str, groups, claim: str, fails) -> CheckResult:
+    """A properties row stating `claim` on each of `groups`: it fails at G
+    when fails(G) is true or raises ValueError, whose text follows G."""
+    bad = []
+    for G in groups:
+        try:
+            if fails(G):
+                bad.append(G.spec)
+        except ValueError as err:
+            bad.append(f"{G.spec}: {err}")
+    detail = f"{claim} on {len(groups)} groups{_bad(bad)}"
+    return CheckResult("properties", name, not bad, detail)
+
+
+class _Oracle(NamedTuple):
+    f2: ClassCounts
+    f3: ClassCounts
+    t3: ClassCounts
+
+
+def _oracle(G: GroupTable) -> _Oracle:
+    """The exhaustive counts every sweep row reads, searched once per group."""
+    return G.cached(
+        "verify-oracle",
+        lambda G: _Oracle(brute_f_n(G, 2), brute_f_n(G, 3), brute_t_n(G, 3)),
+    )
 
 
 def _table_validation(groups) -> tuple[CheckResult, list[GroupTable]]:
-    """The validation row, read from the reports build_table stored, and
-    the groups whose tables passed."""
+    """The validation row, read from the reports build_table stored (a passing
+    product identity covers every class-rep pair), and the tables that held."""
     bad, tabled, names = [], [], []
-    by_scope: dict[str, list[str]] = {}
     for G in groups:
         try:
-            report = build_table(G).report
+            names = [c.name for c in build_table(G).report.checks]
         except TableValidationError:
             bad.append(G.spec)
             continue
         tabled.append(G)
-        names = [c.name for c in report.checks]
-        scope = next(c.detail for c in report.checks if c.name == "product-identity")
-        by_scope.setdefault(scope, []).append(G.spec)
-    scopes = "; ".join(
-        f"{scope} on {len(specs)} groups" if 2 * len(specs) > len(tabled)
-        else f"{scope} on {', '.join(specs)}"
-        for scope, specs in by_scope.items()
-    )
     row = CheckResult(
         "properties",
         "character-table-validation",
         not bad,
         f"{', '.join(names)} on {len(tabled)} groups; product-identity: "
-        f"{scopes}{_bad(bad)}",
+        f"all class-rep pairs on {len(tabled)} groups{_bad(bad)}",
     )
     return row, tabled
 
@@ -362,43 +397,10 @@ def _root_of_unity_sums() -> CheckResult:
     )
 
 
-def _oracle_equivalences(groups) -> list[CheckResult]:
-    f2_bad, f3_bad, t3_bad = [], [], []
-    for G in groups:
-        T = build_table(G)
-        if f2_from_characters(G, T) != brute_f_n(G, 2):
-            f2_bad.append(G.spec)
-        if f3_from_characters(G, T) != brute_f_n(G, 3):
-            f3_bad.append(G.spec)
-        if t_from_characters(G, 3, T) != brute_t_n(G, 3):
-            t3_bad.append(G.spec)
-    scope = f"on {len(groups)} groups"
-    return [
-        CheckResult(
-            "properties",
-            "f2-oracle-equivalence",
-            not f2_bad,
-            f"class-equation formula = oracle {scope}{_bad(f2_bad)}",
-        ),
-        CheckResult(
-            "properties",
-            "f3-oracle-equivalence",
-            not f3_bad,
-            f"coefficient reconstruction = oracle {scope}{_bad(f3_bad)}",
-        ),
-        CheckResult(
-            "properties",
-            "t3-oracle-equivalence",
-            not t3_bad,
-            f"star-count reconstruction = oracle {scope}{_bad(t3_bad)}",
-        ),
-    ]
-
-
 def _fn1_recursion(groups) -> CheckResult:
     bad, skipped = [], []
     for G in groups:
-        if recursive_fn1(G, 3) != brute_f_n(G, 3).at(0):
+        if recursive_fn1(G, 3) != _oracle(G).f3.at(0):
             bad.append(f"{G.spec} (n=3)")
         try:
             full = brute_f_n(G, 4)
@@ -417,18 +419,17 @@ def _fn1_recursion(groups) -> CheckResult:
     )
 
 
-def _subgroup_monotonicity() -> CheckResult:
+def _subgroup_monotonicity(sweep) -> CheckResult:
     bad = []
     pairs = 0
     for spec in ("symmetric:3", "symmetric:4", "quaternion", "dihedral:4",
                  "dihedral:6", "alternating:4"):
-        G = make_group(spec)
+        G = sweep.get(spec) or make_group(spec)
         center = center_and_derived(G)[0].member_set
         g = next(x for x in range(G.order) if x not in center)
         H = centralizer(G, g)
-        for n in (2, 3):
+        for n, full in ((2, _oracle(G).f2), (3, _oracle(G).f3)):
             inside = brute_f_n(G, n, H)
-            full = brute_f_n(G, n)
             pairs += 1
             if any(v > full.at(x) for x, v in inside.items()):
                 bad.append(f"{spec} (n={n})")
@@ -441,85 +442,28 @@ def _subgroup_monotonicity() -> CheckResult:
     )
 
 
-def _count_inequalities(groups) -> list[CheckResult]:
-    peak_bad, gap_bad, inv_bad = [], [], []
-    for G in groups:
-        f2 = brute_f_n(G, 2)
-        f3 = brute_f_n(G, 3)
-        t3 = brute_t_n(G, 3)
-        part = conjugacy_classes(G)
-        if any(v > t3.at(0) for v in t3.values):
-            peak_bad.append(G.spec)
-        if any(
-            f3.values[c] > t3.values[c] - f2.values[c]
-            for c in range(len(part))
-            if part.reps[c] != 0
-        ):
-            gap_bad.append(G.spec)
-        if any(
-            count.at(G.inv[r]) != count.at(r)
-            for count in (f2, f3, t3)
-            for r in part.reps
-        ):
-            inv_bad.append(G.spec)
-    scope = f"on {len(groups)} groups"
-    return [
-        CheckResult(
-            "properties",
-            "star-peak-at-identity",
-            not peak_bad,
-            f"t3(g) <= t3(1) {scope}{_bad(peak_bad)}",
-        ),
-        CheckResult(
-            "properties",
-            "f3-within-star-gap",
-            not gap_bad,
-            f"f3(g) <= t3(g) - f2(g) for g != 1 {scope}{_bad(gap_bad)}",
-        ),
-        CheckResult(
-            "properties",
-            "inverse-symmetry",
-            not inv_bad,
-            f"f2, f3, t3 take equal values at g and g^-1 {scope}{_bad(inv_bad)}",
-        ),
-    ]
+def _above_star_gap(G) -> bool:
+    f2, f3, t3 = _oracle(G)
+    reps = conjugacy_classes(G).reps
+    return any(f3.values[c] > t3.values[c] - f2.values[c] for c, r in enumerate(reps) if r)
 
 
-def _m_chi_real(groups) -> CheckResult:
-    bad = []
-    for G in groups:
-        T = build_table(G)
-        try:
-            for chi in T.irreducibles:
-                m_chi(G, chi)
-        except ValueError:
-            bad.append(G.spec)
-    return CheckResult(
-        "properties",
-        "m-chi-real",
-        not bad,
-        f"every f3 character weight is real on {len(groups)} groups{_bad(bad)}",
-    )
+def _m_not_real(G) -> bool:
+    """False once every m_chi of G's table is certified real, in one pass
+    over the array; `_m_values` raises ValueError on one that is not."""
+    T = build_table(G)
+    _m_values(G, T.array, T.labels)
+    return False
 
 
-def _theta_tau_sums(groups) -> CheckResult:
+def _theta_tau_differ(G) -> bool:
     # sum_c |c| theta_chi(c) = (sizes @ W_theta) . chi and
     # sum_b tau_chi(b) = (1 @ W_tau) . chi, so on an invertible table the two
     # sums agree for every chi exactly when these integer vectors agree.
-    bad = []
-    for G in groups:
-        sizes = np.array(conjugacy_classes(G).sizes)
-        by_rows = sizes @ G.cached("theta-weights", _aggregated_theta_weights)
-        by_cols = G.cached("tau-weights", _tau_weights).sum(axis=0)
-        if (by_rows != by_cols).any():
-            bad.append(G.spec)
-    return CheckResult(
-        "properties",
-        "theta-tau-sum-agreement",
-        not bad,
-        f"summing the pair weights by rows and by columns agrees "
-        f"on {len(groups)} groups{_bad(bad)}",
-    )
+    sizes = np.array(conjugacy_classes(G).sizes)
+    by_rows = sizes @ G.cached("theta-weights", _aggregated_theta_weights)
+    by_cols = G.cached("tau-weights", _tau_weights).sum(axis=0)
+    return bool((by_rows != by_cols).any())
 
 
 def _isoclinic_match() -> CheckResult:
@@ -543,13 +487,17 @@ def _isoclinic_match() -> CheckResult:
     )
 
 
-def _bounds_checks(groups) -> list[CheckResult]:
+def _bounds_checks(groups, d8: GroupTable) -> list[CheckResult]:
     bad = []
     for G in groups:
-        report = bounds_report(G)
+        try:
+            report = bounds_report(G, _oracle(G).f2, _oracle(G).f3)
+        except ValueError as err:
+            bad.append(f"{G.spec}: {err}")
+            continue
         if not report.all_hold:
             bad.append(f"{G.spec}: {[r.name for r in report.failures()]}")
-    d8 = p_n(brute_f_n(make_group("dihedral:4"), 2), 0)
+    p2 = p_n(_oracle(d8).f2, 0)
     return [
         CheckResult(
             "properties",
@@ -560,8 +508,8 @@ def _bounds_checks(groups) -> list[CheckResult]:
         CheckResult(
             "properties",
             "gustafson-equality",
-            d8 == Fraction(5, 8),
-            f"dihedral:4 attains P2(1) = {d8} (want 5/8)",
+            p2 == Fraction(5, 8),
+            f"dihedral:4 attains P2(1) = {p2} (want 5/8)",
         ),
     ]
 
@@ -572,7 +520,7 @@ def _q3_power_paths(groups) -> CheckResult:
     bad = []
     for G in groups:
         T = build_table(G)
-        q = q3(brute_f_n(G, 3))
+        q = q3(_oracle(G).f3)
         for k in range(1, 5):
             try:
                 if convolve_power(q, k) != q3_power_by_characters(G, k, T):
@@ -651,9 +599,12 @@ def _canonical_perm(lam, n) -> tuple[int, ...]:
 def _conjecture_monitor(groups) -> CheckResult:
     violations = []
     for G in groups:
-        for record in conjecture_report(G):
-            if not record.ok:
-                violations.append(f"{G.spec}/{record.label} = {record.value}")
+        try:
+            records = conjecture_report(G)
+        except ValueError as err:
+            violations.append(f"{G.spec}: {err}")
+            continue
+        violations += [f"{G.spec}/{r.label} = {r.value}" for r in records if not r.ok]
     detail = (
         f"every f3 coefficient is a non-negative integer on {len(groups)} groups"
         if not violations

@@ -154,6 +154,30 @@ def test_auto_provider_errors():
         build_table(make_group("cyclic:3"), "nonsense")
 
 
+@pytest.mark.parametrize(
+    "spec", ["cyclic:1000", "dihedral:2520", "product:cyclic:70,cyclic:72"]
+)
+def test_tables_over_the_cap_are_refused_before_allocation(spec, monkeypatch):
+    G = make_group(spec)
+    for factor in G.product_parts or ():
+        build_table(factor)
+
+    # the providers' big arrays come from these two; the refused ones would
+    # take 3.2 GB and more
+    def allocate(*args):
+        raise AssertionError("the table was allocated")
+
+    monkeypatch.setattr(chars, "_reduction", allocate)
+    monkeypatch.setattr(CycloArray, "dot", allocate)
+    with pytest.raises(TableProviderError, match="residues, above the cap 16777216"):
+        build_table(G)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:240", "dihedral:300"])
+def test_large_conductor_tables_under_the_cap_still_build(spec):
+    assert build_table(make_group(spec)).validated
+
+
 def test_cyclic_provider_generalizes():
     # alternating:3 is cyclic of order 3; a cyclic permutation group gets a
     # table even though its elements are not indexed by exponent

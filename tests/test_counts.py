@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from commcount import counts as counts_module
-from commcount.chars import build_table, decompose
+from commcount.chars import TableProviderError, build_table, decompose
 from commcount.counts import (
     BudgetExceededError,
     brute_f_n,
@@ -255,6 +255,12 @@ def test_count_dispatch():
     counts = count_f_n(P, 2, method="auto")
     assert counts.at(0) == 81
     assert counts.support() == frozenset({0})
+
+    # a table over the size cap is refused, and auto answers by brute force
+    C = make_group("cyclic:420")
+    with pytest.raises(TableProviderError, match="cap"):
+        count_f_n(C, 3, method="character")
+    assert count_f_n(C, 3) == brute_f_n(C, 3)
 
 
 def test_theta_is_conjugation_weighted():

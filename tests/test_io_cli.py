@@ -388,6 +388,20 @@ def test_benchmark_golden_cli_output(capsys, argv, stdout):
     assert (code, out) == (0, stdout)
 
 
+def test_verify_all_stdout_is_pinned(capsys):
+    # every row's detail text, byte for byte, as first recorded in verify_all.stdout
+    want = (Path(__file__).parent / "verify_all.stdout").read_text(encoding="utf-8")
+    assert run_cli(capsys, "verify", "--suite", "all")[:2] == (0, want)
+
+
+def test_character_method_names_the_size_of_a_refused_table(capsys):
+    code, out, err = run_cli(
+        capsys, "count", "--group", "cyclic:420", "--fn", "f3", "--method", "character"
+    )
+    assert (code, out) == (2, "")
+    assert "420 x 420 x phi(420) = 16934400 residues, above the cap" in err
+
+
 def test_python_m_runs_the_cli(capsys):
     code, want, _ = run_cli(capsys, "verify", "--suite", "paper")
     env = dict(os.environ, PYTHONPATH=str(Path(commcount.__file__).parents[1]))
