@@ -77,27 +77,6 @@ class ClassFunction:
         )
 
 
-def class_function_from_element_values(G: GroupTable, vals) -> ClassFunction:
-    """Build a ClassFunction from per-element values, checking constancy
-    on classes."""
-    part = conjugacy_classes(G)
-    out = []
-    for cls in part.classes:
-        v = vals[cls[0]]
-        if not isinstance(v, Cyclo):
-            v = Cyclo.rational(v)
-        for e in cls[1:]:
-            w = vals[e]
-            if not isinstance(w, Cyclo):
-                w = Cyclo.rational(w)
-            if w != v:
-                raise ValueError(
-                    f"values are not constant on the class of element {cls[0]}"
-                )
-        out.append(v)
-    return ClassFunction(G, tuple(out))
-
-
 def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclo:
     """<f, h> = (1/|G|) * sum_g f(g) * conj(h(g)), computed classwise."""
     if f.group is not h.group:
@@ -108,16 +87,6 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclo:
         if a and b:
             total = total + size * (a * b.conj())
     return total / f.group.order
-
-
-def conjugation_character(G: GroupTable) -> ClassFunction:
-    """The permutation character of G acting on itself by conjugation:
-    g -> |C_G(g)|."""
-    part = conjugacy_classes(G)
-    order = G.order
-    return ClassFunction(
-        G, tuple(Cyclo.rational(order // s) for s in part.sizes)
-    )
 
 
 @dataclass(eq=False)
@@ -626,6 +595,11 @@ def _strings(value, count: int) -> bool:
 
 
 def table_to_document(T: CharacterTable) -> dict:
+    """The table's document, every entry written at its conductor N.  The
+    document names no conductor: a table read back is at the lcm of its
+    literals' conductors, so a rational table built at N > 1 (``cyclic:2``,
+    ``dihedral:3``) reloads at conductor 1, with equal values and equal
+    bytes when saved again."""
     part = conjugacy_classes(T.group)
     return {
         "group_order": T.group.order,

@@ -357,11 +357,6 @@ def tau_chi(G: GroupTable, chi: ClassFunction, b: int) -> Cyclo:
     return _weighted(G, weights[b:b + 1], chi)[0]
 
 
-def tau_values(G: GroupTable, chi: ClassFunction) -> list[Cyclo]:
-    """tau_chi(b) for every element b, in index order."""
-    return _weighted(G, G.cached("tau-weights", _tau_weights), chi)
-
-
 def _m_values(G: GroupTable, X: CycloArray, labels) -> list[Cyclo]:
     """m_chi = sum_a theta_chi(a) for each row of X (rows x classes x N):
     the size-weighted column sums of the theta weights times X, certified
@@ -389,8 +384,12 @@ def m_chi(G: GroupTable, chi: ClassFunction) -> Cyclo:
 
 def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction, ...]:
     """Coefficients of f_3 in the irreducible basis: m_chi / |G|, certified
-    rational."""
+    rational; computed once per table object, in G.cached."""
     T = table_for(G, T)
+    return G.cached(("f3-coeffs", T), _f3_coeffs, T)
+
+
+def _f3_coeffs(G: GroupTable, T: CharacterTable) -> tuple[Fraction, ...]:
     out = []
     for m, label in zip(_m_values(G, T.array, T.labels), T.labels):
         try:

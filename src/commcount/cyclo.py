@@ -17,7 +17,6 @@ zeta_n^i * zeta_n^j, the one rule by which arrays are multiplied.
 """
 from __future__ import annotations
 
-import cmath
 import re
 from fractions import Fraction
 from functools import cache
@@ -322,15 +321,6 @@ class Cyclo:
 
     def __repr__(self) -> str:
         return f"<Cyclo {format_cyclo(self)}>"
-
-    def approx(self) -> complex:
-        """Debug-only floating approximation; never used in any verdict."""
-        n = self.conductor
-        return sum(
-            c / self.den * cmath.exp(2j * cmath.pi * i / n)
-            for i, c in enumerate(self.ints)
-            if c
-        ) or complex(0)
 
 
 _RAT_ZERO = Cyclo(1, (0,))

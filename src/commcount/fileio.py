@@ -64,7 +64,7 @@ class CountReport:
     """A finished count in exportable form.
 
     Rows follow the group's canonical class order and all values are exact
-    literals; ``timing_ms`` is an optional field that no command fills.
+    literals.
     """
 
     group: str
@@ -73,7 +73,6 @@ class CountReport:
     method: str
     class_rows: tuple[ClassRow, ...]
     coeff_rows: tuple[CoeffRow, ...] = ()
-    timing_ms: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("f", "t"):
@@ -85,7 +84,7 @@ class CountReport:
 
 
 def report_to_document(report: CountReport) -> dict:
-    doc = {
+    return {
         "group": report.group,
         "kind": report.kind,
         "n": report.n,
@@ -99,9 +98,6 @@ def report_to_document(report: CountReport) -> dict:
             for c in report.coeff_rows
         ],
     }
-    if report.timing_ms is not None:
-        doc["timing_ms"] = report.timing_ms
-    return doc
 
 
 def report_from_document(doc: dict) -> CountReport:
@@ -109,7 +105,7 @@ def report_from_document(doc: dict) -> CountReport:
         doc,
         "report",
         required=("group", "kind", "n", "method", "classes"),
-        optional=("coefficients", "timing_ms"),
+        optional=("coefficients",),
     )
     classes = []
     for i, row in enumerate(doc["classes"]):
@@ -130,7 +126,6 @@ def report_from_document(doc: dict) -> CountReport:
         doc["method"],
         tuple(classes),
         tuple(coeffs),
-        doc.get("timing_ms"),
     )
 
 

@@ -26,11 +26,6 @@ def pinv(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def pconj(p: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    """w^-1 * p * w."""
-    return pmul(pmul(pinv(w), p), w)
-
-
 def pcomm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """p^-1 * q^-1 * p * q."""
     return pmul(pmul(pinv(p), pinv(q)), pmul(p, q))

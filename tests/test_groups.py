@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -180,7 +181,7 @@ def test_oversized_perm_specs_refused(spec):
 
 def test_bad_tables_rejected():
     with pytest.raises(GroupLawError):
-        GroupTable([[0, 1], [1, 1]])  # not Latin
+        GroupTable([[0, 1], [1, 1]])  # row 1 holds no 0: no inverse
     with pytest.raises(GroupLawError):
         GroupTable([[1, 0], [0, 1]])  # no identity at 0
     # a Latin square with identity that is not associative
@@ -206,8 +207,9 @@ def test_bad_tables_rejected():
 
 
 def test_group_law_checks_reach_the_last_block():
-    # order 300 is checked in blocks of 65536 // 300 = 218 rows or columns;
-    # each defect below lies only in the second block
+    # order 300 is checked in blocks of 65536 // 300 = 218 rows; the first
+    # two defects lie only in the second block, the third in row 1 but in
+    # the second block of columns
     def z300():
         return [[(i + j) % 300 for j in range(300)] for i in range(300)]
 
@@ -215,14 +217,101 @@ def test_group_law_checks_reach_the_last_block():
     t[299][1] = 1  # row 299 held its only 0 at column 1
     with pytest.raises(GroupLawError, match="element 299 has no inverse"):
         GroupTable(t)
+    # neither table is Latin; Light's test on the generator 299 refuses both
     t = z300()
     t[280][5] = t[280][6]
-    with pytest.raises(GroupLawError, match="left Latin law fails"):
+    with pytest.raises(GroupLawError, match="associativity fails"):
         GroupTable(t)
     t = z300()
     t[1][250], t[1][260] = t[1][260], t[1][250]  # row 1 stays a permutation
-    with pytest.raises(GroupLawError, match="right Latin law fails"):
+    with pytest.raises(GroupLawError, match="associativity fails"):
         GroupTable(t)
+
+
+def _is_group(t) -> bool:
+    """The brute oracle: identity 0, Latin rows and columns, and every one
+    of the n^3 triples associative."""
+    M = np.asarray(t)
+    n = len(M)
+    ar = np.arange(n)
+    if M.min() < 0 or M.max() >= n:
+        return False
+    return bool(
+        (M[0] == ar).all()
+        and (M[:, 0] == ar).all()
+        and (np.sort(M, axis=1) == ar).all()
+        and (np.sort(M, axis=0) == ar[:, None]).all()
+        and (M[M] == M[:, M]).all()  # M[M[x, y], z] == M[x, M[y, z]]
+    )
+
+
+def _accepted(t) -> bool:
+    try:
+        GroupTable(t)
+    except GroupLawError:
+        return False
+    return True
+
+
+def test_group_laws_match_the_brute_oracle_at_order_3():
+    # every magma of order 3 with identity 0; only Z_3 is a group
+    verdicts = []
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        t = [[0, 1, 2], [1, a, b], [2, c, d]]
+        assert _accepted(t) == _is_group(t), t
+        verdicts.append(_is_group(t))
+    assert len(verdicts) == 81 and sum(verdicts) == 1
+
+
+def test_group_laws_match_the_brute_oracle_on_a_sample():
+    # relabelled groups of order 4-8, some with one entry changed or two
+    # entries of a row or column swapped, and random magmas with identity 0
+    # and a 0 in every row
+    rng = random.Random(2021)
+    specs = [
+        "cyclic:4", "product:cyclic:2,cyclic:2", "cyclic:5", "cyclic:6",
+        "symmetric:3", "cyclic:7", "cyclic:8", "dihedral:4", "quaternion",
+        "product:cyclic:2,cyclic:4", "product:cyclic:2,product:cyclic:2,cyclic:2",
+    ]
+    tables = []
+    for spec in specs:
+        M = make_group(spec).table
+        n = len(M)
+        for _ in range(40):
+            p = [0] + rng.sample(range(1, n), n - 1)
+            t = [[0] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    t[p[x]][p[y]] = p[M[x, y]]
+            x, y, z = rng.randrange(1, n), rng.randrange(1, n), rng.randrange(1, n)
+            change = rng.randrange(4)
+            if change == 1:
+                t[x][y] = rng.randrange(n)
+            elif change == 2:
+                t[x][y], t[x][z] = t[x][z], t[x][y]
+            elif change == 3:
+                t[y][x], t[z][x] = t[z][x], t[y][x]
+            tables.append(t)
+    for n in range(4, 9):
+        for _ in range(40):
+            t = [list(range(n))] + [
+                [x] + [rng.randrange(n) for _ in range(n - 1)] for x in range(1, n)
+            ]
+            for row in t[1:]:
+                if 0 not in row:
+                    row[rng.randrange(1, n)] = 0
+            tables.append(t)
+    verdicts = [_is_group(t) for t in tables]
+    for t, group in zip(tables, verdicts):
+        assert _accepted(t) == group, t
+    assert 0 < sum(verdicts) < len(tables)
+
+
+def test_generator_bound_refuses_a_table_that_is_not_latin():
+    # identity 0 and a 0 in every row, and Light's test passes on the one
+    # greedy generator 2, whose closure {0, 2} misses 1
+    with pytest.raises(GroupLawError, match=r"more than log2\(3\) greedy generators"):
+        GroupTable([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
 def _comm(G, x, y):
