@@ -7,14 +7,22 @@ t_n(g) = sum over pairs with [x, y] = g of |C(x)|^(n-2); it agrees
 with f_n at n = 2 and dominates f_3 away from the identity.
 
 The exhaustive oracles are gathers on the group table, its commutator
-matrix and its commuting matrix.  `brute_f_n` uses the coset lemma
-{y : [x, y] = [x, x2]} = C(x) x2: given (x1, x2), every later entry is
-y = c x2 with c in C_H(x1).  As [x2, c x2] = x2^-1 [x2, c] x2, the test
-[x2, y] = [x1, x2] is [c, x2] = [x1, x2^-1]: per x1, the rows C_H(x1) of the
-commutator matrix, read in order, against one vector.  The budget projects
-the candidate tuples it visits, |H| * sum over x in H of |C_H(x)|^(n-2)
-(the t_n total; k(H) * |H|^2 at n = 3, one commutator entry read each),
-which bounds every count.  `naive_f_n` enumerates all |G|^n tuples.
+matrix and its commuting matrix.  On all of G, `brute_f_n` and `brute_t_n`
+take the first entry x1 over the k class reps only: the tuples with first
+entry x1 and commutator g are as many as those with x1^h and g^h, so
+f_n(g_c) = (1/|c|) * sum over classes a of |a| * sum over g in c of
+N(r_a, g), with the division checked exact.  A central rep contributes
+f_(n-1)(1), the commuting (n-1)-tuples.  Otherwise the coset lemma
+{y : [x1, y] = [x1, x2]} = C(x1) x2 puts every later entry in one coset of
+C(x1).  At n = 3 the test [x2, c x2] = [x1, x2] is [c, x2] = [x1, x2^-1]:
+the rows C(x1) of the commutator matrix, read in order, against one
+vector.  At n >= 4 the coset T with [x1, T] = g is one 0/1 matrix
+A = (comm[T, T] == g), whose ordered cliques are the later entries: f_4
+sums A o (A A^T), and each further entry recurses on a row of A.  With a
+subgroup H, x1 runs over every member of H, through the same coset step.
+The budget projects the candidate tuples of a search over every x1,
+|H| * sum over x in H of |C_H(x)|^(n-2) (the t_n total; k(H) * |H|^2 at
+n = 3), which bounds every count.  `naive_f_n` enumerates all |G|^n tuples.
 
 Everything here is exact: brute-force tallies are plain integers, and
 character-formula values are certified to be non-negative integers
@@ -107,48 +115,118 @@ def _check_budget(projected: int, budget: int) -> None:
         raise BudgetExceededError(projected, budget)
 
 
-def _fn_element_counts(G: GroupTable, members, n: int, budget: int) -> list[int]:
-    """Per element g, the n-tuples drawn from members with every pairwise
-    commutator equal to g, in column blocks of about _BLOCK_PRODUCTS."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    members = np.asarray(members)
-    K = G.commuting()
-    sizes = K[np.ix_(members, members)].sum(axis=1).tolist()
-    _check_budget(len(members) * sum(c ** (n - 2) for c in sizes), budget)
+def _first_entry_counts(G: GroupTable, x1, C, members, n: int):
+    """The tuples (x1, x2, ..., xn) of members with every pairwise
+    commutator equal, for one first entry x1 whose centralizer in the
+    members is C (members an index array, or slice(None) for all of G).
+    Returns (g, found): found[i] of them have commutator g[i]; a value may
+    repeat in g.
+
+    By the coset lemma {y : [x1, y] = [x1, x2]} = C x2, so x2, ..., xn all
+    lie in one coset of C.  At n = 3 the test [x2, y] = [x1, x2] for
+    y = c x2 is [c, x2] = [x1, x2^-1] (as [x2, c x2] = x2^-1 [x2, c] x2):
+    the rows C of the commutator matrix, read in order, against one vector.
+    At n >= 4 each coset T with g = [x1, T] is one 0/1 matrix
+    A = (comm[T, T] == g), and the later entries are its ordered cliques."""
+    full = G.comm_row(x1)
+    row = full[members]  # g = [x1, x2] for every x2
+    if n == 2:
+        return row, 1
+    if n == 3:
+        wanted = full[G.inv[members]]  # [x1, x2^-1] for every x2
+        found = np.zeros(len(row), dtype=np.int64)
+        step = max(1, _BLOCK_PRODUCTS // G.order)
+        for lo in range(0, len(C), step):
+            found += (G.comm_row(C[lo:lo + step])[:, members] == wanted).sum(axis=0)
+        return row, found
     comm = G.comm_table()
-    whole = len(members) == G.order
-    counts = np.zeros(G.order, dtype=np.int64)
-    for x1 in members:
-        firsts = comm[x1, members]  # g = [x1, x2] for every x2
-        if n == 2:
-            counts += np.bincount(firsts, minlength=G.order)
+    # each value g = [x1, x2] is taken on exactly one coset, |C| times
+    cosets = np.arange(G.order)[members][np.argsort(row, kind="stable")]
+    cosets = cosets.reshape(-1, len(C))
+    g = comm[x1, cosets[:, 0]]
+    found = np.empty(len(cosets), dtype=np.int64)
+    step = max(1, _BLOCK_PRODUCTS // len(C) ** 2)
+    for lo in range(0, len(cosets), step):
+        T, gT = cosets[lo:lo + step], g[lo:lo + step, None, None]
+        A = (comm[T[:, :, None], T[:, None, :]] == gT).astype(np.float64)
+        found[lo:lo + step] = _ordered_cliques(A, n - 1)
+    return g, found
+
+
+def _ordered_cliques(A, depth: int):
+    """For each (c, c) matrix of the 0/1 float64 stack A, the sequences
+    (y_1, ..., y_depth), depth >= 3, with A[y_i, y_j] for every i < j: at
+    depth 3 the sum of A o (A A^T), deeper the sum over y_1 of the cliques
+    one shorter inside y_1's row.  The float64 products are exact, since
+    every partial sum is at most c^3 <= ORDER_CAP^3 < 2^53."""
+    if depth == 3:
+        triangles = (A * (A @ A.transpose(0, 2, 1))).sum(axis=(1, 2))
+        return triangles.astype(np.int64)
+    return sum(
+        _ordered_cliques(A * w[:, :, None] * w[:, None, :], depth - 1)
+        for w in A.transpose(1, 0, 2)  # w = A[:, i]: the y_2 allowed after i
+    )
+
+
+def _class_sums(G: GroupTable, n: int) -> list[int]:
+    """For every class c, |c| * f_n(g_c) = sum over classes a of
+    |a| * sum over g in c of N(r_a, g), where N(x1, g) counts the tuples with
+    first entry x1, which is unchanged when x1 and g are conjugated together.
+    A central rep has [r, x] = 1 for every x, so its term is f_(n-1)(1): the
+    k(G) * |G| commuting pairs at n = 3."""
+    if n == 2:  # f_2 = t_2
+        return _star_class_sums(G, 2)
+    part = conjugacy_classes(G)
+    class_of = np.array(part.class_of)
+    totals = [0] * len(part)
+    commuting = len(part) * G.order if n == 3 else _class_sums(G, n - 1)[0]
+    totals[0] = part.sizes.count(1) * commuting
+    for r, size in zip(part.reps, part.sizes):
+        if size == 1:
             continue
-        C = members[K[x1, members]]
-        wanted = comm[x1, G.inv[members]]  # [x1, x2^-1] for every x2
-        step = max(1, _BLOCK_PRODUCTS // len(C) ** min(n - 2, 2))
-        for lo in range(0, len(members), step):
-            x2, g = members[lo:lo + step], firsts[lo:lo + step]
-            rows = comm[C, lo:lo + step] if whole else comm[np.ix_(C, x2)]
-            hit = rows == wanted[lo:lo + step]  # y = C[i] * x2[j] is a solution
-            if n == 3:
-                found = hit.sum(axis=0)
-            else:
-                cands = G.table[np.ix_(C, x2)].T  # row j: the y = c*x2[j]
-                pairs = comm[cands[:, :, None], cands[:, None, :]] == g[:, None, None]
-                found = _chains(hit.T, pairs, n - 2)
-            np.add.at(counts, g, found)
-    return counts.tolist()
+        C = np.flatnonzero(G.table[r] == G.table[:, r])
+        g, found = _first_entry_counts(G, r, C, slice(None), n)
+        sums = np.zeros(len(part), dtype=np.int64)
+        np.add.at(sums, class_of[g], found)
+        totals = [t + size * s for t, s in zip(totals, sums.tolist())]
+    return totals
 
 
-def _chains(V, R, depth: int):
-    """For each row j of the (b, c) boolean V and the (b, c, c) boolean R:
-    the depth-tuples (y_1, ..., y_depth) with every V[j, y_i] and
-    R[j, y_i, y_k] for i < k (depth >= 2)."""
-    R = R & V[:, :, None] & V[:, None, :]
-    if depth == 2:
-        return R.sum(axis=(1, 2))
-    return sum(_chains(R[:, i], R, depth - 1) for i in range(R.shape[1]))
+def _star_class_sums(G: GroupTable, n: int) -> list[int]:
+    """For every class c, |c| * t_n(g_c) = sum over classes a of
+    |a| * |C(r_a)|^(n-2) * #{y : [r_a, y] in c}: the k rep rows of the
+    commutator matrix, tallied per distinct class size."""
+    part = conjugacy_classes(G)
+    k = len(part)
+    class_of = np.array(part.class_of)
+    sizes, which = np.unique(part.sizes, return_inverse=True)
+    reps = np.array(part.reps)
+    tally = np.zeros(len(sizes) * k, dtype=np.int64)
+    step = max(1, _BLOCK_PRODUCTS // G.order)
+    for lo in range(0, k, step):
+        cells = which[lo:lo + step, None] * k + class_of[G.comm_row(reps[lo:lo + step])]
+        tally += np.bincount(cells.ravel(), minlength=len(tally))
+    # Python ints: |C(x)|^(n-2) overflows int64 for larger n.
+    weights = [s * (G.order // s) ** (n - 2) for s in sizes.tolist()]
+    return [
+        sum(w * t for w, t in zip(weights, col))
+        for col in tally.reshape(len(sizes), k).T.tolist()
+    ]
+
+
+def _per_class(G: GroupTable, sums, kind: str, n: int) -> ClassCounts:
+    """ClassCounts from the sums of a class function over each class c,
+    each divided, exactly, by |c|."""
+    part = conjugacy_classes(G)
+    out = []
+    for c, (total, size) in enumerate(zip(sums, part.sizes)):
+        if total % size:
+            raise RuntimeError(
+                f"{kind}_{n} summed over class {c} is {total}, "
+                f"not a multiple of its size {size}"
+            )
+        out.append(total // size)
+    return ClassCounts(G, tuple(out), kind, n)
 
 
 def _as_class_counts(G: GroupTable, counts, kind: str, n: int) -> ClassCounts:
@@ -171,27 +249,43 @@ def brute_f_n(
     H: SubgroupRef | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ClassCounts | dict[int, int]:
-    """f_n by exhaustive search, pruned to one coset per (x1, x2) for n >= 3.
+    """f_n by exhaustive search, pruned to one coset of C_H(x1) per
+    (x1, x2) for n >= 3.
 
-    Without H: counts over all of G, as ClassCounts.  With a subgroup H:
-    counts tuples drawn from H, returned as a map member -> count (zero
-    values omitted) since the result is only an H-class function.
+    Without H: counts over all of G, as ClassCounts, with x1 over the k
+    class reps only (see `_class_sums`).  With a subgroup H: counts tuples
+    drawn from H, x1 over every member, returned as a map member -> count
+    (zero values omitted) since the result is only an H-class function.
+    Both budget the candidate tuples |H| * sum over x in H of |C_H(x)|^(n-2)
+    of a search over every x1, so the class reps refuse what it would.
     """
+    if n < 2:
+        raise ValueError("n must be at least 2")
     if H is None:
-        counts = _fn_element_counts(G, range(G.order), n, budget)
-        return _as_class_counts(G, counts, "f", n)
+        sizes = conjugacy_classes(G).sizes  # |C(x)| = |G| / |class of x|
+        _check_budget(G.order * sum(s * (G.order // s) ** (n - 2) for s in sizes), budget)
+        return _per_class(G, _class_sums(G, n), "f", n)
     if H.parent is not G:
         raise ValueError("subgroup reference belongs to a different group")
-    counts = _fn_element_counts(G, H.members, n, budget)
-    return {g: c for g, c in enumerate(counts) if c}
+    members = np.asarray(H.members)
+    K = G.commuting()[np.ix_(members, members)]
+    sizes = K.sum(axis=1).tolist()
+    _check_budget(len(members) * sum(c ** (n - 2) for c in sizes), budget)
+    if sum(sizes) > G.order:  # more commutator rows to read than G has
+        G.comm_table()
+    counts = np.zeros(G.order, dtype=np.int64)
+    for x1, inside in zip(members, K):
+        g, found = _first_entry_counts(G, x1, members[inside], members, n)
+        np.add.at(counts, g, found)
+    return {g: c for g, c in enumerate(counts.tolist()) if c}
 
 
 def naive_f_n(
     G: GroupTable, n: int, budget: int = DEFAULT_BUDGET
 ) -> ClassCounts:
     """f_n by literal enumeration of all |G|^n tuples: a loop over the first
-    n - 2 entries, with the last two as one matrix.  Ground truth for the
-    optimized search; only viable for small groups."""
+    n - 3 entries (the first at n = 3), with the last three as one array.
+    Ground truth for the optimized search; only viable for small groups."""
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_budget(G.order**n * (n * (n - 1) // 2), budget)
@@ -200,19 +294,28 @@ def naive_f_n(
         counts = sum(np.bincount(row, minlength=G.order) for row in comm)
         return _as_class_counts(G, counts.tolist(), "f", n)
     tally = np.zeros(G.order, dtype=np.int64)
-    for head in product(range(G.order), repeat=n - 2):
-        if n == 3:  # x_2 = y, so g = [x_1, y] is one value per row y
-            row = comm[head[0]]
+    if n == 3:
+        for x1 in range(G.order):  # x_2 = y, so g = [x_1, y] is one value per row y
+            row = comm[x1]
             g = row[:, None]
             hits = (row == g) & (comm == g)  # [x_1, z] = [y, z] = [x_1, y]
             np.add.at(tally, row, hits.sum(axis=1))
+        return _as_class_counts(G, tally.tolist(), "f", n)
+    step = max(1, _BLOCK_PRODUCTS // G.order**2)
+    for head in product(range(G.order), repeat=n - 3):
+        # v = x_(n-2) runs over every element; g[v] = [x_1, x_2] (= [x_1, v] at n = 4)
+        g = comm[head[0]] if n == 4 else np.full(G.order, comm[head[0], head[1]])
+        if any(comm[a, b] != g[0] for a, b in combinations(head, 2)):
             continue
-        g = comm[head[0], head[1]]
-        if any(comm[a, b] != g for a, b in combinations(head, 2)):
-            continue
-        # the w with [x_i, w] = g for every head entry; y and z range over them
-        ok = np.flatnonzero((comm[list(head)] == g).all(axis=0))
-        tally[g] += np.count_nonzero(comm[np.ix_(ok, ok)] == g)
+        rows = comm[list(head)]
+        for lo in range(0, G.order, step):
+            v, gv = slice(lo, lo + step), g[lo:lo + step, None]
+            # ok[v, w]: [x_i, v] = [x_i, w] = [v, w] = g[v] for every head entry
+            ok = (comm[v] == gv) & (rows[:, None, :] == gv).all(axis=0)
+            ok &= (rows[:, v] == gv.T).all(axis=0)[:, None]
+            # y and z range over ok[v]: the pairs with [y, z] = g[v]
+            hits = ok[:, :, None] & ok[:, None, :] & (comm == gv[:, :, None])
+            np.add.at(tally, g[v], hits.sum(axis=(1, 2)))
     return _as_class_counts(G, tally.tolist(), "f", n)
 
 
@@ -228,20 +331,13 @@ def f3_parametrized(G: GroupTable, budget: int = DEFAULT_BUDGET) -> ClassCounts:
 
 
 def brute_t_n(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> ClassCounts:
-    """t_n on all of G: each pair [x, y] = g contributes |C(x)|^(n-2).  One
-    bincount per commutator row, tallied per distinct |C(x)|."""
+    """t_n on all of G: each pair [x, y] = g contributes |C(x)|^(n-2).  As
+    [x^h, y^h] = [x, y]^h, the k rows of the class reps give every class sum
+    (see `_star_class_sums`); the budget is the |G|^2 pairs."""
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_budget(G.order**2, budget)
-    sizes, which = np.unique(G.commuting().sum(axis=1), return_inverse=True)
-    comm = G.comm_table()
-    tally = np.zeros((len(sizes), G.order), dtype=np.int64)
-    for x in range(G.order):
-        tally[which[x]] += np.bincount(comm[x], minlength=G.order)
-    # Python ints: |C(x)|^(n-2) overflows int64 for larger n.
-    weights = [c ** (n - 2) for c in sizes.tolist()]
-    counts = [sum(w * t for w, t in zip(weights, col)) for col in tally.T.tolist()]
-    return _as_class_counts(G, counts, "t", n)
+    return _per_class(G, _star_class_sums(G, n), "t", n)
 
 
 # -- character formulas --------------------------------------------------------

@@ -20,11 +20,13 @@ commutators, classes, element orders and subgroup closure by gathers on
 
 Commutators have one representation, ``G.comm_table()``: the read-only
 int32 matrix of [x, y] = x^-1 y^-1 x y, filled by ``comm_row`` in row
-blocks.  Centralizers have one representation, the commuting matrix
-``G.commuting()``: the read-only boolean matrix K = (table == table.T), so
-row x is C(x), its row sums are the centralizer orders and the rows that are
-all true are the center.  It costs n^2 bytes, where per-element index tuples
-cost n * |C(x)| Python ints (over 1 GB for ``cyclic:5040``).
+blocks.  ``comm_row`` gathers from that matrix once it is built, so a
+reader of a few rows never forces the n^2 build.  Centralizers have one
+representation, the commuting matrix ``G.commuting()``: the read-only
+boolean matrix K = (table == table.T), so row x is C(x), its row sums are
+the centralizer orders and the rows that are all true are the center.  It
+costs n^2 bytes, where per-element index tuples cost n * |C(x)| Python
+ints (over 1 GB for ``cyclic:5040``).
 
 Groups above order 5040 (``ORDER_CAP``, the order of ``symmetric:7``) are
 rejected with ``GroupSpecError`` before their table is allocated: a dense
@@ -176,8 +178,12 @@ class GroupTable:
         return int(self.table[x, y])
 
     def comm_row(self, x):
-        """x^-1 * y^-1 * x * y for every y, as an int32 array: three gathers
-        on table.  An array of x gives one row per x."""
+        """x^-1 * y^-1 * x * y for every y, as an int32 array: gathered from
+        ``comm_table()`` once it is built, else three gathers on table.  An
+        array of x gives one row per x."""
+        comm = self._memo.get("comm")
+        if comm is not None:
+            return comm[x]
         M, inv = self.table, self.inv
         return M[M[M[inv[x]][..., inv], np.expand_dims(x, -1)], np.arange(self.order)]
 

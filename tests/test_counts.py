@@ -30,6 +30,7 @@ from commcount.counts import (
 )
 from commcount.groups import (
     GroupTable,
+    SubgroupRef,
     center_and_derived,
     centralizer,
     conjugacy_classes,
@@ -39,6 +40,7 @@ from commcount.distributions import bounds_report, convolve, q3
 from commcount.fileio import load_group, save_group
 from commcount.perms import is_even
 from commcount.triples import combine_disjoint_triples
+from commcount.verify import sweep_specs
 
 
 def test_a5_f2():
@@ -558,3 +560,45 @@ def test_brute_f3_matches_characters_on_larger_groups(tmp_path):
     assert brute_f_n(A6, 3) == f3_from_characters(A6, T)
     G = make_group("product:alternating:5,cyclic:5")
     assert brute_f_n(G, 3) == f3_from_characters(G)
+
+
+def test_per_element_search_is_constant_on_classes_and_equals_the_class_reps():
+    # H = G runs the search over every first entry x1; the class reps must
+    # give the same values, and those must be constant on every class.
+    for spec in sweep_specs():
+        G = make_group(spec)
+        part = conjugacy_classes(G)
+        whole = SubgroupRef(G, tuple(range(G.order)))
+        for n in (2, 3, 4, 5):
+            per_element = brute_f_n(G, n, whole)
+            values = [per_element.get(g, 0) for g in range(G.order)]
+            for cls in part.classes:
+                assert len({values[g] for g in cls}) == 1, (spec, n, cls)
+            want = tuple(values[r] for r in part.reps)
+            assert brute_f_n(G, n).values == want, (spec, n)
+
+
+def test_brute_f4_values_are_pinned():
+    # the values of the per-element search the class-rep search replaced;
+    # f4 vanishes off the identity on both, and f4(1) counts the pairwise
+    # commuting 4-tuples
+    S6, A6 = make_group("symmetric:6"), make_group("alternating:6")
+    assert brute_f_n(S6, 4).values == (516240,) + (0,) * 10
+    assert brute_f_n(A6, 4).values == (105840,) + (0,) * 6
+    assert recursive_fn1(A6, 4) == 105840
+
+
+def test_brute_f3_matches_characters_on_symmetric_7():
+    G = make_group("symmetric:7")
+    assert brute_f_n(G, 3) == f3_from_characters(G)
+
+
+def test_a_class_sum_off_a_multiple_of_the_class_size_is_refused(monkeypatch):
+    sums = counts_module._class_sums
+
+    def off_by_one(G, n):
+        return [s + (c == 1) for c, s in enumerate(sums(G, n))]
+
+    monkeypatch.setattr(counts_module, "_class_sums", off_by_one)
+    with pytest.raises(RuntimeError, match="not a multiple of its size 6"):
+        brute_f_n(make_group("symmetric:4"), 3)

@@ -490,6 +490,20 @@ def test_derived_subgroup_is_generated_by_every_commutator(spec):
     assert center_and_derived(G)[1].members == _generated(G, commutators)
 
 
+def test_comm_row_is_the_same_with_and_without_the_matrix():
+    # rows are computed from the table until comm_table() is built, then
+    # gathered from it; both give equal int32 arrays of the same shape
+    for spec in ("symmetric:4", "product:dihedral:5,cyclic:30"):
+        G = make_group(spec)
+        xs = [0, 3, np.int64(7), np.array([5, 1, 5]), np.arange(G.order)]
+        before = [G.comm_row(x) for x in xs]
+        G.comm_table()
+        for x, row in zip(xs, before):
+            after = G.comm_row(x)
+            assert after.dtype == row.dtype == np.int32
+            assert after.shape == row.shape and np.array_equal(after, row)
+
+
 def test_comm_table_blocks_match_single_rows():
     # order 300 fills in blocks of 65536 // 300 = 218 rows; the last is partial
     G = make_group("product:dihedral:5,cyclic:30")
