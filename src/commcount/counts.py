@@ -140,28 +140,28 @@ def _first_entry_counts(G: GroupTable, x1, C, members, n: int):
             found += (G.comm_row(C[lo:lo + step])[:, members] == wanted).sum(axis=0)
         return row, found
     comm = G.comm_table()
-    # each value g = [x1, x2] is taken on exactly one coset, |C| times
-    cosets = np.arange(G.order)[members][np.argsort(row, kind="stable")]
-    cosets = cosets.reshape(-1, len(C))
-    g = comm[x1, cosets[:, 0]]
+    # each value g = [x1, x2] is taken on exactly one coset C x2: keep one x2
+    first = np.full(G.order, -1)
+    first[row] = np.arange(G.order)[members]
+    g = np.flatnonzero(first >= 0)
+    cosets = G.table[C, first[g][:, None]]  # row i: the c x2 (c in C) for g[i]
     found = np.empty(len(cosets), dtype=np.int64)
     step = max(1, _BLOCK_PRODUCTS // len(C) ** 2)
     for lo in range(0, len(cosets), step):
         T, gT = cosets[lo:lo + step], g[lo:lo + step, None, None]
-        A = (comm[T[:, :, None], T[:, None, :]] == gT).astype(np.float64)
+        A = (comm[T[:, :, None], T[:, None, :]] == gT).astype(np.int32)
         found[lo:lo + step] = _ordered_cliques(A, n - 1)
     return g, found
 
 
 def _ordered_cliques(A, depth: int):
-    """For each (c, c) matrix of the 0/1 float64 stack A, the sequences
+    """For each (c, c) matrix of the 0/1 int32 stack A, the sequences
     (y_1, ..., y_depth), depth >= 3, with A[y_i, y_j] for every i < j: at
     depth 3 the sum of A o (A A^T), deeper the sum over y_1 of the cliques
-    one shorter inside y_1's row.  The float64 products are exact, since
-    every partial sum is at most c^3 <= ORDER_CAP^3 < 2^53."""
+    one shorter inside y_1's row.  Integer products are exact: an entry of
+    A A^T is at most c <= ORDER_CAP, and the sum runs in int64."""
     if depth == 3:
-        triangles = (A * (A @ A.transpose(0, 2, 1))).sum(axis=(1, 2))
-        return triangles.astype(np.int64)
+        return (A * (A @ A.transpose(0, 2, 1))).sum(axis=(1, 2), dtype=np.int64)
     return sum(
         _ordered_cliques(A * w[:, :, None] * w[:, None, :], depth - 1)
         for w in A.transpose(1, 0, 2)  # w = A[:, i]: the y_2 allowed after i
@@ -195,7 +195,10 @@ def _class_sums(G: GroupTable, n: int) -> list[int]:
 def _star_class_sums(G: GroupTable, n: int) -> list[int]:
     """For every class c, |c| * t_n(g_c) = sum over classes a of
     |a| * |C(r_a)|^(n-2) * #{y : [r_a, y] in c}: the k rep rows of the
-    commutator matrix, tallied per distinct class size."""
+    commutator matrix.  Reps of equal class size share a weight, so the
+    rows are tallied per distinct size: a (sizes, k) tally, where one row
+    per rep would be k x k (203 MB on cyclic:5040, with k = |G|), and one
+    Python-int weight per size."""
     part = conjugacy_classes(G)
     k = len(part)
     class_of = np.array(part.class_of)
@@ -271,8 +274,7 @@ def brute_f_n(
     K = G.commuting()[np.ix_(members, members)]
     sizes = K.sum(axis=1).tolist()
     _check_budget(len(members) * sum(c ** (n - 2) for c in sizes), budget)
-    if sum(sizes) > G.order:  # more commutator rows to read than G has
-        G.comm_table()
+    G.comm_table()
     counts = np.zeros(G.order, dtype=np.int64)
     for x1, inside in zip(members, K):
         g, found = _first_entry_counts(G, x1, members[inside], members, n)
