@@ -100,24 +100,33 @@ def report_to_document(report: CountReport) -> dict:
     }
 
 
+# the JSON type of every field of a report and of its class and coefficient rows
+_REPORT_TYPES = {
+    "group": str, "kind": str, "n": int, "method": str, "classes": list,
+    "coefficients": list, "rep": str, "order": int, "size": int, "value": str,
+    "label": str, "degree": int, "coefficient": str,
+}
+
+
 def report_from_document(doc: dict) -> CountReport:
     _check_fields(
         doc,
         "report",
         required=("group", "kind", "n", "method", "classes"),
         optional=("coefficients",),
+        types=_REPORT_TYPES,
     )
     classes = []
     for i, row in enumerate(doc["classes"]):
-        _check_fields(row, f"classes[{i}]", required=("rep", "order", "size", "value"))
+        _check_fields(row, f"classes[{i}]", ("rep", "order", "size", "value"),
+                      types=_REPORT_TYPES)
         classes.append(
             ClassRow(row["rep"], row["order"], row["size"], row["value"])
         )
     coeffs = []
     for i, row in enumerate(doc.get("coefficients", ())):
-        _check_fields(
-            row, f"coefficients[{i}]", required=("label", "degree", "coefficient")
-        )
+        _check_fields(row, f"coefficients[{i}]", ("label", "degree", "coefficient"),
+                      types=_REPORT_TYPES)
         coeffs.append(CoeffRow(row["label"], row["degree"], row["coefficient"]))
     return CountReport(
         doc["group"],
@@ -149,22 +158,14 @@ def load_group(path: str) -> GroupTable:
     mul = doc["mul"]
     if not isinstance(mul, list) or len(mul) != order:
         raise DocumentError(f"field 'mul': expected {order} rows")
-    for i, row in enumerate(mul):
-        if (
-            not isinstance(row, list)
-            or len(row) != order
-            or not all(isinstance(v, int) for v in row)
-        ):
-            raise DocumentError(
-                f"field 'mul': row {i} is not a list of {order} integers"
-            )
     names = doc.get("names")
     if names is not None and (
         not isinstance(names, list) or not all(isinstance(s, str) for s in names)
     ):
         raise DocumentError("field 'names': expected a list of strings")
-    # group-law violations surface as GroupLawError straight from the constructor
-    return GroupTable(mul, names, family="file", spec=f"file:{path}")
+    # entries that are not integers, ragged rows and group-law violations
+    # surface as GroupLawError straight from the constructor
+    return GroupTable(mul, names, spec=f"file:{path}")
 
 
 def save_group(G: GroupTable, path: str) -> None:
@@ -209,12 +210,20 @@ def _write_doc(doc: dict, path: str, indent: int | None) -> None:
         fh.write(text)
 
 
-def _check_fields(doc, where, required, optional=()):
+def _check_fields(doc, where, required, optional=(), types=None):
+    """Refuse a missing or unknown field, and one whose value is not of its
+    type in `types` (a JSON true or false is no integer)."""
+    types = types or {}
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected an object")
     for name in required:
         if name not in doc:
             raise DocumentError(f"{where}: missing field {name!r}")
-    for name in doc:
+    for name, value in doc.items():
         if name not in required and name not in optional:
             raise DocumentError(f"{where}: unknown field {name!r}")
+        kind = types.get(name, object)
+        if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+            raise DocumentError(
+                f"{where}: field {name!r}: expected {kind.__name__}, got {value!r}"
+            )

@@ -126,11 +126,11 @@ class GroupTable:
     ``mul`` is a square table of indices: rows of ints or a 2-D integer
     array.  ``table`` keeps it as a read-only int32 array once every group
     law has been checked on it, and ``inv`` the inverses as a read-only
-    int32 vector.
+    int32 vector.  ``family`` is the prefix of ``spec`` before its first
+    colon, or ``"table"`` for a table without a spec.
     """
 
-    def __init__(self, mul, names=None, family="table", spec="", perm_list=None,
-                 product_parts=None):
+    def __init__(self, mul, names=None, spec="", perm_list=None, product_parts=None):
         order = len(mul)
         if order == 0:
             raise GroupLawError("empty table")
@@ -144,7 +144,7 @@ class GroupTable:
         if M.dtype.kind not in "iu":
             raise GroupLawError("table entries are not all integers")
         self.order = order
-        self.family = family
+        self.family = spec.partition(":")[0] or "table"
         self.spec = spec
         self.perm_list = tuple(perm_list) if perm_list is not None else None
         self.product_parts = product_parts
@@ -400,7 +400,7 @@ def _cyclic(n: int) -> GroupTable:
     mul = r[:, None] + r
     mul %= n  # in place: one n x n table at a time
     names = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
-    return GroupTable(mul, names, family="cyclic", spec=f"cyclic:{n}")
+    return GroupTable(mul, names, spec=f"cyclic:{n}")
 
 
 def _dihedral(n: int) -> GroupTable:
@@ -411,7 +411,7 @@ def _dihedral(n: int) -> GroupTable:
     mul = np.block([[add, add + n], [sub + n, sub]])
     rot = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
     ref = ["b"] + ["a*b" if i == 1 else f"a^{i}*b" for i in range(1, n)]
-    return GroupTable(mul, rot + ref, family="dihedral", spec=f"dihedral:{n}")
+    return GroupTable(mul, rot + ref, spec=f"dihedral:{n}")
 
 
 def _quaternion() -> GroupTable:
@@ -434,10 +434,10 @@ def _quaternion() -> GroupTable:
             row.append(index[(s1 * s2 * s3, l3)])
         mul.append(row)
     names = ["1", "i", "j", "k", "-1", "-i", "-j", "-k"]
-    return GroupTable(mul, names, family="quaternion", spec="quaternion")
+    return GroupTable(mul, names, spec="quaternion")
 
 
-def _table_from_perms(plist, family, spec) -> GroupTable:
+def _table_from_perms(plist, spec) -> GroupTable:
     """The table of a repeat-free permutation list closed under products.
 
     Row a holds the index of p_a * q for every q: it is the
@@ -483,7 +483,7 @@ def _table_from_perms(plist, family, spec) -> GroupTable:
                     filled[coset] = True
                 reps.append(y)
     names = [perms.format_cycles(p) for p in plist]
-    return GroupTable(mul, names, family=family, spec=spec, perm_list=plist)
+    return GroupTable(mul, names, spec=spec, perm_list=plist)
 
 
 def _left_map(s, plist, index):
@@ -501,7 +501,7 @@ def _left_map(s, plist, index):
 def _symmetric(n: int, even_only: bool) -> GroupTable:
     plist = perms.even_perms(n) if even_only else perms.all_perms(n)
     fam = "alternating" if even_only else "symmetric"
-    return _table_from_perms(plist, fam, f"{fam}:{n}")
+    return _table_from_perms(plist, f"{fam}:{n}")
 
 
 def _perm_group(spec: str) -> GroupTable:
@@ -518,7 +518,7 @@ def _perm_group(spec: str) -> GroupTable:
         plist = perms.closure(gens, ORDER_CAP)
     except ValueError as exc:
         raise GroupSpecError(str(exc)) from None
-    return _table_from_perms(plist, "perm", spec)
+    return _table_from_perms(plist, spec)
 
 
 def _product(A: GroupTable, B: GroupTable, spec: str) -> GroupTable:
@@ -529,9 +529,7 @@ def _product(A: GroupTable, B: GroupTable, spec: str) -> GroupTable:
     names = [
         f"({A.names[a]},{B.names[b]})" for a in range(na) for b in range(nb)
     ]
-    return GroupTable(
-        mul, names, family="product", spec=spec, product_parts=(A, B)
-    )
+    return GroupTable(mul, names, spec=spec, product_parts=(A, B))
 
 
 # -- structural operations ---------------------------------------------------

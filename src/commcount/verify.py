@@ -8,9 +8,12 @@ the A5 closed form for P_n(1).  The ``properties`` suite replays structural
 identities over a fixed sweep of small groups: oracle equivalences, table
 validation, monotonicity and symmetry of the counts, the bound chains, the
 two paths to the convolution powers of Q_3, Ore sets, and the constructive
-triple solver.  Its sweep rows read one exhaustive oracle per group (brute
-f2, f3 and t3); most are a claim and a per-group predicate run by
-`_sweep_row`, and a path that raises ValueError fails its row at that group.
+triple solver.  Rows read the exhaustive counts (brute f2, f3, t3, and f4
+for the recursion) through `_oracle`, which searches each at most once per
+group.  Every row that checks a list of cases is a claim and a per-case
+predicate run by `_row`: a case fails when its predicate returns True or a
+reason, or raises ValueError, and the row names it with the reason or error
+text.
 
 Every comparison is exact -- integers, rationals, cyclotomic literals.  A
 CheckResult never carries a tolerance, and the conjecture monitor is the one
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .chars import (
     partitions_of,
 )
 from .counts import (
-    BudgetExceededError,
     ClassCounts,
     _aggregated_theta_weights,
     _m_values,
@@ -118,6 +119,26 @@ def _as_class_function(count: ClassCounts) -> ClassFunction:
 
 def _vec(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
+
+
+def _row(suite: str, name: str, cases, claim: str, fails) -> CheckResult:
+    """A row stating `claim` for each (label, case) of `cases`.  fails(case)
+    is falsy where the claim holds; a case fails when it returns True or a
+    reason, or raises ValueError, and the reason or error text follows its
+    label."""
+    bad = []
+    for label, case in cases:
+        try:
+            why = fails(case)
+        except ValueError as err:
+            why = str(err)
+        if why:
+            bad.append(f"{label}: {why}" if isinstance(why, str) else label)
+    return CheckResult(suite, name, not bad, f"{claim}{_bad(bad)}")
+
+
+def _bad(items) -> str:
+    return f"; FAILED at {items}" if items else ""
 
 
 def _paper_suite() -> list[CheckResult]:
@@ -209,57 +230,34 @@ def _paper_suite() -> list[CheckResult]:
 
 
 def _dihedral_checks() -> list[CheckResult]:
-    coeff_bad, value_bad, star_bad = [], [], []
-    for n in range(3, 13):
-        G = make_group(f"dihedral:{n}")
-        T = build_table(G)
-        f3 = brute_f_n(G, 3)
-        t3 = brute_t_n(G, 3)
-
-        closed = f3_coeffs_closed(n).as_row_tuple()
-        if not (
-            tuple(f3_coeffs(G, T)) == closed
-            and decompose(_as_class_function(f3), T) == closed
-        ):
-            coeff_bad.append(n)
-        if not (
-            f3_class_counts_closed(G) == f3 and f3_from_characters(G, T) == f3
-        ):
-            value_bad.append(n)
-        star = t3_coeffs_closed(n).as_row_tuple()
-        if not (
-            tuple(t_coeffs(G, 3, T)) == star
-            and t3_class_counts_closed(G) == t3
-            and t_from_characters(G, 3, T) == t3
-        ):
-            star_bad.append(n)
+    cases = [(n, make_group(f"dihedral:{n}")) for n in range(3, 13)]
     return [
-        CheckResult(
-            "paper",
-            "dihedral-f3-coefficients-three-way",
-            not coeff_bad,
-            "closed form = character formula = decomposed oracle for "
-            f"n = 3..12{_bad(coeff_bad)}",
-        ),
-        CheckResult(
-            "paper",
-            "dihedral-f3-values",
-            not value_bad,
-            "closed per-class values = oracle = reconstruction for "
-            f"n = 3..12{_bad(value_bad)}",
-        ),
-        CheckResult(
-            "paper",
-            "dihedral-t3-three-way",
-            not star_bad,
-            "closed star counts = coefficient formula = oracle for "
-            f"n = 3..12{_bad(star_bad)}",
-        ),
+        _row("paper", "dihedral-f3-coefficients-three-way", cases,
+             "closed form = character formula = decomposed oracle for n = 3..12",
+             _dihedral_coeffs_differ),
+        _row("paper", "dihedral-f3-values", cases,
+             "closed per-class values = oracle = reconstruction for n = 3..12",
+             _dihedral_values_differ),
+        _row("paper", "dihedral-t3-three-way", cases,
+             "closed star counts = coefficient formula = oracle for n = 3..12",
+             _dihedral_stars_differ),
     ]
 
 
-def _bad(items) -> str:
-    return f"; FAILED at {items}" if items else ""
+def _dihedral_coeffs_differ(G) -> bool:
+    closed = f3_coeffs_closed(G.order // 2).as_row_tuple()
+    decomposed = decompose(_as_class_function(_oracle(G, "f3")), build_table(G))
+    return not (tuple(f3_coeffs(G)) == closed == decomposed)
+
+
+def _dihedral_values_differ(G) -> bool:
+    return not (f3_class_counts_closed(G) == _oracle(G, "f3") == f3_from_characters(G))
+
+
+def _dihedral_stars_differ(G) -> bool:
+    t3 = _oracle(G, "t3")
+    star = tuple(t_coeffs(G, 3)) == t3_coeffs_closed(G.order // 2).as_row_tuple()
+    return not (star and t3_class_counts_closed(G) == t3 == t_from_characters(G, 3))
 
 
 def _a5_pn_closed_form(G, f2, f3) -> CheckResult:
@@ -293,28 +291,31 @@ def _properties_suite() -> list[CheckResult]:
     # Rows that need a character table run on the groups whose table held.
     return [
         validation,
-        _root_of_unity_sums(),
+        _row("properties", "root-of-unity-sums", [(n, n) for n in range(2, 31)],
+             "full and half-orbit power sums equal -1 for n = 2..30", _root_sums_differ),
         _sweep_row("f2-oracle-equivalence", tabled, "class-equation formula = oracle",
-                   lambda G: f2_from_characters(G) != _oracle(G).f2),
+                   lambda G: f2_from_characters(G) != _oracle(G, "f2")),
         _sweep_row("f3-oracle-equivalence", tabled, "coefficient reconstruction = oracle",
-                   lambda G: f3_from_characters(G) != _oracle(G).f3),
+                   lambda G: f3_from_characters(G) != _oracle(G, "f3")),
         _sweep_row("t3-oracle-equivalence", tabled, "star-count reconstruction = oracle",
-                   lambda G: t_from_characters(G, 3) != _oracle(G).t3),
+                   lambda G: t_from_characters(G, 3) != _oracle(G, "t3")),
         _fn1_recursion(groups),
         _subgroup_monotonicity(sweep),
         _sweep_row("star-peak-at-identity", groups, "t3(g) <= t3(1)",
-                   lambda G: max(_oracle(G).t3.values) > _oracle(G).t3.at(0)),
+                   lambda G: max(_oracle(G, "t3").values) > _oracle(G, "t3").at(0)),
         _sweep_row("f3-within-star-gap", groups, "f3(g) <= t3(g) - f2(g) for g != 1",
                    _above_star_gap),
         _sweep_row("inverse-symmetry", groups, "f2, f3, t3 take equal values at g and g^-1",
-                   lambda G: any(count.at(G.inv[r]) != count.at(r) for count in _oracle(G)
+                   lambda G: any(_oracle(G, c).at(G.inv[r]) != _oracle(G, c).at(r)
+                                 for c in ("f2", "f3", "t3")
                                  for r in conjugacy_classes(G).reps)),
         _sweep_row("m-chi-real", tabled, "every f3 character weight is real", _m_not_real),
         _sweep_row("theta-tau-sum-agreement", tabled,
                    "summing the pair weights by rows and by columns agrees",
                    _theta_tau_differ),
         _isoclinic_match(),
-        *_bounds_checks(tabled, sweep.get("dihedral:4") or make_group("dihedral:4")),
+        _sweep_row("bounds-chain", tabled, "every recorded inequality holds", _bounds_fail),
+        _gustafson_equality(sweep.get("dihedral:4") or make_group("dihedral:4")),
         _q3_power_paths(tabled),
         _ore_sets(),
         _triple_solver(),
@@ -323,31 +324,16 @@ def _properties_suite() -> list[CheckResult]:
 
 
 def _sweep_row(name: str, groups, claim: str, fails) -> CheckResult:
-    """A properties row stating `claim` on each of `groups`: it fails at G
-    when fails(G) is true or raises ValueError, whose text follows G."""
-    bad = []
-    for G in groups:
-        try:
-            if fails(G):
-                bad.append(G.spec)
-        except ValueError as err:
-            bad.append(f"{G.spec}: {err}")
-    detail = f"{claim} on {len(groups)} groups{_bad(bad)}"
-    return CheckResult("properties", name, not bad, detail)
+    """A properties row stating `claim` on each of `groups`, labelled by spec."""
+    cases = [(G.spec, G) for G in groups]
+    return _row("properties", name, cases, f"{claim} on {len(groups)} groups", fails)
 
 
-class _Oracle(NamedTuple):
-    f2: ClassCounts
-    f3: ClassCounts
-    t3: ClassCounts
-
-
-def _oracle(G: GroupTable) -> _Oracle:
-    """The exhaustive counts every sweep row reads, searched once per group."""
-    return G.cached(
-        "verify-oracle",
-        lambda G: _Oracle(brute_f_n(G, 2), brute_f_n(G, 3), brute_t_n(G, 3)),
-    )
+def _oracle(G: GroupTable, count: str) -> ClassCounts:
+    """The exhaustive count `count` ("f2", "f3", "f4" or "t3") of G that the
+    rows read, searched at most once per group."""
+    search = brute_t_n if count[0] == "t" else brute_f_n
+    return G.cached(("verify-oracle", count), search, int(count[1:]))
 
 
 def _table_validation(groups) -> tuple[CheckResult, list[GroupTable]]:
@@ -371,79 +357,49 @@ def _table_validation(groups) -> tuple[CheckResult, list[GroupTable]]:
     return row, tabled
 
 
-def _root_of_unity_sums() -> CheckResult:
-    bad = []
-    for n in range(2, 31):
-        full = sum(
-            (cyclo_root(n, k) for k in range(1, n)), Cyclo.zero()
-        )
-        if full != Cyclo.rational(-1):
-            bad.append(n)
-        if n % 2 and n >= 3:
-            half = sum(
-                (
-                    cyclo_root(n, 2 * k) + cyclo_root(n, -2 * k % n)
-                    for k in range(1, (n - 1) // 2 + 1)
-                ),
-                Cyclo.zero(),
-            )
-            if half != Cyclo.rational(-1):
-                bad.append(n)
-    return CheckResult(
-        "properties",
-        "root-of-unity-sums",
-        not bad,
-        f"full and half-orbit power sums equal -1 for n = 2..30{_bad(bad)}",
-    )
+def _root_sums_differ(n: int) -> bool:
+    sums = [sum((cyclo_root(n, k) for k in range(1, n)), Cyclo.zero())]
+    if n % 2:
+        sums.append(sum(
+            (cyclo_root(n, 2 * k) + cyclo_root(n, -2 * k % n)
+             for k in range(1, (n - 1) // 2 + 1)),
+            Cyclo.zero(),
+        ))
+    return any(s != Cyclo.rational(-1) for s in sums)
 
 
 def _fn1_recursion(groups) -> CheckResult:
-    bad, skipped = [], []
-    for G in groups:
-        if recursive_fn1(G, 3) != _oracle(G).f3.at(0):
-            bad.append(f"{G.spec} (n=3)")
-        try:
-            full = brute_f_n(G, 4)
-        except BudgetExceededError:
-            skipped.append(G.spec)
-            continue
-        if recursive_fn1(G, 4) != full.at(0):
-            bad.append(f"{G.spec} (n=4)")
-    note = f"; n=4 skipped over budget for {skipped}" if skipped else ""
-    return CheckResult(
-        "properties",
-        "fn1-recursion-equivalence",
-        not bad,
-        f"centralizer recursion = oracle at identity, n = 3 and 4, "
-        f"on {len(groups)} groups{note}{_bad(bad)}",
-    )
+    cases = [(f"{G.spec} (n={n})", (G, n)) for G in groups for n in (3, 4)]
+    return _row("properties", "fn1-recursion-equivalence", cases,
+                "centralizer recursion = oracle at identity, n = 3 and 4, "
+                f"on {len(groups)} groups", _fn1_differs)
+
+
+def _fn1_differs(case) -> bool:
+    G, n = case
+    return recursive_fn1(G, n) != _oracle(G, f"f{n}").at(0)
 
 
 def _subgroup_monotonicity(sweep) -> CheckResult:
-    bad = []
-    pairs = 0
-    for spec in ("symmetric:3", "symmetric:4", "quaternion", "dihedral:4",
-                 "dihedral:6", "alternating:4"):
-        G = sweep.get(spec) or make_group(spec)
-        center = center_and_derived(G)[0].member_set
-        g = next(x for x in range(G.order) if x not in center)
-        H = centralizer(G, g)
-        for n, full in ((2, _oracle(G).f2), (3, _oracle(G).f3)):
-            inside = brute_f_n(G, n, H)
-            pairs += 1
-            if any(v > full.at(x) for x, v in inside.items()):
-                bad.append(f"{spec} (n={n})")
-    return CheckResult(
-        "properties",
-        "subgroup-monotonicity",
-        not bad,
-        f"counts inside a centralizer never exceed the ambient counts "
-        f"({pairs} subgroup/n pairs){_bad(bad)}",
-    )
+    groups = [sweep.get(spec) or make_group(spec) for spec in (
+        "symmetric:3", "symmetric:4", "quaternion", "dihedral:4", "dihedral:6",
+        "alternating:4")]
+    cases = [(f"{G.spec} (n={n})", (G, n)) for G in groups for n in (2, 3)]
+    return _row("properties", "subgroup-monotonicity", cases,
+                "counts inside a centralizer never exceed the ambient counts "
+                f"({len(cases)} subgroup/n pairs)", _exceeds_ambient)
+
+
+def _exceeds_ambient(case) -> bool:
+    G, n = case
+    center = center_and_derived(G)[0].member_set
+    g = next(x for x in range(G.order) if x not in center)
+    full = _oracle(G, f"f{n}")
+    return any(v > full.at(x) for x, v in brute_f_n(G, n, centralizer(G, g)).items())
 
 
 def _above_star_gap(G) -> bool:
-    f2, f3, t3 = _oracle(G)
+    f2, f3, t3 = (_oracle(G, c) for c in ("f2", "f3", "t3"))
     reps = conjugacy_classes(G).reps
     return any(f3.values[c] > t3.values[c] - f2.values[c] for c, r in enumerate(reps) if r)
 
@@ -487,102 +443,73 @@ def _isoclinic_match() -> CheckResult:
     )
 
 
-def _bounds_checks(groups, d8: GroupTable) -> list[CheckResult]:
-    bad = []
-    for G in groups:
-        try:
-            report = bounds_report(G, _oracle(G).f2, _oracle(G).f3)
-        except ValueError as err:
-            bad.append(f"{G.spec}: {err}")
-            continue
-        if not report.all_hold:
-            bad.append(f"{G.spec}: {[r.name for r in report.failures()]}")
-    p2 = p_n(_oracle(d8).f2, 0)
-    return [
-        CheckResult(
-            "properties",
-            "bounds-chain",
-            not bad,
-            f"every recorded inequality holds on {len(groups)} groups{_bad(bad)}",
-        ),
-        CheckResult(
-            "properties",
-            "gustafson-equality",
-            p2 == Fraction(5, 8),
-            f"dihedral:4 attains P2(1) = {p2} (want 5/8)",
-        ),
-    ]
+def _gustafson_equality(d8: GroupTable) -> CheckResult:
+    p2 = p_n(_oracle(d8, "f2"), 0)
+    return CheckResult(
+        "properties",
+        "gustafson-equality",
+        p2 == Fraction(5, 8),
+        f"dihedral:4 attains P2(1) = {p2} (want 5/8)",
+    )
+
+
+def _bounds_fail(G) -> str:
+    """The names of the failing records, or "" when all hold."""
+    report = bounds_report(G, _oracle(G, "f2"), _oracle(G, "f3"))
+    return "" if report.all_hold else str([r.name for r in report.failures()])
 
 
 def _q3_power_paths(groups) -> CheckResult:
     """Q_3^(*k) by class structure constants on the brute f_3 count, and by
     the character formula, which reads no count."""
-    bad = []
-    for G in groups:
-        T = build_table(G)
-        q = q3(_oracle(G).f3)
-        for k in range(1, 5):
-            try:
-                if convolve_power(q, k) != q3_power_by_characters(G, k, T):
-                    bad.append(f"{G.spec} (k={k})")
-            except ValueError as err:
-                bad.append(f"{G.spec} (k={k}): {err}")
-    return CheckResult(
-        "properties",
-        "q3-power-two-paths",
-        not bad,
-        "class structure constants on the oracle's f3 = character formula "
-        f"for Q3^*k, k = 1..4, on {len(groups)} groups{_bad(bad)}",
-    )
+    cases = [(f"{G.spec} (k={k})", (G, k)) for G in groups for k in range(1, 5)]
+    return _row("properties", "q3-power-two-paths", cases,
+                "class structure constants on the oracle's f3 = character formula "
+                f"for Q3^*k, k = 1..4, on {len(groups)} groups", _q3_powers_differ)
+
+
+def _q3_powers_differ(case) -> bool:
+    G, k = case
+    by_classes = convolve_power(q3(_oracle(G, "f3")), k)
+    return by_classes != q3_power_by_characters(G, k, build_table(G))
 
 
 def _ore_sets() -> CheckResult:
-    bad = []
-    for n in (3, 4, 5):
-        G = make_group(f"symmetric:{n}")
-        want = frozenset(i for i, p in enumerate(G.perm_list) if is_even(p))
-        if ore_set(G, 3) != want:
-            bad.append(f"support of f3 on symmetric:{n}")
-    for n in (3, 4):
-        G = make_group(f"symmetric:{n}")
-        if ore_set(G, 4) != frozenset([0]):
-            bad.append(f"support of f4 on symmetric:{n}")
+    S3, S4, S5 = (make_group(f"symmetric:{n}") for n in (3, 4, 5))
     A5 = make_group("alternating:5")
-    if ore_set(A5, 2) != frozenset(range(A5.order)):
-        bad.append("support of f2 on alternating:5")
-    return CheckResult(
-        "properties",
-        "ore-sets",
-        not bad,
-        "f3 support = alternating subgroup (n = 3, 4, 5); "
-        "f4 support = {1} (n = 3, 4); f2 support = whole group on "
-        f"alternating:5{_bad(bad)}",
-    )
+    supports = [(G, 3, {i for i, p in enumerate(G.perm_list) if is_even(p)})
+                for G in (S3, S4, S5)]
+    supports += [(S3, 4, {0}), (S4, 4, {0}), (A5, 2, set(range(A5.order)))]
+    cases = [(f"support of f{n} on {G.spec}", (G, n, want)) for G, n, want in supports]
+    return _row("properties", "ore-sets", cases,
+                "f3 support = alternating subgroup (n = 3, 4, 5); "
+                "f4 support = {1} (n = 3, 4); f2 support = whole group on "
+                "alternating:5", _ore_set_differs)
+
+
+def _ore_set_differs(case) -> bool:
+    G, n, support = case
+    return ore_set(G, n) != support
 
 
 def _triple_solver() -> CheckResult:
-    bad = []
-    tried = 0
-    for n in range(3, 8):
-        for lam in partitions_of(n):
-            if sum(1 for part in lam if part % 2 == 0) % 2:
-                continue
-            g = _canonical_perm(lam, n)
-            tried += 1
-            try:
-                x1, x2, x3 = ore_triple_symmetric(n, g)
-            except (ValueError, RuntimeError) as e:
-                bad.append(f"{lam} on {n} points: {e}")
-                continue
-            if not (pcomm(x1, x2) == pcomm(x1, x3) == pcomm(x2, x3) == g):
-                bad.append(f"{lam} on {n} points: verification failed")
-    return CheckResult(
-        "properties",
-        "triple-solver-class-reps",
-        not bad,
-        f"solved and re-verified {tried} even class representatives "
-        f"of symmetric groups, n = 3..7{_bad(bad)}",
-    )
+    cases = [(f"{lam} on {n} points", (n, lam)) for n in range(3, 8)
+             for lam in partitions_of(n) if sum(part % 2 == 0 for part in lam) % 2 == 0]
+    return _row("properties", "triple-solver-class-reps", cases,
+                f"solved and re-verified {len(cases)} even class representatives "
+                "of symmetric groups, n = 3..7", _triple_fails)
+
+
+def _triple_fails(case) -> str:
+    """The solver's error text, "verification failed", or "" on success."""
+    n, lam = case
+    g = _canonical_perm(lam, n)
+    try:
+        x1, x2, x3 = ore_triple_symmetric(n, g)
+    except RuntimeError as err:
+        return str(err)
+    ok = pcomm(x1, x2) == pcomm(x1, x3) == pcomm(x2, x3) == g
+    return "" if ok else "verification failed"
 
 
 def _canonical_perm(lam, n) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from commcount import groups, perms, verify
+from commcount.fileio import save_group
 from commcount.groups import (
     GroupLawError,
     GroupSpecError,
@@ -137,6 +138,23 @@ def test_perm_spec():
     assert G.family == "perm"
     H = make_group("perm:(1 2 3 4 5),(2 5)(3 4)")
     assert H.order == 10
+
+
+def test_family_is_the_spec_prefix(tmp_path):
+    path = tmp_path / "c3.json"
+    save_group(make_group("cyclic:3"), str(path))
+    for spec, family in [
+        ("cyclic:4", "cyclic"),
+        ("dihedral:3", "dihedral"),
+        ("quaternion", "quaternion"),
+        ("symmetric:3", "symmetric"),
+        ("alternating:4", "alternating"),
+        ("perm:(1 2 3)", "perm"),
+        ("product:cyclic:2,dihedral:3", "product"),
+        (f"file:{path}", "file"),
+    ]:
+        assert make_group(spec).family == family
+    assert GroupTable([[0, 1], [1, 0]]).family == "table"
 
 
 def test_spec_errors():
@@ -552,7 +570,7 @@ def test_non_closed_sets_rejected():
         SubgroupRef(C3C200, tuple(range(400)))
     cycle = perms.parse_cycles("(1 2 3)")
     with pytest.raises(GroupLawError, match="not closed"):
-        _table_from_perms([perms.identity(3), cycle], "perm", "perm:broken")
+        _table_from_perms([perms.identity(3), cycle], "perm:broken")
 
 
 def test_missing_product_found_by_a_later_generator_map():
@@ -568,18 +586,18 @@ def test_missing_product_found_by_a_later_generator_map():
     assert perms.format_cycles(first) == "(1 4 3)"
     assert {perms.pmul(first, p) for p in plist} == set(plist)
     with pytest.raises(GroupLawError, match=r"not closed: \(1 4 2\)\*\(1 3 2\) is not"):
-        _table_from_perms(plist, "perm", "perm:broken")
+        _table_from_perms(plist, "perm:broken")
 
 
 def test_permutation_lists_with_a_repeat_or_no_identity_are_refused():
     e, t = perms.identity(3), perms.parse_cycles("(1 2)", 3)
     with pytest.raises(GroupLawError, match="repeated element"):
-        _table_from_perms([e, t, t], "perm", "perm:broken")
+        _table_from_perms([e, t, t], "perm:broken")
     with pytest.raises(GroupLawError, match=r"not closed: \(\) is not in it"):
-        _table_from_perms([t], "perm", "perm:broken")
+        _table_from_perms([t], "perm:broken")
     # the table is right, but the identity is not at index 0
     with pytest.raises(GroupLawError, match="index 0 is not a two-sided identity"):
-        _table_from_perms([t, e], "perm", "perm:broken")
+        _table_from_perms([t, e], "perm:broken")
 
 
 def test_symmetric_7_table_agrees_with_composition_on_random_pairs():

@@ -59,6 +59,9 @@ def test_loaded_group_equals_builtin(tmp_path):
         ('{"mul": [[0]]}', DocumentError, "order"),
         ("not json", DocumentError, "line 1"),
         ('{"order": 2, "mul": [[0,1],[1,1]]}', GroupLawError, "inverse"),
+        ('{"order": 2, "mul": [[0,"1"],[1,0]]}', GroupLawError, "not all integers"),
+        ('{"order": 2, "mul": [[0,1.0],[1,0]]}', GroupLawError, "not all integers"),
+        ('{"order": 2, "mul": [[0,1],[1]]}', GroupLawError, "not square"),
     ],
 )
 def test_group_document_errors(tmp_path, text, error, fragment):
@@ -158,6 +161,36 @@ def test_report_validation():
         ClassRow("1", 1, 1, "not a literal")
     with pytest.raises(DocumentError, match="missing field"):
         report_from_document({"group": "g", "kind": "f", "n": 2})
+
+
+def _report_doc(n=3, classes=None, coefficients=None, **row) -> dict:
+    # an alternating:5 f3 report document, with fields replaced
+    class_row = {"rep": "()", "order": 1, "size": 1, "value": "1320", **row}
+    return {
+        "group": "alternating:5", "kind": "f", "n": n, "method": "brute",
+        "classes": [class_row] if classes is None else classes,
+        "coefficients": [] if coefficients is None else coefficients,
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        pytest.param(_report_doc(classes=5), "report: field 'classes'", id="classes"),
+        pytest.param(_report_doc(n="3"), "report: field 'n'", id="n"),
+        pytest.param(_report_doc(order="1"), r"classes\[0\]: field 'order'", id="order"),
+        pytest.param(_report_doc(value=3), r"classes\[0\]: field 'value'", id="value"),
+        pytest.param(
+            _report_doc(coefficients=7), "report: field 'coefficients'", id="coefficients"
+        ),
+    ],
+)
+def test_report_document_type_errors(tmp_path, doc, fragment):
+    report_from_document(_report_doc())  # the unedited document loads
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DocumentError, match=fragment):
+        load_report(str(path))
 
 
 # -- CLI -------------------------------------------------------------------
@@ -411,6 +444,19 @@ def test_python_m_runs_the_cli(capsys):
     )
     assert code == got.returncode == 0
     assert got.stdout == want
+
+
+def test_readme_python_examples_run():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    for block in blocks:
+        got = subprocess.run(
+            [sys.executable, "-c", block], capture_output=True, text=True, env=env,
+            timeout=600,
+        )
+        assert got.returncode == 0, got.stderr
 
 
 def test_info_on_a_large_abelian_group_stays_small():
