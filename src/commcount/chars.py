@@ -543,10 +543,12 @@ def table_from_document(G: GroupTable, doc: dict, provenance: str) -> CharacterT
         "table",
         required=("group_order", "class_sizes", "class_rep_orders", "irreducibles"),
         optional=("labels",),
+        types={"group_order": int, "class_sizes": list, "class_rep_orders": list,
+               "irreducibles": list},
     )
-    for name in ("class_sizes", "class_rep_orders", "irreducibles"):
-        if not isinstance(doc[name], list):
-            raise DocumentError(f"field {name!r}: expected a list")
+    for name in ("class_sizes", "class_rep_orders"):
+        if not all(type(v) is int for v in doc[name]):  # a JSON true is no integer
+            raise DocumentError(f"field {name!r}: expected a list of integers")
     part = conjugacy_classes(G)
     k = len(part)
     if doc["group_order"] != G.order:

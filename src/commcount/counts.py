@@ -345,14 +345,14 @@ def brute_t_n(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> ClassCount
 # -- character formulas --------------------------------------------------------
 
 
-def _certified_int(value: Cyclo, what: str, nonneg: bool = True) -> int:
+def _certified_int(value: Cyclo, what: str) -> int:
     try:
         q = value.to_rational()
     except NotRationalError:
         raise ValueError(f"{what} is irrational: {value}") from None
     if q.denominator != 1:
         raise ValueError(f"{what} is not an integer: {q}")
-    if nonneg and q < 0:
+    if q < 0:
         raise ValueError(f"{what} is negative: {q}")
     return int(q)
 
@@ -587,30 +587,39 @@ def recursive_fn1(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """f_n(1), the number of pairwise-commuting n-tuples, by the centralizer
     recursion f_n(1) = sum_g f_(n-1) of C(g) at 1.
 
-    The budget bounds the number of set intersections performed; memoisation
-    on (member set, level) keeps the real cost far below the worst case."""
+    A member set S is an index array, S cap C(g) is S masked by row g of
+    K = `G.commuting()`, and f_2 of S is the sum over K[S, S].  C(g^h) is
+    C(g)^h, so the top level runs over the class reps, weighted by size.
+    The budget bounds the centralizer rows read; memoisation on (member
+    set, level) keeps the real cost far below the worst case."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    cent_sets = [frozenset(np.flatnonzero(row).tolist()) for row in G.commuting()]
-    memo: dict[tuple[frozenset, int], int] = {}
-    work = 0
+    K = G.commuting()
+    part = conjugacy_classes(G)
+    memo: dict[tuple[bytes, int], int] = {}
+    work = len(part)
+    _check_budget(work, budget)
 
-    def fn1(members: frozenset, level: int) -> int:
+    def fn1(members, level: int) -> int:
         nonlocal work
         if level == 1:
             return len(members)
-        key = (members, level)
+        key = (members.tobytes(), level)
         got = memo.get(key)
         if got is None:
             work += len(members)
             _check_budget(work, budget)
-            got = sum(
-                fn1(members & cent_sets[g], level - 1) for g in members
-            )
+            if level > 2:
+                got = sum(fn1(members[K[g, members]], level - 1) for g in members)
+            else:  # K[S, S], and no copy of K when S is all of G
+                sub = K if len(members) == len(K) else K[np.ix_(members, members)]
+                got = int(np.count_nonzero(sub))
             memo[key] = got
         return got
 
-    return fn1(frozenset(range(G.order)), n)
+    return sum(
+        size * fn1(np.flatnonzero(K[r]), n - 1) for r, size in zip(part.reps, part.sizes)
+    )
 
 
 def tc_check_and_formula(G: GroupTable, n: int) -> tuple[bool, int | None]:

@@ -3,12 +3,12 @@
 P_n(g) = f_n(g)/|G|^n is the probability that n uniformly random elements
 pairwise commute into g; Q_3 is f_3 normalized into an honest distribution.
 A distribution is exact: non-negative integers over one denominator, one per
-element or, for a class function such as Q_3, one per conjugacy class.
-Convolution powers of a class function are computed on classes through the
-class structure constants, and Q_3^(*k) also from the character formula as
-an independent second path.  The bound verdicts are exact too: comparisons
-against irrational right-hand sides go through the exact cyclotomic sign
-machinery, never floating point.
+block of a partition of the group -- its conjugacy classes for a class
+function such as Q_3, its single elements otherwise.  Convolution powers are
+computed on those blocks through their structure constants, and Q_3^(*k)
+also from the character formula as an independent second path.  The bound
+verdicts are exact too: comparisons against irrational right-hand sides go
+through the exact cyclotomic sign machinery, never floating point.
 """
 from __future__ import annotations
 
@@ -21,17 +21,19 @@ import numpy as np
 from .chars import CharacterTable, _class_pair_counts, reconstruct, table_for
 from .counts import ClassCounts, _certified_int, count_f_n, f3_coeffs
 from .cyclo import Cyclo, _exact, format_cyclo
-from .groups import GroupTable, center_and_derived, conjugacy_classes
+from .groups import ClassPartition, GroupTable, center_and_derived, conjugacy_classes
 from .realcmp import abs_as_cyclo, compare
 
 
 class GroupDistribution:
     """An exact probability distribution on the elements of a group.
 
-    The masses are ``ints`` over one denominator ``den``: one integer per
-    element, or, when ``classes`` is the group's class partition, one per
-    conjugacy class, the mass of each of its members.  The constructor takes
-    one exact mass per element; `on_classes` builds a class function.
+    The masses are ``ints`` over one denominator ``den``, one per block of
+    the partition ``classes``: the mass of each member of the block.  That
+    partition is the group's conjugacy classes (`on_classes`, `uniform`,
+    `q3`) or its single elements (the constructor, which takes one exact
+    mass per element, `point_mass` and `convolve`); `convolve_power` keeps
+    the partition of its argument.
     """
 
     __slots__ = ("group", "ints", "den", "classes")
@@ -41,7 +43,8 @@ class GroupDistribution:
             raise ValueError("need one mass per group element")
         mass = [Fraction(m) for m in mass]
         den = lcm(1, *(m.denominator for m in mass))
-        self._set(group, [m.numerator * (den // m.denominator) for m in mass], den, None)
+        ints = [m.numerator * (den // m.denominator) for m in mass]
+        self._set(group, ints, den, _elements(group))
 
     @classmethod
     def on_classes(cls, group: GroupTable, ints, den: int) -> GroupDistribution:
@@ -49,27 +52,21 @@ class GroupDistribution:
         return cls._of(group, ints, den, conjugacy_classes(group))
 
     @classmethod
-    def _of(cls, group: GroupTable, ints, den: int, classes=None) -> GroupDistribution:
+    def _of(cls, group: GroupTable, ints, den: int, classes) -> GroupDistribution:
         d = cls.__new__(cls)
         d._set(group, ints, den, classes)
         return d
 
     def _set(self, group, ints, den, classes) -> None:
         self.group, self.ints, self.den, self.classes = group, tuple(ints), den, classes
-        if classes is not None and len(self.ints) != len(classes):
+        if len(self.ints) != len(classes):
             raise ValueError("need one mass per conjugacy class")
         if any(u < 0 for u in self.ints):
             raise ValueError("masses must be non-negative")
-        if den <= 0 or sum(s * u for s, u in zip(self._sizes(), self.ints)) != den:
+        if den <= 0 or sum(s * u for s, u in zip(classes.sizes, self.ints)) != den:
             raise ValueError("masses must sum to exactly 1")
 
-    def _sizes(self):
-        # how many elements carry each of ints
-        return (1,) * len(self.ints) if self.classes is None else self.classes.sizes
-
     def _element_ints(self):
-        if self.classes is None:
-            return self.ints
         return [self.ints[c] for c in self.classes.class_of]
 
     @property
@@ -80,21 +77,28 @@ class GroupDistribution:
     def __eq__(self, other):
         if not isinstance(other, GroupDistribution) or self.group is not other.group:
             return False
-        if self.classes is not None and other.classes is not None:
+        if self.classes is other.classes:
             pairs = zip(self.ints, other.ints)
         else:
             pairs = zip(self._element_ints(), other._element_ints())
         return all(u * other.den == v * self.den for u, v in pairs)
 
     def at(self, g: int) -> Fraction:
-        c = g if self.classes is None else self.classes.class_of[g]
-        return Fraction(self.ints[c], self.den)
+        return Fraction(self.ints[self.classes.class_of[g]], self.den)
 
     def support(self) -> frozenset[int]:
-        if self.classes is None:
-            return frozenset(g for g, u in enumerate(self.ints) if u)
         members = self.classes.classes
         return frozenset(g for c, u in enumerate(self.ints) if u for g in members[c])
+
+
+def _elements(G: GroupTable) -> ClassPartition:
+    """The partition of G into single elements, built once per group."""
+    return G.cached("element-partition", _single_elements)
+
+
+def _single_elements(G: GroupTable) -> ClassPartition:
+    every = tuple(range(G.order))
+    return ClassPartition(tuple((g,) for g in every), every, (1,) * G.order, every)
 
 
 def uniform(G: GroupTable) -> GroupDistribution:
@@ -105,7 +109,7 @@ def uniform(G: GroupTable) -> GroupDistribution:
 def point_mass(G: GroupTable, g: int = 0) -> GroupDistribution:
     ints = [0] * G.order
     ints[g] = 1
-    return GroupDistribution._of(G, ints, 1)
+    return GroupDistribution._of(G, ints, 1, _elements(G))
 
 
 def p_n(count: ClassCounts, g: int) -> Fraction:
@@ -142,18 +146,21 @@ def convolve(d1: GroupDistribution, d2: GroupDistribution) -> GroupDistribution:
             v = b[row[g]]
             if v:
                 out[g] += u * v
-    return GroupDistribution._of(G, out, d1.den * d2.den)
+    return GroupDistribution._of(G, out, d1.den * d2.den, _elements(G))
 
 
 def _class_products(d: GroupDistribution):
-    """The nonzero terms of right convolution by the class function d, as
-    arrays (a, c, w): (p * d)(g_c) = sum of p_a * w over the terms (a, c, w),
-    over p's denominator times d.den, for any class function p.
+    """The nonzero terms of right convolution by d on the blocks of its
+    partition, as arrays (a, c, w): (p * d)(g_c) = sum of p_a * w over the
+    terms (a, c, w), over p's denominator times d.den, for any p constant
+    on those blocks, g_c the rep of block c.
 
-    With N[a, b, c] = #{(x, y) in class a x class b : x y = g_c}, there is
-    one term w = u_b * N[a, b, c] per nonzero N and class b in d's support.
-    Conjugating x and the pair count give |c| N[a, b, c] = |a| m[a, b, c],
-    m from `_class_pair_counts` over the support: k gathers of its size."""
+    With N[a, b, c] = #{(x, y) in block a x block b : x y = g_c}, there is
+    one term w = u_b * N[a, b, c] per nonzero N and block b in d's support.
+    |c| N[a, b, c] = |a| m[a, b, c], m from `_class_pair_counts` over the
+    support (k gathers of its size): on conjugacy classes by conjugating x
+    and the pair count, and on single elements trivially, where every size
+    is 1 and N = m is the group table."""
     part = d.classes
     k = len(part)
     u = np.array(d.ints, dtype=object)
@@ -167,17 +174,11 @@ def _class_products(d: GroupDistribution):
 
 
 def convolve_power(d: GroupDistribution, k: int) -> GroupDistribution:
-    """The k-fold convolution d * d * ... * d; k = 0 is the point mass
-    at the identity.  A class function stays on classes: each step is one
-    pass over the terms of `_class_products`."""
+    """The k-fold convolution d * d * ... * d, on d's partition; k = 0 is
+    the point mass at the identity, block 0.  Each step is one pass over the
+    terms of `_class_products`."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    G = d.group
-    if d.classes is None:
-        out = point_mass(G)
-        for _ in range(k):
-            out = convolve(out, d)
-        return out
     a, c, w = _class_products(d)
     vec, den = [1] + [0] * (len(d.classes) - 1), 1
     for _ in range(k):
@@ -187,36 +188,22 @@ def convolve_power(d: GroupDistribution, k: int) -> GroupDistribution:
         (nxt,) = _exact(den, np.zeros(len(vec), dtype=np.int64))
         np.add.at(nxt, c, np.array(vec, dtype=nxt.dtype)[a] * w)
         vec = nxt.tolist()
-    return GroupDistribution.on_classes(G, vec, den)
+    return GroupDistribution._of(d.group, vec, den, d.classes)
 
 
 def first_saturating_k(d: GroupDistribution, k_max: int = 30) -> int | None:
     """The smallest k <= k_max with support(d^(*k)) = the whole group, or
     None.  Masses are non-negative, so support(d^(*(k+1))) is exactly
-    support(d^(*k)) * support(d): the supports are iterated alone, and once
-    one equals the one before, every later one does."""
-    G = d.group
-    if d.classes is None:
-        step = np.flatnonzero(d.ints)
-
-        def grow(supp):
-            nxt = np.zeros(G.order, dtype=bool)
-            nxt[G.table[np.ix_(np.flatnonzero(supp), step)]] = True
-            return nxt
-
-    else:
-        a, c, _ = _class_products(d)
-
-        def grow(supp):
-            nxt = np.zeros(len(supp), dtype=bool)
-            nxt[c[supp[a]]] = True
-            return nxt
-
+    support(d^(*k)) * support(d): the supports are iterated alone, as
+    blocks of d's partition, and once one equals the one before, every
+    later one does."""
+    a, c, _ = _class_products(d)
     supp = np.array([u > 0 for u in d.ints])
     for k in range(1, k_max + 1):
         if supp.all():
             return k
-        nxt = grow(supp)
+        nxt = np.zeros(len(supp), dtype=bool)
+        nxt[c[supp[a]]] = True
         if (nxt == supp).all():
             return None
         supp = nxt
@@ -224,9 +211,9 @@ def first_saturating_k(d: GroupDistribution, k_max: int = 30) -> int | None:
 
 
 def l1_to_uniform(d: GroupDistribution) -> Fraction:
-    """sum over g of |d(g) - 1/|G||, a class at a time."""
+    """sum over g of |d(g) - 1/|G||, a block at a time."""
     n = d.group.order
-    total = sum(s * abs(u * n - d.den) for s, u in zip(d._sizes(), d.ints))
+    total = sum(s * abs(u * n - d.den) for s, u in zip(d.classes.sizes, d.ints))
     return Fraction(total, d.den * n)
 
 

@@ -151,17 +151,12 @@ def save_report(report: CountReport, path: str) -> None:
 
 def load_group(path: str) -> GroupTable:
     doc = _read_doc(path)
-    _check_fields(doc, "group", required=("order", "mul"), optional=("names",))
-    order = doc["order"]
-    if not isinstance(order, int) or order < 1:
-        raise DocumentError(f"field 'order': expected a positive integer, got {order!r}")
-    mul = doc["mul"]
-    if not isinstance(mul, list) or len(mul) != order:
+    _check_fields(doc, "group", required=("order", "mul"), optional=("names",),
+                  types={"order": int, "mul": list, "names": list})
+    order, mul, names = doc["order"], doc["mul"], doc.get("names")
+    if len(mul) != order:
         raise DocumentError(f"field 'mul': expected {order} rows")
-    names = doc.get("names")
-    if names is not None and (
-        not isinstance(names, list) or not all(isinstance(s, str) for s in names)
-    ):
+    if names is not None and not all(isinstance(s, str) for s in names):
         raise DocumentError("field 'names': expected a list of strings")
     # entries that are not integers, ragged rows and group-law violations
     # surface as GroupLawError straight from the constructor
@@ -210,9 +205,14 @@ def _write_doc(doc: dict, path: str, indent: int | None) -> None:
         fh.write(text)
 
 
+_NOUNS = {int: "a positive integer", list: "a list", str: "a string"}
+
+
 def _check_fields(doc, where, required, optional=(), types=None):
     """Refuse a missing or unknown field, and one whose value is not of its
-    type in `types` (a JSON true or false is no integer)."""
+    type in `types`.  Every integer field of these documents is a count or
+    an order, so an int must be positive (and a JSON true or false is no
+    integer)."""
     types = types or {}
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected an object")
@@ -223,7 +223,9 @@ def _check_fields(doc, where, required, optional=(), types=None):
         if name not in required and name not in optional:
             raise DocumentError(f"{where}: unknown field {name!r}")
         kind = types.get(name, object)
-        if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        if not isinstance(value, kind) or kind is int and (
+            isinstance(value, bool) or value < 1
+        ):
             raise DocumentError(
-                f"{where}: field {name!r}: expected {kind.__name__}, got {value!r}"
+                f"{where}: field {name!r}: expected {_NOUNS[kind]}, got {value!r}"
             )

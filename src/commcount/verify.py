@@ -8,12 +8,12 @@ the A5 closed form for P_n(1).  The ``properties`` suite replays structural
 identities over a fixed sweep of small groups: oracle equivalences, table
 validation, monotonicity and symmetry of the counts, the bound chains, the
 two paths to the convolution powers of Q_3, Ore sets, and the constructive
-triple solver.  Rows read the exhaustive counts (brute f2, f3, t3, and f4
-for the recursion) through `_oracle`, which searches each at most once per
-group.  Every row that checks a list of cases is a claim and a per-case
-predicate run by `_row`: a case fails when its predicate returns True or a
-reason, or raises ValueError, and the row names it with the reason or error
-text.
+triple solver.  Rows take their groups from one cache per run, which builds
+each once, and read the exhaustive counts (brute f2, f3, t3, and f4 for the
+recursion) through `_oracle`, which searches each once per group and run.
+Every row that checks a list of cases is a claim and a per-case predicate
+run by `_row`: a case fails when its predicate returns True or a reason, or
+raises ValueError, and the row names it with the reason or error text.
 
 Every comparison is exact -- integers, rationals, cyclotomic literals.  A
 CheckResult never carries a tolerance, and the conjecture monitor is the one
@@ -23,6 +23,7 @@ check that reports violations without failing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
@@ -100,11 +101,12 @@ def sweep_specs() -> tuple[str, ...]:
 def run_suite(suite: str) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    group = cache(make_group)  # one build per spec and run: rows share its `_oracle`
     out: list[CheckResult] = []
     if suite in ("paper", "all"):
-        out.extend(_paper_suite())
+        out.extend(_paper_suite(group))
     if suite in ("properties", "all"):
-        out.extend(_properties_suite())
+        out.extend(_properties_suite(group))
     return out
 
 
@@ -141,13 +143,11 @@ def _bad(items) -> str:
     return f"; FAILED at {items}" if items else ""
 
 
-def _paper_suite() -> list[CheckResult]:
+def _paper_suite(group) -> list[CheckResult]:
     out = []
-    G = make_group("alternating:5")
+    G = group("alternating:5")
     T = build_table(G)
-    f2 = brute_f_n(G, 2)
-    f3 = brute_f_n(G, 3)
-    t3 = brute_t_n(G, 3)
+    f2, f3, t3 = (_oracle(G, c) for c in ("f2", "f3", "t3"))
 
     for name, golden, direct, count in (
         ("a5-f2-coefficients", (60, 20, 20, 15, 12), f2_coeffs(T), f2),
@@ -202,8 +202,8 @@ def _paper_suite() -> list[CheckResult]:
         )
     )
 
-    S3, S4 = make_group("symmetric:3"), make_group("symmetric:4")
-    f3_s3, f3_s4 = brute_f_n(S3, 3), brute_f_n(S4, 3)
+    S3, S4 = group("symmetric:3"), group("symmetric:4")
+    f3_s3, f3_s4 = _oracle(S3, "f3"), _oracle(S4, "f3")
     cycle3_s3 = S3.perm_list.index((1, 2, 0))
     double_s4 = S4.perm_list.index((1, 0, 3, 2))
     cycle3_s4 = S4.perm_list.index((1, 2, 0, 3))
@@ -224,13 +224,13 @@ def _paper_suite() -> list[CheckResult]:
         )
     )
 
-    out.extend(_dihedral_checks())
+    out.extend(_dihedral_checks(group))
     out.append(_a5_pn_closed_form(G, f2, f3))
     return out
 
 
-def _dihedral_checks() -> list[CheckResult]:
-    cases = [(n, make_group(f"dihedral:{n}")) for n in range(3, 13)]
+def _dihedral_checks(group) -> list[CheckResult]:
+    cases = [(n, group(f"dihedral:{n}")) for n in range(3, 13)]
     return [
         _row("paper", "dihedral-f3-coefficients-three-way", cases,
              "closed form = character formula = decomposed oracle for n = 3..12",
@@ -284,10 +284,9 @@ def _a5_pn_closed_form(G, f2, f3) -> CheckResult:
 # -- structural-property suite ----------------------------------------------------
 
 
-def _properties_suite() -> list[CheckResult]:
-    sweep = {s: make_group(s) for s in sweep_specs()}
-    groups = list(sweep.values())
-    validation, tabled = _table_validation(groups)
+def _properties_suite(group) -> list[CheckResult]:
+    sweep = [group(s) for s in sweep_specs()]
+    validation, tabled = _table_validation(sweep)
     # Rows that need a character table run on the groups whose table held.
     return [
         validation,
@@ -299,13 +298,13 @@ def _properties_suite() -> list[CheckResult]:
                    lambda G: f3_from_characters(G) != _oracle(G, "f3")),
         _sweep_row("t3-oracle-equivalence", tabled, "star-count reconstruction = oracle",
                    lambda G: t_from_characters(G, 3) != _oracle(G, "t3")),
-        _fn1_recursion(groups),
-        _subgroup_monotonicity(sweep),
-        _sweep_row("star-peak-at-identity", groups, "t3(g) <= t3(1)",
+        _fn1_recursion(sweep),
+        _subgroup_monotonicity(group),
+        _sweep_row("star-peak-at-identity", sweep, "t3(g) <= t3(1)",
                    lambda G: max(_oracle(G, "t3").values) > _oracle(G, "t3").at(0)),
-        _sweep_row("f3-within-star-gap", groups, "f3(g) <= t3(g) - f2(g) for g != 1",
+        _sweep_row("f3-within-star-gap", sweep, "f3(g) <= t3(g) - f2(g) for g != 1",
                    _above_star_gap),
-        _sweep_row("inverse-symmetry", groups, "f2, f3, t3 take equal values at g and g^-1",
+        _sweep_row("inverse-symmetry", sweep, "f2, f3, t3 take equal values at g and g^-1",
                    lambda G: any(_oracle(G, c).at(G.inv[r]) != _oracle(G, c).at(r)
                                  for c in ("f2", "f3", "t3")
                                  for r in conjugacy_classes(G).reps)),
@@ -313,11 +312,11 @@ def _properties_suite() -> list[CheckResult]:
         _sweep_row("theta-tau-sum-agreement", tabled,
                    "summing the pair weights by rows and by columns agrees",
                    _theta_tau_differ),
-        _isoclinic_match(),
+        _isoclinic_match(group),
         _sweep_row("bounds-chain", tabled, "every recorded inequality holds", _bounds_fail),
-        _gustafson_equality(sweep.get("dihedral:4") or make_group("dihedral:4")),
+        _gustafson_equality(group("dihedral:4")),
         _q3_power_paths(tabled),
-        _ore_sets(),
+        _ore_sets(group),
         _triple_solver(),
         _conjecture_monitor(tabled),
     ]
@@ -380,11 +379,10 @@ def _fn1_differs(case) -> bool:
     return recursive_fn1(G, n) != _oracle(G, f"f{n}").at(0)
 
 
-def _subgroup_monotonicity(sweep) -> CheckResult:
-    groups = [sweep.get(spec) or make_group(spec) for spec in (
-        "symmetric:3", "symmetric:4", "quaternion", "dihedral:4", "dihedral:6",
-        "alternating:4")]
-    cases = [(f"{G.spec} (n={n})", (G, n)) for G in groups for n in (2, 3)]
+def _subgroup_monotonicity(group) -> CheckResult:
+    specs = ("symmetric:3", "symmetric:4", "quaternion", "dihedral:4", "dihedral:6",
+             "alternating:4")
+    cases = [(f"{s} (n={n})", (group(s), n)) for s in specs for n in (2, 3)]
     return _row("properties", "subgroup-monotonicity", cases,
                 "counts inside a centralizer never exceed the ambient counts "
                 f"({len(cases)} subgroup/n pairs)", _exceeds_ambient)
@@ -422,8 +420,8 @@ def _theta_tau_differ(G) -> bool:
     return bool((by_rows != by_cols).any())
 
 
-def _isoclinic_match() -> CheckResult:
-    D8, Q8 = make_group("dihedral:4"), make_group("quaternion")
+def _isoclinic_match(group) -> CheckResult:
+    D8, Q8 = group("dihedral:4"), group("quaternion")
     same = True
     details = []
     for label, fn in (
@@ -474,9 +472,9 @@ def _q3_powers_differ(case) -> bool:
     return by_classes != q3_power_by_characters(G, k, build_table(G))
 
 
-def _ore_sets() -> CheckResult:
-    S3, S4, S5 = (make_group(f"symmetric:{n}") for n in (3, 4, 5))
-    A5 = make_group("alternating:5")
+def _ore_sets(group) -> CheckResult:
+    S3, S4, S5 = (group(f"symmetric:{n}") for n in (3, 4, 5))
+    A5 = group("alternating:5")
     supports = [(G, 3, {i for i, p in enumerate(G.perm_list) if is_even(p)})
                 for G in (S3, S4, S5)]
     supports += [(S3, 4, {0}), (S4, 4, {0}), (A5, 2, set(range(A5.order)))]

@@ -588,6 +588,21 @@ def test_brute_f4_values_are_pinned():
     assert recursive_fn1(A6, 4) == 105840
 
 
+@pytest.mark.parametrize(
+    "spec, n, want",
+    [
+        ("symmetric:6", 3, 66240),
+        ("alternating:6", 3, 15840),
+        ("product:alternating:5,cyclic:5", 3, 165000),
+        ("product:symmetric:4,dihedral:10", 3, 645120),
+        ("dihedral:100", 3, 1002800),
+        ("symmetric:5", 4, 24720),
+    ],
+)
+def test_recursive_fn1_values_are_pinned(spec, n, want):
+    assert recursive_fn1(make_group(spec), n) == want
+
+
 def test_brute_f3_matches_characters_on_symmetric_7():
     G = make_group("symmetric:7")
     assert brute_f_n(G, 3) == f3_from_characters(G)

@@ -295,3 +295,54 @@ def test_powers_past_int64():
     big = 2**70
     d = GroupDistribution.on_classes(make_group("symmetric:3"), (big, 2 * big, big), 9 * big)
     assert convolve_power(d, 3) == convolve(convolve(d, d), d)
+
+
+def test_every_distribution_carries_a_partition():
+    G = make_group("symmetric:3")
+    classes, elements = conjugacy_classes(G), distributions._elements(G)
+    assert elements is distributions._elements(G)  # built once per group
+    assert elements.classes == tuple((g,) for g in range(G.order))
+    assert elements.reps == elements.class_of == tuple(range(G.order))
+    assert elements.sizes == (1,) * G.order
+    q = q3(brute_f_n(G, 3))
+    step = GroupDistribution(G, (0, Fraction(1, 2), Fraction(1, 2), 0, 0, 0))
+    on_classes = [
+        GroupDistribution.on_classes(G, (1, 1, 1), 6), uniform(G), q,
+        distribution_from_counts(brute_f_n(G, 2)), q3_power_by_characters(G, 2),
+        convolve_power(q, 0), convolve_power(q, 3),
+    ]
+    on_elements = [
+        step, GroupDistribution(G, q.mass), point_mass(G), point_mass(G, 3),
+        convolve(q, q), convolve(step, uniform(G)), convolve_power(step, 0),
+        convolve_power(step, 3),
+    ]
+    assert all(d.classes is classes for d in on_classes)
+    assert all(d.classes is elements for d in on_elements)
+
+
+def _not_class_functions():
+    S4, D5 = make_group("symmetric:4"), make_group("dihedral:5")
+    transposition = S4.perm_list.index((1, 0, 2, 3))
+    step = [Fraction(0)] * D5.order
+    step[1] = step[D5.order - 1] = Fraction(1, 2)  # a rotation and a reflection
+    out = [point_mass(S4, transposition), GroupDistribution(D5, step)]
+    for d in out:
+        assert d.classes is not conjugacy_classes(d.group)
+        assert any(len({d.at(g) for g in c}) > 1 for c in conjugacy_classes(d.group).classes)
+    return out
+
+
+def test_element_powers_match_iterated_convolution():
+    for d in _not_class_functions():
+        oracle = point_mass(d.group)
+        for k in range(5):
+            power = convolve_power(d, k)
+            assert power.classes is d.classes and power.den == d.den**k
+            assert power.mass == oracle.mass
+            oracle = convolve(oracle, d)
+
+
+def test_element_saturation_matches_the_literal_powers():
+    for d in _not_class_functions():
+        for k_max in (1, 3, 12):
+            assert first_saturating_k(d, k_max) == literal_saturating_k(d, k_max)

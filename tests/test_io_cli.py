@@ -56,6 +56,8 @@ def test_loaded_group_equals_builtin(tmp_path):
         ('{"order": 3, "mul": [[0,1,2],[1,2,0]]}', DocumentError, "3 rows"),
         ('{"order": 2, "mul": [[0,1],[1,0]], "nams": []}', DocumentError, "nams"),
         ('{"order": "x", "mul": []}', DocumentError, "positive integer"),
+        ('{"order": true, "mul": [[0]]}', DocumentError, "field 'order'"),
+        ('{"order": 0, "mul": []}', DocumentError, "positive integer"),
         ('{"mul": [[0]]}', DocumentError, "order"),
         ("not json", DocumentError, "line 1"),
         ('{"order": 2, "mul": [[0,1],[1,1]]}', GroupLawError, "inverse"),
@@ -90,6 +92,11 @@ def _c2_table(**edit) -> str:
         pytest.param(_c2_table(irreducibles=None), "missing field 'irreducibles'", id="no-rows"),
         pytest.param(_c2_table(notes="x"), "unknown field 'notes'", id="unknown-field"),
         pytest.param(_c2_table(class_sizes=2), "'class_sizes': expected a list", id="sizes"),
+        pytest.param(_c2_table(class_sizes=[True, True]), "'class_sizes': expected a list",
+                     id="bool-sizes"),
+        pytest.param(_c2_table(class_rep_orders=[True, 2]),
+                     "'class_rep_orders': expected a list", id="bool-rep-orders"),
+        pytest.param(_c2_table(group_order=2.0), "'group_order'", id="float-order"),
         pytest.param(
             _c2_table(irreducibles=[[1, 1], [1, -1]]),
             "row 0 is not a list of 2 strings",
@@ -112,6 +119,21 @@ def test_table_document_errors(tmp_path, capsys, text, fragment):
     )
     assert (code, out) == (2, "")
     assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "spec, field, value",
+    [("cyclic:1", "group_order", True), ("symmetric:3", "class_sizes", [True, 3, 2])],
+)
+def test_table_documents_refuse_json_booleans(tmp_path, spec, field, value):
+    # true == 1, so each of these matched its group before the fields were typed
+    G = make_group(spec)
+    path = tmp_path / "table.json"
+    save_chartable(build_table(G), str(path))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, field: value}))
+    with pytest.raises(DocumentError, match=field):
+        load_chartable(str(path), G)
 
 
 def test_chartable_round_trip(tmp_path):
@@ -481,3 +503,23 @@ def test_info_on_a_large_abelian_group_stays_small():
         "derived subgroup: order 1 (1)\n"
     )
     assert usage.ru_maxrss < 700 * 1024  # kilobytes
+
+
+def test_recursive_count_on_a_large_abelian_group_stays_small():
+    # The recursion reads rows of the commuting matrix; one frozenset of
+    # centralizer members per element took this call to a 408 MB peak.  The
+    # child prints its own high-water RSS after the call: its ru_maxrss would
+    # also count the pages of this process that it shared before exec.
+    argv = ["count", "--group", "cyclic:2000", "--fn", "f3", "--method", "recursive",
+            "--format", "csv"]
+    script = (
+        f"from commcount.cli import main; code = main({argv!r}); "
+        "print(next(l.split()[1] for l in open('/proc/self/status') "
+        "if l.startswith('VmHWM:'))); raise SystemExit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(commcount.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    *out, peak = proc.stdout.splitlines()
+    assert out[-1].endswith(f",{2000**3}")  # abelian: f_3(1) = |G|^3
+    assert int(peak) < 150 * 1024  # kilobytes
