@@ -13,20 +13,21 @@ Latin square, so no Latin check is needed.
 
 Tables are built and analysed by numpy indexing, not by Python loops over
 pairs: a permutation group's rows as gathers of the rows of a few
-generators (row x*y is row(x)[row(y)]; no product of two elements is ever
-looked up), direct products as a broadcast of the factor tables, and
-commutators, classes, element orders and subgroup closure by gathers on
-``table``.
+generators (row x*y is row(x)[row(y)]; only a generator's row is looked up,
+all its products at once), direct products as a broadcast of the factor
+tables, and commutators, classes, element orders and subgroup closure by
+gathers on ``table``.
 
 Commutators have one representation, ``G.comm_table()``: the read-only
-int32 matrix of [x, y] = x^-1 y^-1 x y, filled by ``comm_row`` in row
-blocks.  ``comm_row`` gathers from that matrix once it is built, so a
-reader of a few rows never forces the n^2 build.  Centralizers have one
-representation, the commuting matrix ``G.commuting()``: the read-only
-boolean matrix K = (table == table.T), so row x is C(x), its row sums are
-the centralizer orders and the rows that are all true are the center.  It
-costs n^2 bytes, where per-element index tuples cost n * |C(x)| Python
-ints (over 1 GB for ``cyclic:5040``).
+int32 matrix of [x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), filled by
+``comm_row`` in row blocks, each entry one gather on the flattened table
+at inv[M[y, x]] * n + M[x, y].  ``comm_row`` gathers from that matrix once
+it is built, so a reader of a few rows never forces the n^2 build.
+Centralizers have one representation, the commuting matrix
+``G.commuting()``: the read-only boolean matrix K = (table == table.T), so
+row x is C(x), its row sums are the centralizer orders and the rows that
+are all true are the center.  It costs n^2 bytes, where per-element index
+tuples cost n * |C(x)| Python ints (over 1 GB for ``cyclic:5040``).
 
 Groups above order 5040 (``ORDER_CAP``, the order of ``symmetric:7``) are
 rejected with ``GroupSpecError`` before their table is allocated: a dense
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -154,7 +156,8 @@ class GroupTable:
             raise GroupLawError(f"expected {order} names, got {len(names)}")
         self.names = tuple(str(s) for s in names)
         self.inv = _check_group_laws(M)
-        self.table = M.astype(np.int32, copy=False).view()
+        # C order, so that comm_row's flat gather reads it without a copy
+        self.table = np.ascontiguousarray(M, dtype=np.int32).view()
         self.table.flags.writeable = False
         self._memo: dict = {}
 
@@ -179,13 +182,18 @@ class GroupTable:
 
     def comm_row(self, x):
         """x^-1 * y^-1 * x * y for every y, as an int32 array: gathered from
-        ``comm_table()`` once it is built, else three gathers on table.  An
-        array of x gives one row per x."""
+        ``comm_table()`` once it is built, else one flat gather on table.
+        An int, an array or a slice of x gives one row per x."""
         comm = self._memo.get("comm")
         if comm is not None:
             return comm[x]
-        M, inv = self.table, self.inv
-        return M[M[M[inv[x]][..., inv], np.expand_dims(x, -1)], np.arange(self.order)]
+        # [x, y] = (y*x)^-1 * (x*y), at flat index inv[M[y, x]] * n + M[x, y];
+        # computed with y on the first axis, so that M[:, x] is read by rows
+        M, n = self.table, self.order
+        flat = self.inv[M[:, x]]
+        flat *= n
+        flat += np.moveaxis(M[x], -1, 0)
+        return np.moveaxis(M.reshape(-1)[flat], 0, -1)
 
     def comm_table(self):
         """The read-only int32 matrix C[x, y] = x^-1 * y^-1 * x * y."""
@@ -274,7 +282,7 @@ def _comm_table(G: GroupTable):
     step = max(1, _BLOCK_PRODUCTS // G.order)
     C = np.empty((G.order, G.order), dtype=np.int32)
     for lo in range(0, G.order, step):
-        C[lo:lo + step] = G.comm_row(np.arange(lo, min(lo + step, G.order)))
+        C[lo:lo + step] = G.comm_row(slice(lo, lo + step))
     C.flags.writeable = False
     return C
 
@@ -443,19 +451,21 @@ def _table_from_perms(plist, spec) -> GroupTable:
     Row a holds the index of p_a * q for every q: it is the
     left-multiplication map of p_a, so row(x*y) = row(x)[row(y)].  Each
     generator s is the last element that no filled row reaches; its row is
-    found by one dict lookup per element, and a product missing from the
-    list raises there.  Every other row is a gather of filled rows, by
-    Dimino's coset enumeration: with the subgroup H of the earlier
+    one bulk lookup of the composed permutations P[:, P[s]] (row x is
+    s * p_x), each row's bytes a key of one dict, and a product missing
+    from the list raises there.  Every other row is a gather of filled
+    rows, by Dimino's coset enumeration: with the subgroup H of the earlier
     generators filled, the group that s adds is a union of cosets y*H, with
     y = g*x for a generator g and a coset rep x, and row(y*h) =
     row(y)[row(h)].  Each generator at least doubles the rows filled, so
     there are log2 of the order of them at most."""
     n = len(plist)
     _check_cap(n)
-    index = {p: i for i, p in enumerate(plist)}
+    P = np.array(plist, dtype=np.min_scalar_type(len(plist[0])))
+    index = dict(zip(_row_keys(P), range(n)))
     if len(index) < n:
         raise GroupLawError("permutation list has a repeated element")
-    one = index.get(perms.identity(len(plist[0])))
+    one = index.get(np.arange(P.shape[1], dtype=P.dtype).tobytes())
     if one is None:
         raise GroupLawError("permutation list not closed: () is not in it")
     mul = np.empty((n, n), dtype=np.int32)
@@ -466,7 +476,14 @@ def _table_from_perms(plist, spec) -> GroupTable:
     step = max(1, _BLOCK_PRODUCTS // n)
     while not filled.all():
         s = n - 1 - int(filled[::-1].argmin())
-        mul[s] = _left_map(plist[s], plist, index)
+        keys = _row_keys(P[:, P[s]])
+        mul[s] = row = np.array(list(map(index.get, keys, repeat(-1))), np.int32)
+        if row.min() < 0:
+            p = plist[int(row.argmin())]
+            raise GroupLawError(
+                "permutation list not closed: "
+                f"{perms.format_cycles(plist[s])}*{perms.format_cycles(p)} is not in it"
+            )
         gens.append(s)
         H = np.flatnonzero(filled)
         blocks = [H[lo:lo + step] for lo in range(0, len(H), step)]
@@ -486,16 +503,10 @@ def _table_from_perms(plist, spec) -> GroupTable:
     return GroupTable(mul, names, spec=spec, perm_list=plist)
 
 
-def _left_map(s, plist, index):
-    """The row of s: the index of s * p_x for every x, as int32."""
-    try:
-        return np.array([index[perms.pmul(s, p)] for p in plist], dtype=np.int32)
-    except KeyError:
-        p = next(p for p in plist if perms.pmul(s, p) not in index)
-        raise GroupLawError(
-            "permutation list not closed: "
-            f"{perms.format_cycles(s)}*{perms.format_cycles(p)} is not in it"
-        ) from None
+def _row_keys(P):
+    """Each row of the 2-D array P as one bytes object."""
+    P = np.ascontiguousarray(P)
+    return P.view(np.dtype((np.void, P.itemsize * P.shape[1]))).ravel().tolist()
 
 
 def _symmetric(n: int, even_only: bool) -> GroupTable:
@@ -509,7 +520,7 @@ def _perm_group(spec: str) -> GroupTable:
     if not body:
         raise GroupSpecError("perm spec needs at least one generator")
     gen_texts = [s for s in body.split(",") if s.strip()]
-    degree = 0
+    degree = 1  # perm:() is the identity on one point: a key needs a byte
     for t in gen_texts:
         g = perms.parse_cycles(t)
         degree = max(degree, len(g))

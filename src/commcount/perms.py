@@ -70,9 +70,9 @@ def all_perms(n: int) -> list[tuple[int, ...]]:
 
 
 def even_perms(n: int) -> list[tuple[int, ...]]:
-    return sorted(
-        (p for p in itertools.permutations(range(n)) if is_even(p)), key=sort_key
-    )
+    # one cycle type per permutation gives both its parity and its sort key
+    keys = map(sort_key, itertools.permutations(range(n)))
+    return [p for ct, p in sorted(k for k in keys if (n - len(k[0])) % 2 == 0)]
 
 
 def closure(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:

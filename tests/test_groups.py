@@ -138,6 +138,8 @@ def test_perm_spec():
     assert G.family == "perm"
     H = make_group("perm:(1 2 3 4 5),(2 5)(3 4)")
     assert H.order == 10
+    one = make_group("perm:()")  # no point named: the identity on one point
+    assert one.order == 1 and one.names == ("()",) and one.perm_list == ((0,),)
 
 
 def test_family_is_the_spec_prefix(tmp_path):
@@ -530,6 +532,74 @@ def test_comm_table_blocks_match_single_rows():
     assert np.array_equal(G.comm_table(), rows)
 
 
+def _three_gather_comm(G, x):
+    """x^-1 * y^-1 * x * y for every y and each x, by three chained gathers
+    on the table: M[M[M[inv[x], inv], x], y]."""
+    M, inv = G.table, G.inv
+    return M[M[M[inv[x]][..., inv], np.expand_dims(x, -1)], np.arange(G.order)]
+
+
+@pytest.mark.parametrize("spec", verify.sweep_specs() + ("symmetric:6",))
+def test_comm_kernel_matches_the_three_gather_formula(spec):
+    G = make_group(spec)
+    n = G.order
+    want = _three_gather_comm(G, np.arange(n))
+    picks = np.random.default_rng(n).integers(0, n, size=7)
+    cuts = [slice(0, n), slice(n // 3, n // 3 + 5), slice(n - 2, None), slice(1, n, 3)]
+
+    def check_rows():
+        for x in (0, n - 1, int(picks[0]), np.int64(picks[1])):
+            got = G.comm_row(x)
+            assert got.dtype == np.int32 and np.array_equal(got, want[x])
+        got = G.comm_row(picks)
+        assert got.dtype == np.int32 and np.array_equal(got, want[picks])
+        for cut in cuts:
+            got = G.comm_row(cut)
+            assert got.dtype == np.int32 and np.array_equal(got, want[cut])
+
+    assert "comm" not in G._memo  # rows from the table
+    check_rows()
+    C = G.comm_table()
+    assert C.dtype == np.int32 and not C.flags.writeable
+    assert np.array_equal(C, want)
+    check_rows()  # rows from the matrix
+
+
+def _left_map_table(plist):
+    """A permutation list's table with every row found by one pmul and one
+    dict lookup per element."""
+    index = {p: i for i, p in enumerate(plist)}
+    return [[index[perms.pmul(s, p)] for p in plist] for s in plist]
+
+
+def _closure(gens):
+    reached, frontier = set(), {perms.identity(len(gens[0]))}
+    while frontier:
+        reached |= frontier
+        frontier = {perms.pmul(p, g) for p in frontier for g in gens} - reached
+    return reached
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"symmetric:{n}" for n in range(1, 7)]
+    + [f"alternating:{n}" for n in range(3, 7)]
+    + ["perm:(1 2 3 4 5),(2 5)(3 4)",
+       "perm:(1 2)(3 4 5)(6 7 8 9 10 11 12 13 14 15 16 17)"],  # degree 17
+)
+def test_permutation_tables_match_the_per_element_lookup(spec):
+    G = make_group(spec)
+    family, _, arg = spec.partition(":")
+    if family == "perm":
+        degree = len(G.perm_list[0])
+        members = _closure([perms.parse_cycles(t, degree) for t in arg.split(",")])
+    else:
+        members = [p for p in itertools.permutations(range(int(arg)))
+                   if family == "symmetric" or perms.is_even(p)]
+    assert G.perm_list == tuple(sorted(members, key=perms.sort_key))
+    assert G.table.tolist() == _left_map_table(G.perm_list)
+
+
 # Greedy generators Light's test took when it chose the smallest unreached
 # index; the largest, the rule of _table_from_perms, needs no more here.
 _SMALLEST_FIRST_GENERATORS = {
@@ -569,8 +639,11 @@ def test_non_closed_sets_rejected():
     with pytest.raises(GroupLawError, match=r"not closed: 200\*200 = 400 escapes"):
         SubgroupRef(C3C200, tuple(range(400)))
     cycle = perms.parse_cycles("(1 2 3)")
-    with pytest.raises(GroupLawError, match="not closed"):
+    with pytest.raises(GroupLawError) as refused:
         _table_from_perms([perms.identity(3), cycle], "perm:broken")
+    assert str(refused.value) == (
+        "permutation list not closed: (1 2 3)*(1 2 3) is not in it"
+    )
 
 
 def test_missing_product_found_by_a_later_generator_map():
@@ -585,16 +658,22 @@ def test_missing_product_found_by_a_later_generator_map():
     first = plist[-1]
     assert perms.format_cycles(first) == "(1 4 3)"
     assert {perms.pmul(first, p) for p in plist} == set(plist)
-    with pytest.raises(GroupLawError, match=r"not closed: \(1 4 2\)\*\(1 3 2\) is not"):
+    with pytest.raises(GroupLawError) as refused:
         _table_from_perms(plist, "perm:broken")
+    assert str(refused.value) == (
+        "permutation list not closed: (1 4 2)*(1 3 2) is not in it"
+    )
 
 
 def test_permutation_lists_with_a_repeat_or_no_identity_are_refused():
     e, t = perms.identity(3), perms.parse_cycles("(1 2)", 3)
-    with pytest.raises(GroupLawError, match="repeated element"):
-        _table_from_perms([e, t, t], "perm:broken")
-    with pytest.raises(GroupLawError, match=r"not closed: \(\) is not in it"):
+    for plist in ([e, t, t], [t, e, t], [e, t, e]):
+        with pytest.raises(GroupLawError) as refused:
+            _table_from_perms(plist, "perm:broken")
+        assert str(refused.value) == "permutation list has a repeated element"
+    with pytest.raises(GroupLawError) as refused:
         _table_from_perms([t], "perm:broken")
+    assert str(refused.value) == "permutation list not closed: () is not in it"
     # the table is right, but the identity is not at index 0
     with pytest.raises(GroupLawError, match="index 0 is not a two-sided identity"):
         _table_from_perms([t, e], "perm:broken")

@@ -481,37 +481,11 @@ def test_readme_python_examples_run():
         assert got.returncode == 0, got.stderr
 
 
-def test_info_on_a_large_abelian_group_stays_small():
-    # The center is read from the commuting matrix, n^2 bytes; per-element
-    # centralizer tuples took this call to a 1.39 GB peak.
-    n = 5040
-    env = dict(os.environ, PYTHONPATH=str(Path(commcount.__file__).parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "commcount", "info", "--group", f"cyclic:{n}"],
-        stdout=subprocess.PIPE, text=True, env=env,
-    )
-    with proc.stdout:
-        out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    names = ", ".join(["1", "a"] + [f"a^{i}" for i in range(2, n)])
-    assert out == (
-        f"group: cyclic:{n}\norder: {n}\n"
-        f"classes: {n} (sizes {', '.join(['1'] * n)})\n"
-        f"center: order {n} ({names})\n"
-        "derived subgroup: order 1 (1)\n"
-    )
-    assert usage.ru_maxrss < 700 * 1024  # kilobytes
-
-
-def test_recursive_count_on_a_large_abelian_group_stays_small():
-    # The recursion reads rows of the commuting matrix; one frozenset of
-    # centralizer members per element took this call to a 408 MB peak.  The
-    # child prints its own high-water RSS after the call: its ru_maxrss would
-    # also count the pages of this process that it shared before exec.
-    argv = ["count", "--group", "cyclic:2000", "--fn", "f3", "--method", "recursive",
-            "--format", "csv"]
+def _cli_with_peak_rss(argv):
+    """Run the CLI on argv in a child that prints its own high-water RSS
+    (VmHWM, in kilobytes) after the call; return (stdout of the call, peak).
+    The child's ru_maxrss would also count the pages of this process that it
+    shared before exec."""
     script = (
         f"from commcount.cli import main; code = main({argv!r}); "
         "print(next(l.split()[1] for l in open('/proc/self/status') "
@@ -520,6 +494,29 @@ def test_recursive_count_on_a_large_abelian_group_stays_small():
     env = dict(os.environ, PYTHONPATH=str(Path(commcount.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
-    *out, peak = proc.stdout.splitlines()
-    assert out[-1].endswith(f",{2000**3}")  # abelian: f_3(1) = |G|^3
-    assert int(peak) < 150 * 1024  # kilobytes
+    out, _, peak = proc.stdout.rstrip("\n").rpartition("\n")
+    return out + "\n", int(peak)
+
+
+def test_info_on_a_large_abelian_group_stays_small():
+    # The center is read from the commuting matrix, n^2 bytes; per-element
+    # centralizer tuples took this call to a 1.39 GB peak.
+    n = 5040
+    out, peak = _cli_with_peak_rss(["info", "--group", f"cyclic:{n}"])
+    names = ", ".join(["1", "a"] + [f"a^{i}" for i in range(2, n)])
+    assert out == (
+        f"group: cyclic:{n}\norder: {n}\n"
+        f"classes: {n} (sizes {', '.join(['1'] * n)})\n"
+        f"center: order {n} ({names})\n"
+        "derived subgroup: order 1 (1)\n"
+    )
+    assert peak < 700 * 1024  # kilobytes
+
+
+def test_recursive_count_on_a_large_abelian_group_stays_small():
+    # The recursion reads rows of the commuting matrix; one frozenset of
+    # centralizer members per element took this call to a 408 MB peak.
+    out, peak = _cli_with_peak_rss(["count", "--group", "cyclic:2000", "--fn", "f3",
+                                    "--method", "recursive", "--format", "csv"])
+    assert out.splitlines()[-1].endswith(f",{2000**3}")  # abelian: f_3(1) = |G|^3
+    assert peak < 150 * 1024  # kilobytes
