@@ -183,7 +183,7 @@ class GroupTable:
     def comm_row(self, x):
         """x^-1 * y^-1 * x * y for every y, as an int32 array: gathered from
         ``comm_table()`` once it is built, else one flat gather on table.
-        An int, an array or a slice of x gives one row per x."""
+        An int gives one row; a 1-D array or a slice of x, one row per x."""
         comm = self._memo.get("comm")
         if comm is not None:
             return comm[x]
@@ -192,8 +192,8 @@ class GroupTable:
         M, n = self.table, self.order
         flat = self.inv[M[:, x]]
         flat *= n
-        flat += np.moveaxis(M[x], -1, 0)
-        return np.moveaxis(M.reshape(-1)[flat], 0, -1)
+        flat += M[x].T
+        return M.reshape(-1)[flat].T
 
     def comm_table(self):
         """The read-only int32 matrix C[x, y] = x^-1 * y^-1 * x * y."""
