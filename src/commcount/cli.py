@@ -18,6 +18,7 @@ import csv
 import json
 import sys
 import time
+from functools import cache
 
 from .chars import TableProviderError, TableValidationError, build_table
 from .counts import (
@@ -73,6 +74,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@cache  # parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commcount",

@@ -590,6 +590,19 @@ class CycloArray:
         powers = np.array([pow(w, e, p) for e in range(self.ints.shape[-1])])
         return (self.ints % p).astype(np.int64) @ powers % p
 
+    def distinct(self) -> tuple["CycloArray", np.ndarray]:
+        """The distinct values as a one-axis array, and for every entry the
+        index of its value there, in the leading shape."""
+        rows = self.ints.reshape(-1, self.ints.shape[-1])
+        ids: dict = {}
+        where = [ids.setdefault(r, len(ids)) for r in map(tuple, rows.tolist())]
+        # the keys, in order of first appearance, are the distinct rows
+        values = np.array(list(ids), dtype=rows.dtype).reshape(len(ids), rows.shape[1])
+        return (
+            CycloArray(values, self.den, self.conductor),
+            np.array(where, dtype=np.int64).reshape(self.ints.shape[:-1]),
+        )
+
     def cyclos(self) -> list[Cyclo]:
         """The values of a one-axis array as Cyclo values."""
         return [Cyclo(self.conductor, r, self.den) for r in self.ints.tolist()]

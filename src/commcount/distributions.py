@@ -20,7 +20,7 @@ import numpy as np
 
 from .chars import CharacterTable, _class_pair_counts, reconstruct, table_for
 from .counts import ClassCounts, _certified_int, count_f_n, f3_coeffs
-from .cyclo import Cyclo, _exact, format_cyclo
+from .cyclo import Cyclo, CycloArray, _exact, format_cyclo
 from .groups import ClassPartition, GroupTable, center_and_derived, conjugacy_classes
 from .realcmp import abs_as_cyclo, compare
 
@@ -282,6 +282,38 @@ def _record(name: str, lhs, rhs) -> BoundRecord:
     )
 
 
+def _abs_table(T: CharacterTable) -> list[tuple[list[int], CycloArray]]:
+    """|chi(g_c)| for every irreducible chi and class c, with `abs_as_cyclo`
+    called once per distinct nonzero table entry.  One pair (classes, A),
+    A of shape (len(classes), len(T)), per class conductor: the lcm of the
+    conductors of the class's nonzero |chi(g_c)|, at which their sum as
+    `Cyclo` values is rendered."""
+    distinct, where = T.array.distinct()
+    absolutes = [abs_as_cyclo(v) if v else Cyclo.zero() for v in distinct.cyclos()]
+    conductors = [
+        lcm(*(absolutes[i].conductor for i in col)) for col in where.T.tolist()
+    ]
+    out = []
+    for n in sorted(set(conductors)):
+        # the entries of these classes all lie at divisors of n
+        A = CycloArray.of(
+            [a if n % a.conductor == 0 else Cyclo.zero() for a in absolutes], n
+        )
+        classes = [c for c, m in enumerate(conductors) if m == n]
+        out.append((classes, CycloArray(A.ints[where[:, classes].T], A.den, n)))
+    return out
+
+
+def _abs_sums(T: CharacterTable) -> list[Cyclo]:
+    """sum_chi chi(1) |chi(g_c)| for every class c, by one contraction of
+    `_abs_table` with the degrees per conductor."""
+    sums = [None] * T.array.ints.shape[1]
+    for classes, A in _abs_table(T):
+        for c, s in zip(classes, A.weighted(T.degrees).cyclos()):
+            sums[c] = s
+    return sums
+
+
 def bounds_report(
     G: GroupTable,
     f2: ClassCounts | None = None,
@@ -311,12 +343,7 @@ def bounds_report(
         _record("prop-ii-lower", Fraction(1, order * len(derived)), p3_1)
     )
 
-    for c, rep in enumerate(part.reps):
-        abs_sum = Cyclo.zero()
-        for chi, d in zip(T.irreducibles, T.degrees):
-            v = chi.values[c]
-            if v:
-                abs_sum = abs_sum + d * abs_as_cyclo(v)
+    for c, (rep, abs_sum) in enumerate(zip(part.reps, _abs_sums(T))):
         p3_g = p_n(f3, rep)
         records.append(
             _record(f"prop-ii:{c}", p3_g, (p2_1 / order) * abs_sum)

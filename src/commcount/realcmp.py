@@ -1,29 +1,42 @@
 """Exact sign, comparison and absolute value for real cyclotomic numbers.
 
 The sign of a real element of Q(zeta_N) is decided without floating point:
-an exact zero test first (canonical forms are unique), then rational
-interval enclosures of sum_k c_k cos(2 pi k / N), refined until zero is
-excluded.  Square roots of non-negative rationals are produced as exact
-cyclotomic values via quadratic Gauss sums, so absolute values of character
-values stay inside the field.
+an exact zero test first (canonical forms are unique), then an integer
+enclosure of sum_k c_k cos(2 pi k / N) * 2^(5 terms), refined by doubling
+`terms` until zero is excluded.  The enclosure is a dot product of the
+residue with a cached integer grid, the floor and the ceiling of
+2^(5 terms) cos(2 pi k / N) for the phi(N) powers k of a residue, rounded
+outward from rational enclosures of pi and cos; its sign is the value's,
+since the denominator and the scale are positive.  Each rational cos
+enclosure is computed once per reduced angle k/N with k <= N/2
+(cos(2 pi k / N) = cos(2 pi (N - k) / N)), so every conductor shares the
+angles of its divisors: dihedral:10 reuses those of dihedral:5.  Square
+roots of non-negative rationals are produced as exact cyclotomic values via
+quadratic Gauss sums, so absolute values of character values stay inside
+the field.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
-from .cyclo import Cyclo, cyclo_root
+from .cyclo import Cyclo, cyclo_root, degree
 
 _ZERO = Fraction(0)
 
 
+def _scaled_floor(x: Fraction, terms: int) -> int:
+    # floor(x * 2^(5 terms)): x on the grid of multiples of 2^-(5 terms),
+    # below 5^-(2 terms), the error of pi_bounds(terms)
+    return x.numerator * (1 << (5 * terms)) // x.denominator
+
+
 def _dyadic_floor(x: Fraction, terms: int) -> Fraction:
-    # x rounded down to a multiple of 2^-(5 terms), below 5^-(2 terms), the
-    # error of pi_bounds(terms).  Rounding the enclosures onto this grid
-    # keeps their denominators from growing with every term.
-    scale = 1 << (5 * terms)
-    return Fraction(x.numerator * scale // x.denominator, scale)
+    # x rounded down onto the grid of `_scaled_floor`.  Rounding the
+    # enclosures onto it keeps their denominators from growing with every
+    # term.
+    return Fraction(_scaled_floor(x, terms), 1 << (5 * terms))
 
 
 @cache
@@ -70,11 +83,14 @@ def cos_bounds(lo: Fraction, hi: Fraction, terms: int) -> tuple[Fraction, Fracti
     mid = _dyadic_floor((lo + hi) / 2, terms)
     halfwidth = max(hi - mid, mid - lo)
     t2 = mid * mid
-    total = Fraction(1)
-    power = Fraction(1)
-    for i in range(1, terms):
-        power *= t2 / ((2 * i - 1) * (2 * i))
-        total = total - power if i % 2 else total + power
+    # sum_{i < terms} (-1)^i t2^i / (2i)! by Horner's rule on one integer
+    # fraction, normalized once
+    a, b = t2.numerator, t2.denominator
+    num = den = 1
+    for i in range(terms - 1, 0, -1):
+        q = b * (2 * i - 1) * (2 * i)
+        num, den = den * q - a * num, den * q
+    total = Fraction(num, den)
     tail_num = abs(mid) ** (2 * terms)
     tail = Fraction(tail_num, factorial(2 * terms))
     ratio = t2 / ((2 * terms + 1) * (2 * terms + 2))
@@ -86,37 +102,43 @@ def cos_bounds(lo: Fraction, hi: Fraction, terms: int) -> tuple[Fraction, Fracti
 
 @cache
 def _cos_enclosure(k: int, n: int, terms: int) -> tuple[Fraction, Fraction]:
-    """`cos_bounds` of cos(2 pi k / n) at the `pi_bounds` of `terms`."""
+    """`cos_bounds` of cos(2 pi k / n) at the `pi_bounds` of `terms`; called
+    with k / n reduced and k <= n / 2 only, so each angle is enclosed once."""
     pi_lo, pi_hi = pi_bounds(terms)
     return cos_bounds(2 * k * pi_lo / n, 2 * k * pi_hi / n, terms)
 
 
-def _enclose_real(v: Cyclo, terms: int) -> tuple[Fraction, Fraction]:
-    # v is real, so v = Re(v) = sum_k c_k cos(2 pi k / N) / den; the sum
-    # is enclosed first and divided by den > 0 at the end
-    n = v.conductor
-    lo = hi = _ZERO
-    for k, c in enumerate(v.ints):
-        if not c:
-            continue
-        if k == 0:
-            lo += c
-            hi += c
-            continue
-        c_lo, c_hi = _cos_enclosure(k, n, terms)
-        if c >= 0:
-            lo += c * c_lo
-            hi += c * c_hi
-        else:
-            lo += c * c_hi
-            hi += c * c_lo
-    return lo / v.den, hi / v.den
+@cache
+def _cos_grid(n: int, terms: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integers floor_k <= 2^(5 terms) cos(2 pi k / n) <= ceil_k for the
+    powers k < phi(n) of a residue at conductor n: the `_cos_enclosure` of
+    the reduced angle, rounded outward onto the grid of `_scaled_floor`."""
+    floors, ceils = [], []
+    for k in range(degree(n)):
+        g = gcd(k, n)
+        lo, hi = _cos_enclosure(min(k, n - k) // g, n // g, terms)
+        floors.append(_scaled_floor(lo, terms))
+        ceils.append(-_scaled_floor(-hi, terms))
+    return tuple(floors), tuple(ceils)
 
 
-def real_cyclo_sign(v: Cyclo) -> int:
-    """-1, 0 or +1 for a real cyclotomic value; exact."""
-    if not v.is_real():
-        raise ValueError(f"value is not real: {v}")
+def _enclose_real(v: Cyclo, terms: int) -> tuple[int, int]:
+    # v is real, so v = Re(v) = sum_k c_k cos(2 pi k / N) / den: integers
+    # lo <= 2^(5 terms) den v <= hi, which share v's sign where they exclude 0
+    floors, ceils = _cos_grid(v.conductor, terms)
+    lo = hi = 0
+    for c, f, u in zip(v.ints, floors, ceils):
+        if c > 0:
+            lo += c * f
+            hi += c * u
+        elif c < 0:
+            lo += c * u
+            hi += c * f
+    return lo, hi
+
+
+def _real_sign(v: Cyclo) -> int:
+    # the sign of v, known to be real
     if v.is_zero():
         return 0
     if v.is_rational():
@@ -132,8 +154,19 @@ def real_cyclo_sign(v: Cyclo) -> int:
     raise RuntimeError(f"sign of {v} did not resolve; enclosure stuck at 0")
 
 
+def real_cyclo_sign(v: Cyclo) -> int:
+    """-1, 0 or +1 for a real cyclotomic value; exact."""
+    if not v.is_real():
+        raise ValueError(f"value is not real: {v}")
+    return _real_sign(v)
+
+
 def compare(a: Cyclo, b: Cyclo | int | Fraction) -> int:
     """-1, 0 or +1 as the real value a is <, = or > b."""
+    b = b if isinstance(b, Cyclo) else Cyclo.rational(b)
+    if a.is_rational() and b.is_rational():
+        x, y = a.to_rational(), b.to_rational()
+        return (x > y) - (x < y)
     return real_cyclo_sign(a - b)
 
 
@@ -189,7 +222,8 @@ def sqrt_rational_as_cyclo(q) -> Cyclo:
         d += 1
     if root * root != q:
         raise RuntimeError(f"square-root construction failed for {q}")
-    if real_cyclo_sign(root) < 0:
+    # root^2 = q >= 0, so root is real
+    if _real_sign(root) < 0:
         root = -root
     return root
 
@@ -203,7 +237,7 @@ def abs_as_cyclo(v: Cyclo) -> Cyclo:
     of unity u of Q(zeta_lcm(2, N)), such as a real character value times
     a linear one, and |v| = |v / u|."""
     if v.is_real():
-        return -v if real_cyclo_sign(v) < 0 else v
+        return -v if _real_sign(v) < 0 else v
     norm = v * v.conj()
     if norm.is_rational():
         return sqrt_rational_as_cyclo(norm.to_rational())

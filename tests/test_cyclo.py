@@ -289,6 +289,25 @@ def test_array_rows_are_the_scalar_residues():
                 )
 
 
+@pytest.mark.parametrize("big", [False, True])
+def test_distinct_values_and_where_they_sit(big):
+    rng = random.Random(11)
+    pool = [random_value(rng) for _ in range(5)]
+    if big:  # entries beyond int64 take the Python-int path
+        pool[0] = pool[0] + 2**70 * cyclo_root(4)
+    grid = [[rng.choice(pool) for _ in range(6)] for _ in range(4)]
+    X = CycloArray.of(grid)
+    assert (X.ints.dtype == object) == big
+    values, where = X.distinct()
+    assert where.shape == (4, 6) and values.ints.ndim == 2
+    found = values.cyclos()
+    rows = X.ints.reshape(-1, X.ints.shape[-1]).tolist()
+    assert len(found) == len({tuple(r) for r in rows})
+    assert [[found[i] for i in row] for row in where.tolist()] == grid
+    # numbered in order of first appearance
+    assert list(dict.fromkeys(where.ravel().tolist())) == list(range(len(found)))
+
+
 # -- split primes ------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from commcount import distributions
 from commcount.chars import ClassFunction, build_table, decompose
 from commcount.counts import brute_f_n, brute_t_n, count_f_n
-from commcount.cyclo import Cyclo, parse_cyclo
+from commcount.cyclo import Cyclo, CycloArray, parse_cyclo
 from commcount.distributions import (
     BoundsReport,
     GroupDistribution,
@@ -23,7 +23,7 @@ from commcount.distributions import (
 )
 from commcount.groups import conjugacy_classes, make_group
 from commcount.verify import sweep_specs
-from commcount.realcmp import compare
+from commcount.realcmp import abs_as_cyclo, compare
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +167,67 @@ def test_bounds_hold_where_character_norms_are_irrational(spec):
     # character values such as phi * zeta_3 have an irrational |chi|^2
     report = bounds_report(make_group(spec))
     assert report.records and report.all_hold
+
+
+IRRATIONAL_NORMS = ("product:alternating:5,cyclic:3", "product:dihedral:5,cyclic:3")
+
+
+def scalar_abs_sums(T):
+    # the per-(class, character) loop: sum_chi chi(1) |chi(g_c)| added up as
+    # Cyclo values, zero entries skipped
+    sums = []
+    for c in range(len(T)):
+        total = Cyclo.zero()
+        for chi, d in zip(T.irreducibles, T.degrees):
+            v = chi.values[c]
+            if v:
+                total = total + d * abs_as_cyclo(v)
+        sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize("spec", sweep_specs() + IRRATIONAL_NORMS)
+def test_abs_table_is_the_entrywise_abs(spec):
+    T = build_table(make_group(spec))
+    values = [chi.values for chi in T.irreducibles]
+    seen = set()
+    for classes, A in distributions._abs_table(T):
+        assert A.ints.shape[:2] == (len(classes), len(T))
+        seen.update(classes)
+        for i, c in enumerate(classes):
+            row = CycloArray(A.ints[i], A.den, A.conductor).cyclos()
+            for j, got in enumerate(row):
+                v = values[j][c]
+                assert got == (abs_as_cyclo(v) if v else 0)
+    assert seen == set(range(len(T)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    sweep_specs() + IRRATIONAL_NORMS + ("symmetric:6", "dihedral:60", "dihedral:100"),
+)
+def test_bounds_report_matches_the_scalar_loop(spec, monkeypatch):
+    G = make_group(spec)
+    f2, f3, T = count_f_n(G, 2), count_f_n(G, 3), build_table(G)
+    got = bounds_report(G, f2, f3, T)
+    monkeypatch.setattr(distributions, "_abs_sums", scalar_abs_sums)
+    want = bounds_report(G, f2, f3, T)
+    assert got == want  # name for name, string for string
+
+
+def test_abs_is_taken_once_per_distinct_table_entry(monkeypatch):
+    G = make_group("dihedral:100")
+    f2, f3, T = count_f_n(G, 2), count_f_n(G, 3), build_table(G)
+    distinct, _ = T.array.distinct()
+    calls = []
+
+    def spy(v):
+        calls.append(v)
+        return abs_as_cyclo(v)
+
+    monkeypatch.setattr(distributions, "abs_as_cyclo", spy)
+    assert bounds_report(G, f2, f3, T).all_hold
+    assert 0 < len(calls) <= len(distinct.ints) < len(T) ** 2
 
 
 def test_a5_report_values(a5):

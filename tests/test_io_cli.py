@@ -8,7 +8,7 @@ import pytest
 
 import commcount
 from commcount.chars import build_table
-from commcount.cli import main
+from commcount.cli import _build_parser, main
 from commcount.counts import ClassCounts, recursive_fn1
 from commcount.fileio import (
     ClassRow,
@@ -354,6 +354,13 @@ def test_bounds_exit_zero_when_all_hold(capsys):
     assert "P2(1): 1/2" in out
     assert "gustafson: 1/2 <= 5/8  [holds]" in out
     assert "FAILS" not in out
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    assert _build_parser() is _build_parser()
+    assert run_cli(capsys, "bounds", "--group")[0] == 2  # a refused parse
+    code, out, _ = run_cli(capsys, "ore", "--group", "symmetric:3", "--k", "3")
+    assert code == 0 and out.startswith("support of f_3 on symmetric:3: 3 of 6")
 
 
 def test_triple_cli(capsys):

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import cos, pi
 
 import pytest
 
-from commcount.cyclo import Cyclo, cyclo_root
+from commcount import realcmp
+from commcount.cyclo import Cyclo, cyclo_root, degree
 from commcount.realcmp import (
     abs_as_cyclo,
     compare,
@@ -56,6 +58,79 @@ def test_sign_resolves_tight_margins():
     above = Fraction(6180339888, 10**10)
     assert real_cyclo_sign(phi_minor - below) == 1
     assert real_cyclo_sign(phi_minor - above) == -1
+
+
+@pytest.mark.parametrize("terms", [12, 24])
+def test_cos_grid_brackets_the_enclosures_outward(terms):
+    scale = 1 << (5 * terms)
+    for n in range(1, 121):
+        floors, ceils = realcmp._cos_grid(n, terms)
+        assert len(floors) == len(ceils) == degree(n)
+        for k, (f, c) in enumerate(zip(floors, ceils)):
+            # the enclosure of the reduced angle k / n, folded into [0, 1/2]
+            q = Fraction(k, n)
+            q = min(q, 1 - q)
+            lo, hi = realcmp._cos_enclosure(q.numerator, q.denominator, terms)
+            assert f == lo.numerator * scale // lo.denominator
+            assert c == -(-hi.numerator * scale // hi.denominator)
+            # of the right angle, to float precision
+            assert f / scale - 1e-12 < cos(2 * pi * k / n) < c / scale + 1e-12
+    assert realcmp._cos_grid(1, terms) == ((scale,), (scale,))  # cos 0 = 1
+
+
+def test_cos_enclosure_of_a_reduced_angle_is_cos_bounds():
+    for terms in (12, 24):
+        pi_lo, pi_hi = pi_bounds(terms)
+        for k, n in ((0, 1), (1, 5), (2, 5), (3, 10), (1, 97), (59, 120)):
+            want = cos_bounds(2 * k * pi_lo / n, 2 * k * pi_hi / n, terms)
+            assert realcmp._cos_enclosure(k, n, terms) == want
+
+
+def test_cos_enclosures_are_shared_across_conductors():
+    realcmp._cos_grid.cache_clear()
+    realcmp._cos_enclosure.cache_clear()
+    realcmp._cos_grid(5, 12)
+    five = realcmp._cos_enclosure.cache_info().currsize
+    realcmp._cos_grid(10, 12)
+    # the angles k / 10 with k even are those of conductor 5; the odd ones
+    # reduce to 1/10 and 3/10
+    assert realcmp._cos_enclosure.cache_info().currsize == five + 2
+
+
+def test_sign_doubles_the_terms_on_a_near_tie(monkeypatch):
+    # 2 cos(2 pi / 97) = 1.99580565247542333009638606810...; the conductor
+    # 97 residue has 95 nonzero coefficients, so the 12-term enclosure is
+    # wider than the 1e-20 margins and the sign needs 24 terms
+    x = cyclo_root(97) + cyclo_root(97, 96)
+    assert x.ints.count(0) == 1
+    below = Fraction(199580565247542333009, 10**20)
+    above = below + Fraction(1, 10**20)
+    asked = []
+    enclose = realcmp._enclose_real
+
+    def spy(v, terms):
+        asked.append(terms)
+        return enclose(v, terms)
+
+    monkeypatch.setattr(realcmp, "_enclose_real", spy)
+    assert real_cyclo_sign(x - below) == 1
+    assert asked == [12, 24]
+    asked.clear()
+    assert real_cyclo_sign(x - above) == -1
+    assert asked == [12, 24]
+    assert compare(x, below) == 1 and compare(x, above) == -1
+
+
+def test_rational_comparisons_compare_fractions(monkeypatch):
+    def refuse(v):
+        raise AssertionError("sign machinery called")
+
+    monkeypatch.setattr(realcmp, "real_cyclo_sign", refuse)
+    assert compare(Cyclo.rational(Fraction(1, 3)), Fraction(1, 2)) == -1
+    assert compare(Cyclo.rational(2), 2) == 0
+    assert compare(Cyclo.rational(Fraction(-1, 7)), Cyclo.rational(Fraction(-1, 8))) == -1
+    # a rational held at a larger conductor is still rational
+    assert compare(cyclo_root(6) + cyclo_root(6, 5), 1) == 0
 
 
 def test_compare():
