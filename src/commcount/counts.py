@@ -33,8 +33,8 @@ it, and the t_n coefficients are weighted norms of its rows.
 The paper's pair weight H[a, b] = |C(ab) b  intersect  C(a)| is evaluated in
 one place, `_pair_weights`, one row a at a time from the group's commuting
 matrix (`GroupTable.commuting`).  Binning its rows by the class of [a, b]
-gives the theta weights (class-rep rows), the tau weights (all rows, per
-column b) and `f3_parametrized` (all rows, per element [a, b]).
+gives the theta weights (class-rep rows) and the tau weights (all rows,
+per column b).
 """
 from __future__ import annotations
 
@@ -319,17 +319,6 @@ def naive_f_n(
             hits = ok[:, :, None] & ok[:, None, :] & (comm == gv[:, :, None])
             np.add.at(tally, g[v], hits.sum(axis=(1, 2)))
     return _as_class_counts(G, tally.tolist(), "f", n)
-
-
-def f3_parametrized(G: GroupTable, budget: int = DEFAULT_BUDGET) -> ClassCounts:
-    """f_3 via the coset parametrization: for each pair (c, z) with
-    [c, z] = g, count x with x in C(cz)z and x in C(c).  The work is the
-    k(G) * |G|^2 pair-weight terms."""
-    _check_budget(len(conjugacy_classes(G)) * G.order**2, budget)
-    counts = np.zeros(G.order, dtype=np.int64)
-    for c in range(G.order):
-        np.add.at(counts, G.comm_row(c), _pair_weights(G, c))
-    return _as_class_counts(G, counts.tolist(), "f", 3)
 
 
 def brute_t_n(G: GroupTable, n: int, budget: int = DEFAULT_BUDGET) -> ClassCounts:

@@ -5,11 +5,13 @@ holds one read-only int32 numpy table, ``GroupTable.table``, which every
 reader in the package indexes, and its inverses as a read-only int32
 vector, ``GroupTable.inv``.  Every constructor proves its table a group,
 at every order, from three checks: index 0 is a two-sided identity, every
-row holds a 0 (a right inverse), and Light's test passes on a greedy
-generating set, each generator the largest index not yet reached, so the
-law is associative (complete, O(n^2 log n)).  An associative magma with a
-two-sided identity and right inverses is a group, and a group's table is a
-Latin square, so no Latin check is needed.
+row holds a 0 (a right inverse), and Light's test passes on a generating
+set, so the law is associative (complete, O(n^2 log n)).  The set is the
+spec's two generators for ``symmetric:n`` and ``alternating:n``, then
+greedy ones, each the largest index not yet reached.  An associative magma
+with a two-sided identity and right inverses is a group, and a group's
+table is a Latin square, so no Latin check is needed.  Element names not
+given to the constructor are formatted when ``names`` is first read.
 
 Tables are built and analysed by numpy indexing, not by Python loops over
 pairs: a permutation group's rows as gathers of the rows of a few
@@ -19,10 +21,11 @@ tables, and commutators, classes, element orders and subgroup closure by
 gathers on ``table``.
 
 Commutators have one representation, ``G.comm_table()``: the read-only
-int32 matrix of [x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), filled by
-``comm_row`` in row blocks, each entry one gather on the flattened table
-at inv[M[y, x]] * n + M[x, y].  ``comm_row`` gathers from that matrix once
-it is built, so a reader of a few rows never forces the n^2 build.
+int32 matrix of [x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), filled in row
+blocks: from a block's diagonal rightwards each entry is one gather on the
+flattened table at inv[M[y, x]] * n + M[x, y], and left of it [y, x]^-1
+from the rows above.  ``comm_row`` gathers from that matrix once it is
+built, so a reader of a few rows never forces the n^2 build.
 Centralizers have one representation, the commuting matrix
 ``G.commuting()``: the read-only boolean matrix K = (table == table.T), so
 row x is C(x), its row sums are the centralizer orders and the rows that
@@ -129,10 +132,12 @@ class GroupTable:
     array.  ``table`` keeps it as a read-only int32 array once every group
     law has been checked on it, and ``inv`` the inverses as a read-only
     int32 vector.  ``family`` is the prefix of ``spec`` before its first
-    colon, or ``"table"`` for a table without a spec.
+    colon, or ``"table"`` for a table without a spec.  Light's test takes
+    the indices in ``generators`` first.
     """
 
-    def __init__(self, mul, names=None, spec="", perm_list=None, product_parts=None):
+    def __init__(self, mul, names=None, spec="", perm_list=None, product_parts=None,
+                 generators=()):
         order = len(mul)
         if order == 0:
             raise GroupLawError("empty table")
@@ -150,16 +155,15 @@ class GroupTable:
         self.spec = spec
         self.perm_list = tuple(perm_list) if perm_list is not None else None
         self.product_parts = product_parts
-        if names is None:
-            names = ["1"] + [f"g{i}" for i in range(1, order)]
-        if len(names) != order:
-            raise GroupLawError(f"expected {order} names, got {len(names)}")
-        self.names = tuple(str(s) for s in names)
-        self.inv = _check_group_laws(M)
+        self._memo: dict = {}
+        if names is not None:
+            if len(names) != order:
+                raise GroupLawError(f"expected {order} names, got {len(names)}")
+            self._memo["names"] = tuple(str(s) for s in names)
+        self.inv = _check_group_laws(M, generators)
         # C order, so that comm_row's flat gather reads it without a copy
         self.table = np.ascontiguousarray(M, dtype=np.int32).view()
         self.table.flags.writeable = False
-        self._memo: dict = {}
 
     def cached(self, key, build, *args):
         """The per-group memo: build(self, *args) runs once per key."""
@@ -168,6 +172,11 @@ class GroupTable:
         except KeyError:
             got = self._memo[key] = build(self, *args)
             return got
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The names given, else each one formatted on first read."""
+        return self.cached("names", _names)
 
     # -- elementwise helpers ------------------------------------------------
 
@@ -187,13 +196,7 @@ class GroupTable:
         comm = self._memo.get("comm")
         if comm is not None:
             return comm[x]
-        # [x, y] = (y*x)^-1 * (x*y), at flat index inv[M[y, x]] * n + M[x, y];
-        # computed with y on the first axis, so that M[:, x] is read by rows
-        M, n = self.table, self.order
-        flat = self.inv[M[:, x]]
-        flat *= n
-        flat += M[x].T
-        return M.reshape(-1)[flat].T
+        return _comm_columns(self, x, 0)
 
     def comm_table(self):
         """The read-only int32 matrix C[x, y] = x^-1 * y^-1 * x * y."""
@@ -213,15 +216,24 @@ class GroupTable:
         return [tuple(np.flatnonzero(row).tolist()) for row in self.commuting()]
 
 
-def _check_group_laws(M):
+def _names(G: GroupTable) -> tuple[str, ...]:
+    if G.perm_list is not None:
+        return tuple(map(perms.format_cycles, G.perm_list))
+    if G.product_parts is not None:
+        A, B = G.product_parts
+        return tuple(f"({a},{b})" for a in A.names for b in B.names)
+    return ("1",) + tuple(f"g{i}" for i in range(1, G.order))
+
+
+def _check_group_laws(M, seeds=()):
     """Prove the dense table M a group; return the inverses.
 
     Three checks make the proof:
 
     * index 0 is a two-sided identity;
     * every row holds a 0, so every element has a right inverse;
-    * Light's test passes on greedy generators whose closure reaches every
-      element, so the law is associative.
+    * Light's test passes on generators whose closure reaches every
+      element, so the law is associative: the seeds, then greedy ones.
 
     An associative magma with a two-sided identity and right inverses is a
     group, and a group's table is a Latin square.  Each check runs over row
@@ -244,13 +256,17 @@ def _check_group_laws(M):
         raise GroupLawError("index 0 is not a two-sided identity")
     # Light's test: the a with (x*a)*y == x*(a*y) for all x, y are closed
     # under products, so checking a generating set proves associativity.
-    # In a group each greedy generator at least doubles the subgroup
-    # reached, so a table that needs more than floor(log2 n) is no group.
+    # In a group each generator not yet reached at least doubles the
+    # subgroup reached, so a table that needs more than floor(log2 n) is no
+    # group.
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     gens: list[int] = []
+    seeds = iter(seeds)
     while not reached.all():
-        a = n - 1 - int(reached[::-1].argmin())
+        a = next((s for s in seeds if not reached[s]), None)
+        if a is None:
+            a = n - 1 - int(reached[::-1].argmin())
         gens.append(a)
         if len(gens) > n.bit_length() - 1:
             raise GroupLawError(
@@ -265,24 +281,56 @@ def _check_group_laws(M):
     return inv
 
 
-def _close(M, reached, frontier, gens) -> None:
-    """Mark in reached everything frontier * gens^k reaches (k >= 1)."""
-    gens = np.asarray(gens, dtype=np.intp)
+def _close(M, reached, frontier, gens) -> int:
+    """Mark in reached everything frontier * gens^k reaches (k >= 1);
+    return the number of rounds.  The multipliers are the gens and their
+    product (two reflections make a rotation), each with its powers g^2,
+    g^4, ..., so a cycle of length m takes log2 m rounds, not m.  They
+    pass Light's test with the gens, so the set reached is the same."""
+    n = len(M)
+    steps = np.zeros(n, dtype=bool)
+    product = 0
+    for g in gens:
+        product = M[product, g]
+    power = np.append(np.asarray(gens, dtype=np.intp), product)
+    for _ in range((n - 1).bit_length()):
+        steps[power] = True
+        power = M[power, power]
+    steps[0] = False
+    steps = np.flatnonzero(steps)
+    rounds = 0
     while frontier.size:
-        fresh = np.zeros(len(M), dtype=bool)
-        fresh[M[frontier[:, None], gens]] = True
+        fresh = np.zeros(n, dtype=bool)
+        fresh[M[frontier[:, None], steps]] = True
         fresh[reached] = False
         reached |= fresh
         frontier = np.flatnonzero(fresh)
+        rounds += 1
+    return rounds
+
+
+def _comm_columns(G: GroupTable, x, lo: int):
+    """[x, y] for the y from lo on, one row per x (an int, a 1-D array or a
+    slice of x), by one flat gather on the table."""
+    # [x, y] = (y*x)^-1 * (x*y), at flat index inv[M[y, x]] * n + M[x, y];
+    # computed with y on the first axis, so that M[:, x] is read by rows
+    M, n = G.table, G.order
+    flat = G.inv[M[lo:, x]]
+    flat *= n
+    flat += M[x, lo:].T
+    return M.reshape(-1)[flat].T
 
 
 def _comm_table(G: GroupTable):
     """Filled in row blocks of about _BLOCK_PRODUCTS entries, so no n^2
-    temporaries are made."""
+    temporaries are made; left of its diagonal, a block reads the rows
+    above it, as [x, y] = [y, x]^-1."""
     step = max(1, _BLOCK_PRODUCTS // G.order)
     C = np.empty((G.order, G.order), dtype=np.int32)
     for lo in range(0, G.order, step):
-        C[lo:lo + step] = G.comm_row(slice(lo, lo + step))
+        x = slice(lo, lo + step)
+        C[x, lo:] = _comm_columns(G, x, lo)
+        C[x, :lo] = G.inv[C[:lo, x]].T
     C.flags.writeable = False
     return C
 
@@ -445,7 +493,7 @@ def _quaternion() -> GroupTable:
     return GroupTable(mul, names, spec="quaternion")
 
 
-def _table_from_perms(plist, spec) -> GroupTable:
+def _table_from_perms(plist, spec, generators=()) -> GroupTable:
     """The table of a repeat-free permutation list closed under products.
 
     Row a holds the index of p_a * q for every q: it is the
@@ -458,7 +506,8 @@ def _table_from_perms(plist, spec) -> GroupTable:
     generators filled, the group that s adds is a union of cosets y*H, with
     y = g*x for a generator g and a coset rep x, and row(y*h) =
     row(y)[row(h)].  Each generator at least doubles the rows filled, so
-    there are log2 of the order of them at most."""
+    there are log2 of the order of them at most.  The generators, given
+    as permutations, are looked up for Light's test."""
     n = len(plist)
     _check_cap(n)
     P = np.array(plist, dtype=np.min_scalar_type(len(plist[0])))
@@ -499,8 +548,8 @@ def _table_from_perms(plist, spec) -> GroupTable:
                     mul[coset] = row[mul[rows]]
                     filled[coset] = True
                 reps.append(y)
-    names = [perms.format_cycles(p) for p in plist]
-    return GroupTable(mul, names, spec=spec, perm_list=plist)
+    seeds = [index[np.array(g, dtype=P.dtype).tobytes()] for g in generators]
+    return GroupTable(mul, spec=spec, perm_list=plist, generators=seeds)
 
 
 def _row_keys(P):
@@ -510,9 +559,20 @@ def _row_keys(P):
 
 
 def _symmetric(n: int, even_only: bool) -> GroupTable:
+    """S_n, generated by (1 2) and (1 2 ... n); or A_n, generated by (1 2 3)
+    and whichever of (1 2 ... n) and (2 3 ... n) is even."""
+    def cycle(first):
+        return "(" + " ".join(map(str, range(first, n + 1))) + ")"
+
+    if even_only:
+        gens = ["(1 2 3)", cycle(2 - n % 2)] if n >= 3 else []
+    else:
+        gens = ["(1 2)", cycle(1)] if n >= 2 else []
     plist = perms.even_perms(n) if even_only else perms.all_perms(n)
     fam = "alternating" if even_only else "symmetric"
-    return _table_from_perms(plist, f"{fam}:{n}")
+    return _table_from_perms(
+        plist, f"{fam}:{n}", [perms.parse_cycles(g, n) for g in gens]
+    )
 
 
 def _perm_group(spec: str) -> GroupTable:
@@ -537,10 +597,7 @@ def _product(A: GroupTable, B: GroupTable, spec: str) -> GroupTable:
     _check_cap(na * nb)
     MA, MB = A.table, B.table
     mul = (MA[:, None, :, None] * nb + MB[None, :, None, :]).reshape(na * nb, -1)
-    names = [
-        f"({A.names[a]},{B.names[b]})" for a in range(na) for b in range(nb)
-    ]
-    return GroupTable(mul, names, spec=spec, product_parts=(A, B))
+    return GroupTable(mul, spec=spec, product_parts=(A, B))
 
 
 # -- structural operations ---------------------------------------------------

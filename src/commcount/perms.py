@@ -2,13 +2,18 @@
 
 Products compose left-to-right: (p * q) means apply p, then q.  Text
 notation is disjoint cycles on points 1..n, identity written '()'.
-Everything here is plain Python on tuples; whole groups of permutations
-become dense tables in ``groups``.
+Permutations are plain Python tuples; a list of them is put in canonical
+order by one numpy pass.  Whole groups of permutations become dense tables
+in ``groups``, whose Light's test starts from the spec's generators of
+``symmetric:n`` and ``alternating:n``, and whose element names, the cycles
+formatted here, are derived when first read.
 """
 from __future__ import annotations
 
 import itertools
 import re
+
+import numpy as np
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -59,20 +64,50 @@ def is_even(p: tuple[int, ...]) -> bool:
     return (len(p) - len(cycles_of(p))) % 2 == 0
 
 
-def sort_key(p: tuple[int, ...]) -> tuple:
-    """Canonical enumeration key: cycle type first (ascending), then the
-    one-line form.  Puts the identity first and groups classes together."""
-    return (cycle_type(p), p)
+def _canonical_order(plist, even_only: bool = False) -> list[tuple[int, ...]]:
+    """plist (in one-line order) stably sorted by cycle type, descending
+    lengths compared ascending, with the odd ones dropped if even_only.
+
+    Power k of the (N, n) array closes the cycles of length k, at c_k
+    points per row; the key sum of c_k * (n+1)^(k-1) has digits c_n..c_1
+    in base n + 1, so it orders rows as their cycle types do."""
+    n = len(plist[0])
+    P = np.array(plist, dtype=np.min_scalar_type(max(n - 1, 0))).reshape(len(plist), n)
+    points = np.arange(n, dtype=P.dtype)
+    offsets = np.arange(0, len(P) * n, n or 1).reshape(-1, 1)
+    dtype = np.int64 if (n + 1) ** n < 2**63 else object
+    key = np.zeros(len(P), dtype=dtype)
+    pending = np.ones(P.shape, dtype=bool)
+    power = P
+    for k in range(1, n + 1):
+        closing = power == points
+        closing &= pending
+        key += closing.sum(axis=1).astype(dtype) * (n + 1) ** (k - 1)
+        pending ^= closing
+        if not pending.any():
+            break
+        power = P.reshape(-1)[power + offsets]  # row r of P^(k+1) is P_r[P_r^k]
+    keys = sorted(set(key.tolist()))
+    if even_only:
+        keys = [ct for ct in keys if (n - _cycle_count(ct, n)) % 2 == 0]
+    return [plist[i] for ct in keys for i in np.flatnonzero(key == ct).tolist()]
+
+
+def _cycle_count(key: int, n: int) -> int:
+    """Sum of c_k / k over the digits c_k of a _canonical_order key."""
+    cycles = 0
+    for k in range(1, n + 1):
+        key, c_k = divmod(key, n + 1)
+        cycles += c_k // k
+    return cycles
 
 
 def all_perms(n: int) -> list[tuple[int, ...]]:
-    return sorted(itertools.permutations(range(n)), key=sort_key)
+    return _canonical_order(list(itertools.permutations(range(n))))
 
 
 def even_perms(n: int) -> list[tuple[int, ...]]:
-    # one cycle type per permutation gives both its parity and its sort key
-    keys = map(sort_key, itertools.permutations(range(n)))
-    return [p for ct, p in sorted(k for k in keys if (n - len(k[0])) % 2 == 0)]
+    return _canonical_order(list(itertools.permutations(range(n))), even_only=True)
 
 
 def closure(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
@@ -91,7 +126,7 @@ def closure(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
         seen.update(frontier)
         if len(seen) > cap:
             raise ValueError(f"permutation closure exceeds cap of {cap} elements")
-    return sorted(seen, key=sort_key)
+    return _canonical_order(sorted(seen))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -6,6 +6,7 @@ import pytest
 from commcount import counts as counts_module
 from commcount.chars import TableProviderError, build_table, decompose
 from commcount.counts import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     brute_f_n,
     brute_t_n,
@@ -16,7 +17,6 @@ from commcount.counts import (
     f2_from_characters,
     f3_coeffs,
     f3_from_characters,
-    f3_parametrized,
     m_chi,
     naive_f_n,
     ore_set,
@@ -304,6 +304,17 @@ def test_naive_enumeration_matches_pruned_search():
     for spec, n in (("dihedral:12", 4), ("dihedral:20", 4), ("quaternion", 5)):
         G = make_group(spec)
         assert naive_f_n(G, n) == brute_f_n(G, n), (spec, n)
+
+
+def f3_parametrized(G, budget=DEFAULT_BUDGET):
+    """f_3 via the coset parametrization, an oracle for the searches: for
+    each pair (c, z) with [c, z] = g, count x with x in C(cz)z and x in
+    C(c).  The work is the k(G) * |G|^2 pair-weight terms."""
+    counts_module._check_budget(len(conjugacy_classes(G)) * G.order**2, budget)
+    counts = np.zeros(G.order, dtype=np.int64)
+    for c in range(G.order):
+        np.add.at(counts, G.comm_row(c), counts_module._pair_weights(G, c))
+    return counts_module._as_class_counts(G, counts.tolist(), "f", 3)
 
 
 def test_f3_parametrized_matches_brute():

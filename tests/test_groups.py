@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -28,6 +29,12 @@ from commcount.groups import (
 
 
 # -- permutation helpers -----------------------------------------------------
+
+
+def sort_key(p):
+    """The canonical order, one permutation at a time: cycle type (lengths
+    descending, compared ascending), then the one-line form."""
+    return (perms.cycle_type(p), p)
 
 
 def test_parse_format_cycles():
@@ -470,7 +477,7 @@ def test_vectorized_builders_match_definitions(spec):
         while frontier:
             reached.update(frontier)
             frontier = {perms.pmul(p, g) for p in frontier for g in gens} - reached
-        assert G.perm_list == tuple(sorted(reached, key=perms.sort_key))
+        assert G.perm_list == tuple(sorted(reached, key=sort_key))
 
     C = G.comm_table()
     assert C.tolist() == [[_comm(G, x, y) for y in range(n)] for x in range(n)]
@@ -596,7 +603,7 @@ def test_permutation_tables_match_the_per_element_lookup(spec):
     else:
         members = [p for p in itertools.permutations(range(int(arg)))
                    if family == "symmetric" or perms.is_even(p)]
-    assert G.perm_list == tuple(sorted(members, key=perms.sort_key))
+    assert G.perm_list == tuple(sorted(members, key=sort_key))
     assert G.table.tolist() == _left_map_table(G.perm_list)
 
 
@@ -653,7 +660,7 @@ def test_missing_product_found_by_a_later_generator_map():
     plist = sorted(
         (perms.parse_cycles(t, 4)
          for t in ("()", "(1 2)(3 4)", "(1 3 2)", "(1 3 4)", "(1 4 2)", "(1 4 3)")),
-        key=perms.sort_key,
+        key=sort_key,
     )
     first = plist[-1]
     assert perms.format_cycles(first) == "(1 4 3)"
@@ -708,3 +715,210 @@ def test_cold_start_does_not_load_numpy_ma():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=env, timeout=300, check=True).stdout.split()
     assert out[1] == out[0]
+
+
+# -- canonical order, derived names, seeded Light's test, antisymmetry ------
+
+_PSL27 = "perm:(1 2 3 4 5 6 7),(1 8)(2 7)(3 4)(5 6)"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_order_is_the_sort_key_order(n):
+    want = sorted(itertools.permutations(range(n)), key=sort_key)
+    assert perms.all_perms(n) == want
+    assert perms.even_perms(n) == [p for p in want if perms.is_even(p)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _PSL27,
+        "perm:(1 2 3 4 5),(2 5)(3 4)",
+        "perm:(1 2)(3 4 5)(6 7 8 9 10 11 12 13 14 15 16 17)",  # keys past int64
+        # degree 16, keys past int64 too
+        "perm:(1 2 3 4 5 6 7 8)(9 10 11 12 13 14 15 16),"
+        "(1 9)(2 10)(3 11)(4 12)(5 13)(6 14)(7 15)(8 16)",
+        # degree 15, the widest int64 keys
+        "perm:(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15),"
+        "(1 15)(2 14)(3 13)(4 12)(5 11)(6 10)(7 9)",
+        "perm:(1 3)(2 4),(1 2 3)",
+        "perm:()",
+    ],
+)
+def test_perm_closures_are_in_canonical_order(spec):
+    G = make_group(spec)
+    degree = len(G.perm_list[0])
+    gens = [perms.parse_cycles(t, degree) for t in spec[len("perm:"):].split(",")]
+    assert G.perm_list == tuple(sorted(_closure(gens), key=sort_key))
+    assert list(G.perm_list) == perms.closure(gens, groups.ORDER_CAP)
+    if spec == _PSL27:
+        assert G.order == 168 and len(conjugacy_classes(G)) == 6
+
+
+def _eager_names(G):
+    """Each element's name as the constructors formatted it, one by one."""
+    if G.perm_list is not None:
+        return tuple(perms.format_cycles(p) for p in G.perm_list)
+    if G.product_parts is not None:
+        A, B = G.product_parts
+        return tuple(f"({A.names[a]},{B.names[b]})"
+                     for a in range(A.order) for b in range(B.order))
+    if G.family == "cyclic":
+        return ("1",) + tuple("a" if i == 1 else f"a^{i}" for i in range(1, G.order))
+    if G.family == "dihedral":
+        n = G.order // 2
+        rot = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
+        ref = ["b"] + ["a*b" if i == 1 else f"a^{i}*b" for i in range(1, n)]
+        return tuple(rot + ref)
+    if G.family == "quaternion":
+        return ("1", "i", "j", "k", "-1", "-i", "-j", "-k")
+    return ("1",) + tuple(f"g{i}" for i in range(1, G.order))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    verify.sweep_specs()
+    + (_PSL27, "product:symmetric:3,product:quaternion,cyclic:2",
+       "product:perm:(1 2 3),dihedral:4", "product:symmetric:4,dihedral:10"),
+)
+def test_names_on_first_read_are_the_eager_names(spec):
+    G = make_group(spec)
+    derived = G.family in ("symmetric", "alternating", "perm", "product")
+    assert ("names" in G._memo) == (not derived)
+    assert G.names == _eager_names(G)
+    assert G.names is G.names  # formatted once
+
+
+def test_names_of_file_groups(tmp_path):
+    G = make_group("product:symmetric:3,cyclic:2")
+    path = tmp_path / "g.json"
+    save_group(G, path)
+    F = make_group(f"file:{path}")
+    assert "names" in F._memo and F.names == G.names
+    doc = json.loads(path.read_text())
+    del doc["names"]
+    path.write_text(json.dumps(doc))
+    F = make_group(f"file:{path}")
+    assert "names" not in F._memo
+    assert F.names == _eager_names(F) == ("1",) + tuple(f"g{i}" for i in range(1, 12))
+    with pytest.raises(GroupLawError, match="expected 6 names, got 5"):
+        GroupTable(make_group("symmetric:3").table, names=list("abcde"))
+
+
+def test_searches_structure_and_tables_format_no_name():
+    from commcount.chars import build_table
+    from commcount.counts import brute_f_n, brute_t_n, f3_from_characters
+
+    for spec in ("symmetric:4", "product:symmetric:3,cyclic:2", _PSL27):
+        G = make_group(spec)
+        conjugacy_classes(G)
+        center_and_derived(G)
+        G.comm_table()
+        brute_f_n(G, 3)
+        brute_t_n(G, 3)
+        if G.family != "perm":
+            f3_from_characters(G, build_table(G))
+        assert "names" not in G._memo, spec
+
+
+@pytest.mark.parametrize("spec,blocks", [("symmetric:6", 8), ("alternating:7", 97)])
+def test_comm_table_by_antisymmetry_matches_comm_row(spec, blocks):
+    G = make_group(spec)
+    n = G.order
+    step = groups._BLOCK_PRODUCTS // n
+    assert -(-n // step) == blocks
+    rows = np.concatenate([G.comm_row(slice(lo, lo + step)) for lo in range(0, n, step)])
+    C = G.comm_table()
+    for x in range(n):
+        assert np.array_equal(C[x], rows[x]), x
+    assert np.array_equal(C.T, G.inv[C])  # C[y, x] == inv[C[x, y]]
+    assert np.array_equal(C, _three_gather_comm(G, np.arange(n)))
+
+
+def _spec_generators(spec):
+    family, _, arg = spec.partition(":")
+    n = int(arg)
+    long_cycle = "(" + " ".join(map(str, range(1 if family == "symmetric" or n % 2 else 2,
+                                                n + 1))) + ")"
+    first = "(1 2)" if family == "symmetric" else "(1 2 3)"
+    return [perms.parse_cycles(first, n), perms.parse_cycles(long_cycle, n)]
+
+
+def _spy_on_close(monkeypatch):
+    seen = []
+    close = groups._close
+
+    def spy(M, reached, frontier, gens):
+        seen.append(list(gens))
+        return close(M, reached, frontier, gens)
+
+    monkeypatch.setattr(groups, "_close", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "spec", [f"{f}:{n}" for f in ("symmetric", "alternating") for n in (5, 6, 7)]
+)
+def test_light_test_takes_the_spec_generators(spec, monkeypatch):
+    seen = _spy_on_close(monkeypatch)
+    G = make_group(spec)
+    first, second = (G.perm_list.index(p) for p in _spec_generators(spec))
+    assert seen == [[first], [first, second]]
+    assert perms.is_even(G.perm_list[second]) or spec.startswith("symmetric")
+
+
+def test_seeds_that_reach_part_of_the_group_fall_back_to_greedy(monkeypatch):
+    G = make_group("symmetric:5")
+    five_cycle = G.perm_list.index(perms.parse_cycles("(1 2 3 4 5)", 5))
+    seen = _spy_on_close(monkeypatch)
+    inv = groups._check_group_laws(G.table, [five_cycle])
+    assert np.array_equal(inv, G.inv)
+    # the 5-cycle reaches the 5 elements of its cyclic group; the largest
+    # index outside it, the last element, is the next generator
+    assert seen[0] == [five_cycle]
+    assert seen[1] == [five_cycle, G.order - 1]
+    assert len(seen) <= G.order.bit_length() - 1
+
+
+def test_seeded_light_test_rejects_a_table_with_two_entries_swapped():
+    G = make_group("symmetric:5")
+    seeds = [G.perm_list.index(p) for p in _spec_generators("symmetric:5")]
+    for x, y, z in ((1, 2, 3), (7, 50, 90), (5, 10, 100)):
+        t = G.table.copy()
+        t[x, y], t[x, z] = t[x, z], t[x, y]  # row x stays a permutation
+        with pytest.raises(GroupLawError) as refused:
+            GroupTable(t, spec="symmetric:5", perm_list=G.perm_list, generators=seeds)
+        assert str(refused.value) == f"associativity fails with middle element {seeds[0]}"
+        with pytest.raises(GroupLawError) as refused:
+            GroupTable(t)
+        assert str(refused.value) == f"associativity fails with middle element {G.order - 1}"
+    t = G.table.copy()
+    t[G.order - 1, 0], t[G.order - 1, 1] = t[G.order - 1, 1], t[G.order - 1, 0]
+    with pytest.raises(GroupLawError, match="index 0 is not a two-sided identity"):
+        GroupTable(t, generators=seeds)
+
+
+@pytest.mark.parametrize(
+    "spec,gens,most",
+    [("cyclic:5040", [5039], 13), ("cyclic:5040", [1], 13),
+     ("dihedral:100", [199, 198], 15), ("symmetric:7", None, 13)],
+)
+def test_close_doubles_along_long_cycles(spec, gens, most):
+    G = make_group(spec)
+    if gens is None:
+        gens = [G.perm_list.index(p) for p in _spec_generators(spec)]
+    reached = np.zeros(G.order, dtype=bool)
+    reached[0] = True
+    rounds = groups._close(G.table, reached, np.array([0]), gens)
+    assert reached.all()
+    assert rounds <= most  # one round per element of the long cycle before
+
+
+def test_close_reaches_the_generated_subgroup_only():
+    G = make_group("symmetric:5")
+    for texts in (["(1 2 3 4 5)"], ["(1 2)(3 4)", "(1 3)(2 4)"], ["(1 2 3)", "(3 4 5)"]):
+        gens = [G.perm_list.index(perms.parse_cycles(t, 5)) for t in texts]
+        reached = np.zeros(G.order, dtype=bool)
+        reached[0] = True
+        groups._close(G.table, reached, np.array([0]), gens)
+        assert tuple(np.flatnonzero(reached).tolist()) == _generated(G, gens)
