@@ -10,15 +10,22 @@ set, so the law is associative (complete, O(n^2 log n)).  The set is the
 spec's two generators for ``symmetric:n`` and ``alternating:n``, then
 greedy ones, each the largest index not yet reached.  An associative magma
 with a two-sided identity and right inverses is a group, and a group's
-table is a Latin square, so no Latin check is needed.  Element names not
-given to the constructor are formatted when ``names`` is first read.
+table is a Latin square, so no Latin check is needed.  A direct product
+``product:A,B`` is proved instead by its two proved factors and one n^2
+equality of its table with the broadcast of theirs; its inverses,
+commutators, classes, center and derived subgroup are those of the factors
+paired, since the commutator is taken per factor.  A subgroup
+(``SubgroupRef``) is proved closed by greedy generators, the smallest
+member not yet reached each time, with |H| products per generator and at
+most log2|H| of them.  Element names not given to the constructor are
+formatted when ``names`` is first read.
 
 Tables are built and analysed by numpy indexing, not by Python loops over
 pairs: a permutation group's rows as gathers of the rows of a few
 generators (row x*y is row(x)[row(y)]; only a generator's row is looked up,
-all its products at once), direct products as a broadcast of the factor
-tables, and commutators, classes, element orders and subgroup closure by
-gathers on ``table``.
+all its products at once), direct products and their commutators as a
+broadcast of the factors' matrices, and commutators, classes, element
+orders and subgroup closure by gathers on ``table``.
 
 Commutators have one representation, ``G.comm_table()``: the read-only
 int32 matrix of [x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), filled in row
@@ -49,6 +56,7 @@ Element layouts are deterministic per family:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -60,9 +68,9 @@ ORDER_CAP = 5040
 # A character table holds rows x classes x phi(N) int64 residues; one above
 # 2^24 (128 MB) is refused with TableProviderError before it is allocated.
 TABLE_CAP = 1 << 24
-# Products per block of a large gather (permutation tables, subgroup closure,
-# the brute search), about 2^16, so that each block's temporaries stay near
-# 0.5 MB.
+# Products per block of a large gather (permutation tables, the group-law and
+# product checks, the brute search), about 2^16, so that each block's
+# temporaries stay near 0.5 MB.
 _BLOCK_PRODUCTS = 1 << 16
 
 
@@ -95,7 +103,14 @@ class ClassPartition:
 
 @dataclass(frozen=True)
 class SubgroupRef:
-    """A subgroup given by its sorted member indices inside a parent table."""
+    """A subgroup given by its sorted member indices inside a parent table.
+
+    Closure is proved by greedy generators: the smallest member s not yet
+    reached must satisfy H*s within H (|H| products), and the members
+    reached are then closed under the generators so far.  Each generator
+    at least doubles the subgroup reached, so there are at most log2|H|
+    rounds.  H*s within H for every chosen s puts <S> inside H, and the
+    loop ends only when <S> is all of H, so H is closed under products."""
 
     parent: "GroupTable"
     members: tuple[int, ...]
@@ -103,19 +118,24 @@ class SubgroupRef:
     def __post_init__(self):
         if not self.members or self.members[0] != 0:
             raise GroupLawError("subgroup must contain the identity (index 0)")
-        members = np.array(self.members)
-        inside = np.zeros(self.parent.order, dtype=bool)
+        M, members = self.parent.table, np.array(self.members)
+        if members[-1] >= len(M) or (members[1:] <= members[:-1]).any():
+            raise GroupLawError(f"subgroup members must be increasing indices below {len(M)}")
+        inside = np.zeros(len(M), dtype=bool)
         inside[members] = True
-        step = max(1, _BLOCK_PRODUCTS // len(members))
-        for lo in range(0, len(members), step):
-            prods = self.parent.table[np.ix_(members[lo:lo + step], members)]
-            escapes = np.argwhere(~inside[prods])
+
+        def smallest_unreached(reached):
+            left = members[~reached[members]]
+            return int(left[0]) if left.size else None
+
+        def closed_under(gens):
+            s = gens[-1]
+            escapes = np.flatnonzero(~inside[M[members, s]])
             if escapes.size:
-                i, j = escapes[0]
-                raise GroupLawError(
-                    f"member set not closed: {members[lo + i]}*{members[j]} = "
-                    f"{prods[i, j]} escapes"
-                )
+                h = members[escapes[0]]
+                raise GroupLawError(f"member set not closed: {h}*{s} = {M[h, s]} escapes")
+
+        _greedy_closure(M, smallest_unreached, closed_under)
 
     @property
     def member_set(self) -> frozenset:
@@ -133,7 +153,10 @@ class GroupTable:
     law has been checked on it, and ``inv`` the inverses as a read-only
     int32 vector.  ``family`` is the prefix of ``spec`` before its first
     colon, or ``"table"`` for a table without a spec.  Light's test takes
-    the indices in ``generators`` first.
+    the indices in ``generators`` first.  With ``product_parts`` (A, B),
+    two proved groups, the table must equal the broadcast of theirs, with
+    (a, b) at a*|B| + b; then it is their direct product, and the group-law
+    checks give way to that one equality.
     """
 
     def __init__(self, mul, names=None, spec="", perm_list=None, product_parts=None,
@@ -160,7 +183,10 @@ class GroupTable:
             if len(names) != order:
                 raise GroupLawError(f"expected {order} names, got {len(names)}")
             self._memo["names"] = tuple(str(s) for s in names)
-        self.inv = _check_group_laws(M, generators)
+        if product_parts is None:
+            self.inv = _check_group_laws(M, generators)
+        else:
+            self.inv = _check_product(M, *product_parts)
         # C order, so that comm_row's flat gather reads it without a copy
         self.table = np.ascontiguousarray(M, dtype=np.int32).view()
         self.table.flags.writeable = False
@@ -259,15 +285,16 @@ def _check_group_laws(M, seeds=()):
     # In a group each generator not yet reached at least doubles the
     # subgroup reached, so a table that needs more than floor(log2 n) is no
     # group.
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    gens: list[int] = []
     seeds = iter(seeds)
-    while not reached.all():
+
+    def seed_or_largest(reached):
+        if reached.all():
+            return None
         a = next((s for s in seeds if not reached[s]), None)
-        if a is None:
-            a = n - 1 - int(reached[::-1].argmin())
-        gens.append(a)
+        return n - 1 - int(reached[::-1].argmin()) if a is None else a
+
+    def associative(gens):
+        a = gens[-1]
         if len(gens) > n.bit_length() - 1:
             raise GroupLawError(
                 f"associativity fails: more than log2({n}) greedy generators"
@@ -275,10 +302,50 @@ def _check_group_laws(M, seeds=()):
         # (x*a)*y == x*(a*y) for the x of each row block and every y
         if not all((M[M[rows, a]] == M[rows][:, M[a]]).all() for rows in blocks):
             raise GroupLawError(f"associativity fails with middle element {a}")
-        _close(M, reached, np.flatnonzero(reached), gens)
+
+    _greedy_closure(M, seed_or_largest, associative)
     # In a group the right inverse (where a row holds 0) is two-sided.
     inv.flags.writeable = False
     return inv
+
+
+def _check_product(M, A: GroupTable, B: GroupTable):
+    """Prove M the table of the direct product of the groups A and B: equal,
+    row block by row block, to the broadcast of their tables.  Return the
+    inverses, inv_A[a]*|B| + inv_B[b]."""
+    na, nb = A.order, B.order
+    if na * nb != len(M):
+        raise GroupLawError(f"order {len(M)} is not {na}*{nb}, the order of the parts")
+    step = max(1, _BLOCK_PRODUCTS // (nb * len(M)))
+    for lo in range(0, na, step):
+        if not (M[lo * nb:(lo + step) * nb] == _pair_matrix(A.table[lo:lo + step], B.table)).all():
+            raise GroupLawError("table is not the product of its parts' tables")
+    inv = (A.inv[:, None] * nb + B.inv).reshape(-1)
+    inv.flags.writeable = False
+    return inv
+
+
+def _pair_matrix(MA, MB):
+    """The matrix on pairs with ((x, a), (y, b)) -> MA[x, y]*|B| + MB[a, b],
+    rows and columns numbered x*|B| + a; MA may be a block of rows."""
+    nb = len(MB)
+    return (MA[:, None, :, None] * nb + MB[None, :, None, :]).reshape(len(MA) * nb, -1)
+
+
+def _greedy_closure(M, pick, admit=None):
+    """The subgroup reached from the identity by generators taken one at a
+    time, as a boolean mask: pick(reached) names the next generator (None
+    ends the loop), admit(gens), when given, checks the newest one before
+    the mask reached is closed under all of them."""
+    reached = np.zeros(len(M), dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while (g := pick(reached)) is not None:
+        gens.append(g)
+        if admit is not None:
+            admit(gens)
+        _close(M, reached, np.flatnonzero(reached), gens)
+    return reached
 
 
 def _close(M, reached, frontier, gens) -> int:
@@ -292,10 +359,11 @@ def _close(M, reached, frontier, gens) -> int:
     product = 0
     for g in gens:
         product = M[product, g]
-    power = np.append(np.asarray(gens, dtype=np.intp), product)
+    power = np.array([*gens, product], dtype=np.intp)
+    square = M.diagonal()
     for _ in range((n - 1).bit_length()):
         steps[power] = True
-        power = M[power, power]
+        power = square[power]
     steps[0] = False
     steps = np.flatnonzero(steps)
     rounds = 0
@@ -322,15 +390,20 @@ def _comm_columns(G: GroupTable, x, lo: int):
 
 
 def _comm_table(G: GroupTable):
-    """Filled in row blocks of about _BLOCK_PRODUCTS entries, so no n^2
-    temporaries are made; left of its diagonal, a block reads the rows
-    above it, as [x, y] = [y, x]^-1."""
-    step = max(1, _BLOCK_PRODUCTS // G.order)
-    C = np.empty((G.order, G.order), dtype=np.int32)
-    for lo in range(0, G.order, step):
-        x = slice(lo, lo + step)
-        C[x, lo:] = _comm_columns(G, x, lo)
-        C[x, :lo] = G.inv[C[:lo, x]].T
+    """A product's is the broadcast of its parts', as the commutator is
+    taken per factor.  Any other is filled in row blocks of about
+    _BLOCK_PRODUCTS entries, so no n^2 temporaries are made; left of its
+    diagonal, a block reads the rows above it, as [x, y] = [y, x]^-1."""
+    if G.product_parts is not None:
+        A, B = G.product_parts
+        C = _pair_matrix(A.comm_table(), B.comm_table())
+    else:
+        step = max(1, _BLOCK_PRODUCTS // G.order)
+        C = np.empty((G.order, G.order), dtype=np.int32)
+        for lo in range(0, G.order, step):
+            x = slice(lo, lo + step)
+            C[x, lo:] = _comm_columns(G, x, lo)
+            C[x, :lo] = G.inv[C[:lo, x]].T
     C.flags.writeable = False
     return C
 
@@ -593,11 +666,8 @@ def _perm_group(spec: str) -> GroupTable:
 
 
 def _product(A: GroupTable, B: GroupTable, spec: str) -> GroupTable:
-    na, nb = A.order, B.order
-    _check_cap(na * nb)
-    MA, MB = A.table, B.table
-    mul = (MA[:, None, :, None] * nb + MB[None, :, None, :]).reshape(na * nb, -1)
-    return GroupTable(mul, spec=spec, product_parts=(A, B))
+    _check_cap(A.order * B.order)
+    return GroupTable(_pair_matrix(A.table, B.table), spec=spec, product_parts=(A, B))
 
 
 # -- structural operations ---------------------------------------------------
@@ -608,35 +678,67 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
 
 
 def _class_partition(G: GroupTable) -> ClassPartition:
+    """A product's classes are the pairs of its parts' classes, numbered
+    lexicographically: the least member of a pair class is
+    rep_A*|B| + rep_B, so that order is the canonical one."""
+    if G.product_parts is not None:
+        A, B = map(conjugacy_classes, G.product_parts)
+        return _partition((np.array(A.class_of)[:, None] * len(B) + B.class_of).reshape(-1))
     M, inv = G.table, G.inv
     every = np.arange(G.order)
     class_of = np.full(G.order, -1)
-    classes = []
+    count = 0
     for start in range(G.order):
-        if class_of[start] >= 0:
-            continue
-        # the orbit y^-1 * start * y over all y; start is its least member
-        member = np.zeros(G.order, dtype=bool)
-        member[M[M[inv, start], every]] = True
-        orbit = np.flatnonzero(member)
-        class_of[orbit] = len(classes)
-        classes.append(tuple(orbit.tolist()))
+        if class_of[start] < 0:
+            # the orbit y^-1 * start * y over all y; start is its least member
+            class_of[M[M[inv, start], every]] = count
+            count += 1
+    return _partition(class_of)
+
+
+def _partition(class_of) -> ClassPartition:
+    """The partition with class numbers class_of, which number the classes
+    in the order of their least members."""
+    sizes = np.bincount(class_of)
+    members = np.argsort(class_of, kind="stable").tolist()
+    ends = np.cumsum(sizes).tolist()
+    classes = tuple(tuple(members[lo:hi]) for lo, hi in zip([0] + ends, ends))
     return ClassPartition(
-        tuple(classes),
+        classes,
         tuple(c[0] for c in classes),
-        tuple(len(c) for c in classes),
+        tuple(sizes.tolist()),
         tuple(class_of.tolist()),
     )
 
 
+def _element(G: GroupTable, x) -> int:
+    """x as an element index of G; anything else raises ValueError."""
+    try:
+        i = operator.index(x)
+    except TypeError:
+        raise ValueError(f"element index {x!r} is not an integer") from None
+    if not 0 <= i < G.order:
+        raise ValueError(f"element index {i} is outside 0..{G.order - 1}")
+    return i
+
+
 def centralizer(G: GroupTable, g: int) -> SubgroupRef:
-    return SubgroupRef(G, tuple(np.flatnonzero(G.commuting()[g]).tolist()))
+    row = G.commuting()[_element(G, g)]
+    return SubgroupRef(G, tuple(np.flatnonzero(row).tolist()))
 
 
 def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
-    reached = np.zeros(G.order, dtype=bool)
-    reached[0] = True
-    _close(G.table, reached, np.array([0]), sorted(set(gens)))
+    """The subgroup that the element indices gens generate."""
+    return _generated(G, sorted({_element(G, g) for g in gens}))
+
+
+def _generated(G: GroupTable, gens) -> SubgroupRef:
+    """The subgroup that gens, valid indices, generate; each one already
+    reached is skipped."""
+    todo = iter(gens)
+    reached = _greedy_closure(
+        G.table, lambda reached: next((g for g in todo if not reached[g]), None)
+    )
     return SubgroupRef(G, tuple(np.flatnonzero(reached).tolist()))
 
 
@@ -645,11 +747,25 @@ def center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
 
 
 def _center_and_derived(G: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
-    central = tuple(np.flatnonzero(G.commuting().all(axis=1)).tolist())
+    """Z(A x B) = Z(A) x Z(B) and (A x B)' = A' x B'.  Otherwise the center
+    is the classes of one element, and G' is generated by every class that
+    a rep's commutator row hits, as [x^h, y^h] = [x, y]^h; a central rep's
+    row is all 1, so only the other reps' rows are read."""
+    if G.product_parts is not None:
+        A, B = G.product_parts
+        return tuple(
+            SubgroupRef(G, tuple((np.array(HA.members)[:, None] * B.order
+                                  + HB.members).reshape(-1).tolist()))
+            for HA, HB in zip(center_and_derived(A), center_and_derived(B))
+        )
     part = conjugacy_classes(G)
     class_of = np.array(part.class_of)
     hit = np.zeros(len(part), dtype=bool)
-    for r in part.reps:  # [x^h, y^h] = [x, y]^h: every class a rep's row hits
-        hit[class_of[G.comm_row(r)]] = True
-    commutators = np.flatnonzero(hit[class_of]).tolist()
-    return SubgroupRef(G, central), subgroup_generated(G, commutators)
+    central = []
+    for r, size in zip(part.reps, part.sizes):
+        if size == 1:
+            central.append(r)
+        else:
+            hit[class_of[G.comm_row(r)]] = True
+    commutators = np.flatnonzero(hit[class_of])
+    return SubgroupRef(G, tuple(central)), _generated(G, commutators)

@@ -381,6 +381,16 @@ def test_subgroup_generated():
     assert H.members == (0, 2, 4)
     whole = subgroup_generated(G, [1, 6])
     assert len(whole) == 12
+    assert subgroup_generated(G, np.array([4, 2, 2])).members == (0, 2, 4)
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 100, 1.0, "1", None])
+def test_element_indices_outside_the_group_are_refused(bad):
+    G = make_group("cyclic:6")
+    with pytest.raises(ValueError, match=f"element index {bad!r} "):
+        subgroup_generated(G, [1, bad])
+    with pytest.raises(ValueError, match=f"element index {bad!r} "):
+        centralizer(G, bad)
 
 
 def test_class_partition_is_canonical():
@@ -462,6 +472,8 @@ def _generated(G, gens):
         "quaternion",
         "product:symmetric:3,dihedral:4",
         "product:quaternion,cyclic:3",
+        "product:product:cyclic:2,symmetric:3,dihedral:4",
+        "product:symmetric:3,dihedral:10",  # order 120, non-abelian factors
     ],
 )
 def test_vectorized_builders_match_definitions(spec):
@@ -470,6 +482,11 @@ def test_vectorized_builders_match_definitions(spec):
     assert [list(row) for row in G.mul] == _reference_table(G)
     assert G.table.tolist() == _reference_table(G)
     assert not G.table.flags.writeable
+    if G.product_parts is not None:
+        # the inverses a product takes from its parts are the ones the full
+        # group-law checks find
+        inv = groups._check_group_laws(G.table)
+        assert inv.dtype == G.inv.dtype and np.array_equal(inv, G.inv)
     if spec.startswith("perm:"):
         gens = [perms.parse_cycles(t, len(G.perm_list[0]))
                 for t in spec[len("perm:"):].split(",")]
@@ -638,9 +655,10 @@ def test_non_closed_sets_rejected():
     with pytest.raises(GroupLawError, match=r"not closed: 1\*1 = 2 escapes"):
         SubgroupRef(D4, (0, 1))  # a has order 4
     assert SubgroupRef(D4, (0, 1, 2, 3)).members == (0, 1, 2, 3)
-    # {(0, *), (1, *)} in C3 x C200: the 400 members are checked in row
-    # blocks of 163, and the first 200 rows stay inside, so the first
-    # product that escapes, (1, 0) * (1, 0) = (2, 0), lies in the second block.
+    # {(0, *), (1, *)} in C3 x C200: the smallest member, (0, 1), keeps the
+    # set and reaches the first 200 members; the next one, (1, 0), takes
+    # (1, 0) * (1, 0) = (2, 0) outside.  The 200 members before it stay
+    # inside, more than one row block of the full |H|^2 check would hold.
     C3C200 = make_group("product:cyclic:3,cyclic:200")
     assert groups._BLOCK_PRODUCTS // 400 < 200
     with pytest.raises(GroupLawError, match=r"not closed: 200\*200 = 400 escapes"):
@@ -651,6 +669,48 @@ def test_non_closed_sets_rejected():
     assert str(refused.value) == (
         "permutation list not closed: (1 2 3)*(1 2 3) is not in it"
     )
+
+
+@pytest.mark.parametrize("spec", ["quaternion", "dihedral:4", "product:cyclic:2,cyclic:4"])
+def test_subgroup_proof_accepts_exactly_the_closed_sets(spec):
+    G = make_group(spec)
+    M = G.table.tolist()
+    accepted = 0
+    for rest in itertools.product((False, True), repeat=7):
+        members = (0,) + tuple(x for x, keep in zip(range(1, 8), rest) if keep)
+        closed = all(M[x][y] in members for x in members for y in members)
+        try:
+            SubgroupRef(G, members)
+        except GroupLawError:
+            assert not closed, members
+        else:
+            assert closed, members
+            accepted += 1
+    assert accepted == {"quaternion": 6, "dihedral:4": 10,
+                        "product:cyclic:2,cyclic:4": 8}[spec]
+
+
+def test_subgroup_members_must_be_increasing_indices_of_the_parent():
+    D4 = make_group("dihedral:4")
+    for members in ((0, 2, 1, 3), (0, 1, 1, 2, 3), (0, 8), (0, 1, 2, 3, -1)):
+        with pytest.raises(GroupLawError, match="increasing indices below 8"):
+            SubgroupRef(D4, members)
+
+
+def test_product_tables_are_proved_equal_to_the_broadcast_of_their_parts():
+    A, B = make_group("symmetric:3"), make_group("cyclic:4")
+    G = make_group("product:symmetric:3,cyclic:4")
+    assert GroupTable(G.table, product_parts=(A, B)).inv.tolist() == G.inv.tolist()
+    t = G.table.copy()
+    t[23, 5], t[23, 6] = t[23, 6], t[23, 5]  # row 23 stays a permutation
+    with pytest.raises(GroupLawError, match="not the product of its parts' tables"):
+        GroupTable(t, product_parts=(A, B))
+    # the table of C4 x S3, a group, is not the broadcast of S3 and C4
+    swapped = make_group("product:cyclic:4,symmetric:3")
+    with pytest.raises(GroupLawError, match="not the product of its parts' tables"):
+        GroupTable(swapped.table, product_parts=(A, B))
+    with pytest.raises(GroupLawError, match=r"order 24 is not 6\*6"):
+        GroupTable(G.table, product_parts=(A, A))
 
 
 def test_missing_product_found_by_a_later_generator_map():

@@ -506,7 +506,7 @@ def _cli_with_peak_rss(argv):
 
 
 def test_info_on_a_large_abelian_group_stays_small():
-    # The center is read from the commuting matrix, n^2 bytes; per-element
+    # The center is read from the classes of one element; per-element
     # centralizer tuples took this call to a 1.39 GB peak.
     n = 5040
     out, peak = _cli_with_peak_rss(["info", "--group", f"cyclic:{n}"])
