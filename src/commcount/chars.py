@@ -1,19 +1,21 @@
 """Class functions and character tables.
 
-Tables are never computed by a generic algorithm: each one comes from a
-closed-form provider (cyclic, dihedral), the rim-hook recursion for
-symmetric groups, a bundled data file (a4, a5, q8), a tensor product of
-factor tables, or an explicit file.  Every table is validated exactly
-before use: class count, degrees, degree-square sum, closure under the
-Galois group of Q(zeta_N), row orthogonality, and the product identity
-chi(g)*chi(h) = (chi(1)/|G|) * sum_z chi(g * h^z) on every pair of class
-representatives, at every order.  The last two are identities in Z[zeta_N]
-with bounded coefficients, proved at split primes p = 1 (mod N) (see
-`validate_table`).  The report of that validation is stored on the table.
+Tables are never computed by a generic algorithm.  The group alone picks
+its table: a bundled data file (q8, a4, a5), the closed form of its family
+(dihedral, the rim-hook recursion for symmetric groups, the tensor product
+of the factors' tables), or the cyclic closed form when some element has
+order |G|; only an explicit table file overrides it.  Every table is
+validated exactly before use: class count, degrees, degree-square sum,
+closure under the Galois group of Q(zeta_N), row orthogonality, and the
+product identity chi(g)*chi(h) = (chi(1)/|G|) * sum_z chi(g * h^z) on every
+pair of class representatives, at every order.  The last two are identities
+in Z[zeta_N] with bounded coefficients, proved at split primes p = 1
+(mod N) (see `validate_table`).  The report of that validation is stored on
+the table.
 
 A table is held once, as one integer array (`CharacterTable.array`, a
 `CycloArray` of shape (rows, classes, phi(N)), used only with class functions
-of its own group).  The providers write that array directly; documents are
+of its own group).  The closed forms write that array directly; documents are
 parsed into it in one `CycloArray.of`; `irreducibles` is a view of its rows.
 Validation, decomposition (one `CycloArray.dot`) and reconstruction from
 coefficients run on the array.
@@ -40,7 +42,7 @@ from .groups import TABLE_CAP, ClassPartition, GroupTable, conjugacy_classes
 
 
 class TableProviderError(ValueError):
-    """No provider can build a table for this group."""
+    """No built-in table for this group, or an unknown table source."""
 
 
 class TableValidationError(ValueError):
@@ -295,15 +297,18 @@ def _nonzero_at_split_primes(T: CharacterTable, part: ClassPartition, exponents)
     return wrong, failing
 
 
-# -- providers ----------------------------------------------------------------
+# -- the table of a group ----------------------------------------------------
+
+# groups whose table is a bundled data file, by spec
+_BUNDLED = {"quaternion": "q8", "alternating:4": "a4", "alternating:5": "a5"}
 
 
 def build_table(G: GroupTable, provider: str = "auto") -> CharacterTable:
     """Build and validate the character table of G.
 
-    Providers: ``auto``, ``cyclic-closed-form``, ``dihedral-closed-form``,
-    ``symmetric-mn``, ``product-tensor``, ``bundled:a4|a5|q8``,
-    ``file:<path>``.  A table that fails validation is rejected.
+    With ``auto`` the table follows from the group (see
+    `_build_unvalidated`); ``file:<path>`` reads a table document instead.
+    A table that fails validation is rejected.
     """
     return G.cached(("table", provider), _build_validated, provider)
 
@@ -325,52 +330,32 @@ def _build_validated(G: GroupTable, provider: str) -> CharacterTable:
 
 
 def _build_unvalidated(G: GroupTable, provider: str) -> CharacterTable:
-    if provider == "auto":
-        return _build_unvalidated(G, _auto_provider(G))
-    if provider == "cyclic-closed-form":
-        return _cyclic_table(G)
-    if provider == "dihedral-closed-form":
-        return _dihedral_table(G)
-    if provider == "symmetric-mn":
-        return _symmetric_table(G)
-    if provider == "product-tensor":
-        return _tensor_table(G)
-    if provider.startswith(("bundled:", "file:")):
-        from .fileio import _read_doc  # fileio imports this module
+    """The table read from ``file:<path>``, or for ``auto``, in this order:
+    the bundled table of G's spec, the closed form of its family (dihedral,
+    symmetric, product), or the cyclic closed form if some element has
+    order |G|.  The provenance names which one."""
+    from .fileio import _read_doc  # fileio imports this module
 
-        kind, name = provider.split(":", 1)
-        if kind == "bundled":
-            name = resources.files("commcount") / "data" / f"{name}_chartable.json"
-        return table_from_document(G, _read_doc(name), provider)
-    raise TableProviderError(f"unknown character-table provider {provider!r}")
-
-
-def _auto_provider(G: GroupTable) -> str:
-    fam = G.family
-    if fam == "dihedral":
-        return "dihedral-closed-form"
-    if fam == "symmetric":
-        return "symmetric-mn"
-    if fam == "quaternion":
-        return "bundled:q8"
-    if fam == "alternating":
-        n = int(G.spec.split(":")[1])
-        if n <= 3:
-            return "cyclic-closed-form"
-        if n == 4:
-            return "bundled:a4"
-        if n == 5:
-            return "bundled:a5"
+    if provider.startswith("file:"):
+        return table_from_document(G, _read_doc(provider[len("file:"):]), provider)
+    if provider != "auto":
+        raise TableProviderError(f"unknown character-table provider {provider!r}")
+    if G.spec in _BUNDLED:
+        name = _BUNDLED[G.spec]
+        path = resources.files("commcount") / "data" / f"{name}_chartable.json"
+        return table_from_document(G, _read_doc(path), f"bundled:{name}")
+    by_family = {
+        "dihedral": _dihedral_table, "symmetric": _symmetric_table, "product": _tensor_table
+    }
+    if G.family in by_family:
+        return by_family[G.family](G)
+    orders = G.element_orders()
+    gen = next((g for g in range(G.order) if orders[g] == G.order), None)
+    if gen is None:
         raise TableProviderError(
-            f"no built-in table for {G.spec}; import one with file:<path>"
+            f"no built-in table for {G.spec or 'the group'}; import one with file:<path>"
         )
-    if fam == "product":
-        return "product-tensor"
-    if _cyclic_generator(G) is not None:
-        return "cyclic-closed-form"
-    raise TableProviderError(
-        f"no automatic provider for family {fam!r}; import with file:<path>"
-    )
+    return _cyclic_table(G, gen)
 
 
 def _check_table_cap(G: GroupTable, conductor: int) -> None:
@@ -385,19 +370,9 @@ def _check_table_cap(G: GroupTable, conductor: int) -> None:
         )
 
 
-def _cyclic_generator(G: GroupTable) -> int | None:
-    orders = G.element_orders()
-    return next((g for g in range(G.order) if orders[g] == G.order), None)
-
-
-def _cyclic_table(G: GroupTable) -> CharacterTable:
+def _cyclic_table(G: GroupTable, gen: int) -> CharacterTable:
+    """The closed form on the powers of `gen`, an element of order |G|."""
     n = G.order
-    gen = _cyclic_generator(G)
-    if gen is None:
-        raise TableProviderError(
-            f"cyclic-closed-form requires a cyclic group; no element of "
-            f"{G.spec or 'the group'} has order {n}"
-        )
     _check_table_cap(G, n)
     # cyclic groups are abelian, so class index == element index
     log = [0] * n
@@ -415,9 +390,7 @@ def _cyclic_table(G: GroupTable) -> CharacterTable:
 
 
 def _dihedral_table(G: GroupTable) -> CharacterTable:
-    if G.family != "dihedral":
-        raise TableProviderError("dihedral-closed-form requires a dihedral: group")
-    n = int(G.spec.split(":")[1])
+    n = G.order // 2
     _check_table_cap(G, n)
     reps = np.asarray(conjugacy_classes(G).reps)
     # index e < n is a^e and index n+e is a^e*b
@@ -489,8 +462,6 @@ def rimhook_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 def _symmetric_table(G: GroupTable) -> CharacterTable:
-    if G.family != "symmetric" or G.perm_list is None:
-        raise TableProviderError("symmetric-mn requires a symmetric: group")
     n = len(G.perm_list[0])
     part = conjugacy_classes(G)
     from .perms import cycle_type
@@ -509,8 +480,6 @@ def _symmetric_table(G: GroupTable) -> CharacterTable:
 
 
 def _tensor_table(G: GroupTable) -> CharacterTable:
-    if G.family != "product" or G.product_parts is None:
-        raise TableProviderError("product-tensor requires a product: group")
     A, B = G.product_parts
     TA, TB = build_table(A), build_table(B)
     reps = np.asarray(conjugacy_classes(G).reps)

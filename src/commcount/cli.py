@@ -102,7 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="coefficients in the irreducible basis")
     p.add_argument("--group", required=True)
     p.add_argument("--fn", required=True, help="f3 or t3")
-    p.add_argument("--table", default="auto", help="character-table provider")
+    p.add_argument(
+        "--table", default="auto", help="auto (the group's own table) or file:<path>"
+    )
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("dist", help="convolution powers of the f3 distribution")
@@ -168,10 +170,10 @@ def _parse_fn(token: str) -> tuple[str, int]:
         return simple[token]
     for prefix, kind in (("fn:", "f"), ("tn:", "t")):
         if token.startswith(prefix):
-            try:
-                n = int(token[len(prefix):])
-            except ValueError:
-                raise ValueError(f"bad count function {token!r}") from None
+            tail = token[len(prefix):]
+            if not (tail.isascii() and tail.isdigit()):
+                raise ValueError(f"bad count function {token!r}")
+            n = int(tail)
             if n < 2:
                 raise ValueError("n must be at least 2")
             return kind, n
@@ -304,10 +306,9 @@ def _parse_element(G, token: str) -> int:
             return G.perm_list.index(p)
         except ValueError:
             raise ValueError(f"{token} is not an element of {G.spec}") from None
-    try:
-        idx = int(token)
-    except ValueError:
-        raise ValueError(f"unknown element {token!r}") from None
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"unknown element {token!r}")
+    idx = int(token)
     if not 0 <= idx < G.order:
         raise ValueError(f"element index {idx} out of range for {G.spec}")
     return idx
@@ -414,6 +415,9 @@ def cmd_bench(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     if len(methods) < 2:
         raise ValueError("bench needs at least two methods to compare")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise ValueError(f"bench method {repeated[0]!r} is given twice")
     runners = {m: _bench_runner(G, kind, n, m) for m in methods}
 
     # warm-up doubles as the correctness gate: no timings unless all agree

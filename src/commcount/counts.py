@@ -641,15 +641,9 @@ def tc_check_and_formula(G: GroupTable, n: int) -> tuple[bool, int | None]:
 # -- solution sets -------------------------------------------------------------
 
 
-def ore_set(
-    G: GroupTable,
-    n: int,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-) -> frozenset[int]:
+def ore_set(G: GroupTable, n: int) -> frozenset[int]:
     """All g with f_n(g) > 0."""
-    counts = count_f_n(G, n, method=method, budget=budget)
-    return counts.support()
+    return count_f_n(G, n).support()
 
 
 def count_f_n(
@@ -659,7 +653,7 @@ def count_f_n(
     budget: int = DEFAULT_BUDGET,
 ) -> ClassCounts:
     """f_n by the requested method: ``brute``, ``character`` (n = 2 or 3),
-    or ``auto`` (characters when a table provider exists, else brute)."""
+    or ``auto`` (characters when the group has a built-in table, else brute)."""
     if method == "brute":
         return brute_f_n(G, n, budget=budget)
     if method == "character":

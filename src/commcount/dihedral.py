@@ -120,4 +120,4 @@ def t3_class_counts_closed(G: GroupTable) -> ClassCounts:
 def _dihedral_parameter(G: GroupTable) -> int:
     if G.family != "dihedral":
         raise ValueError("closed dihedral formulas need a dihedral: group")
-    return int(G.spec.split(":")[1])
+    return G.order // 2

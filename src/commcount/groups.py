@@ -485,10 +485,9 @@ def _int_param(spec: str, lo: int, hi: int | None = None) -> int:
     head, _, tail = spec.partition(":")
     if not tail:
         raise GroupSpecError(f"spec {spec!r} needs a numeric parameter")
-    try:
-        n = int(tail)
-    except ValueError:
-        raise GroupSpecError(f"bad parameter in spec {spec!r}") from None
+    if not (tail.isascii() and tail.isdigit()):
+        raise GroupSpecError(f"bad parameter in spec {spec!r}")
+    n = int(tail)
     if n < lo or (hi is not None and n > hi):
         top = f"..{hi}" if hi is not None else ""
         raise GroupSpecError(f"{head} parameter must be in {lo}{top}, got {n}")

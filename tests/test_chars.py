@@ -23,7 +23,7 @@ from commcount.chars import (
     validate_table,
 )
 from commcount.cyclo import Cyclo, CycloArray, cyclo_root, parse_cyclo
-from commcount.fileio import load_chartable, save_chartable
+from commcount.fileio import load_chartable, save_chartable, save_group
 from commcount.groups import conjugacy_classes, make_group
 
 
@@ -165,11 +165,55 @@ def test_bundled_a4_and_q8():
     assert Q.irreducibles[4].values[4] == -2
 
 
+# the names build_table once took besides auto and file:<path>
+FORMER_PROVIDERS = {
+    "cyclic-closed-form": "cyclic:3",
+    "dihedral-closed-form": "dihedral:5",
+    "symmetric-mn": "symmetric:3",
+    "product-tensor": "product:cyclic:2,cyclic:3",
+    "bundled:a4": "alternating:4",
+    "bundled:a5": "alternating:5",
+    "bundled:q8": "quaternion",
+}
+
+
 def test_auto_provider_errors():
-    with pytest.raises(TableProviderError, match="file:"):
+    with pytest.raises(TableProviderError, match="no built-in table for perm:.*file:"):
         build_table(make_group("perm:(1 2 3),(4 5 6)"))
     with pytest.raises(TableProviderError, match="unknown"):
         build_table(make_group("cyclic:3"), "nonsense")
+    # each on a group whose table it used to build
+    for name, spec in FORMER_PROVIDERS.items():
+        with pytest.raises(TableProviderError, match="unknown character-table provider"):
+            build_table(make_group(spec), name)
+
+
+@pytest.mark.parametrize(
+    "spec, provenance",
+    [
+        ("cyclic:1", "cyclic-closed-form"),
+        ("cyclic:12", "cyclic-closed-form"),
+        ("alternating:1", "cyclic-closed-form"),
+        ("alternating:3", "cyclic-closed-form"),
+        ("alternating:4", "bundled:a4"),
+        ("alternating:5", "bundled:a5"),
+        ("symmetric:1", "symmetric-mn"),
+        ("symmetric:2", "symmetric-mn"),
+        ("symmetric:4", "symmetric-mn"),
+        ("dihedral:5", "dihedral-closed-form"),
+        ("quaternion", "bundled:q8"),
+        ("product:cyclic:2,alternating:5", "product-tensor"),
+        ("perm:(1 2 3 4 5 6)", "cyclic-closed-form"),
+        ("file: cyclic:6 saved and loaded", "cyclic-closed-form"),
+    ],
+)
+def test_the_group_picks_its_table(spec, provenance, tmp_path):
+    if spec.startswith("file:"):
+        path = tmp_path / "c6.json"
+        save_group(make_group("cyclic:6"), str(path))
+        spec = f"file:{path}"
+    T = build_table(make_group(spec))
+    assert T.validated and T.provenance == provenance
 
 
 @pytest.mark.parametrize(

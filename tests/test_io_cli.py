@@ -23,7 +23,7 @@ from commcount.fileio import (
     save_group,
     save_report,
 )
-from commcount.groups import GroupLawError, make_group
+from commcount.groups import GroupLawError, GroupSpecError, make_group
 from commcount.verify import CheckResult
 
 
@@ -399,6 +399,42 @@ def test_bench_refuses_timings_on_disagreement(capsys, monkeypatch):
     assert code == 1
     assert "no timings reported" in out
     assert "ms" not in out
+
+
+def test_bench_refuses_a_repeated_method(capsys):
+    for methods in ("brute,brute", "brute,closed,brute"):
+        code, out, err = run_cli(
+            capsys, "bench", "--group", "dihedral:5", "--methods", methods
+        )
+        assert (code, out) == (2, "")
+        assert "bench method 'brute' is given twice" in err
+
+
+@pytest.mark.parametrize("param", ["1_2", "1_0", "\u0663", "+5", " 5", "\uff15", "-3"])
+def test_numeric_parameters_take_ascii_digits_only(capsys, param):
+    with pytest.raises(GroupSpecError, match="bad parameter"):
+        make_group(f"cyclic:{param}")
+    with pytest.raises(GroupSpecError, match="bad parameter"):
+        make_group(f"product:quaternion,dihedral:{param}")
+    code, _, err = run_cli(capsys, "count", "--group", f"dihedral:{param}", "--fn", "f2")
+    assert code == 2 and "bad parameter" in err
+    code, _, err = run_cli(capsys, "count", "--group", "cyclic:4", "--fn", f"fn:{param}")
+    assert code == 2 and "bad count function" in err
+    if param == param.strip():  # the CLI strips each element of --subgroup
+        code, _, err = run_cli(
+            capsys, "count", "--group", "dihedral:12", "--fn", "f2",
+            "--subgroup", f"a,{param}",
+        )
+        assert code == 2 and "unknown element" in err
+
+
+@pytest.mark.parametrize("name", ["cyclic-closed-form", "bundled:q8", "nonsense"])
+def test_coeffs_table_takes_auto_or_a_file(capsys, name):
+    code, out, err = run_cli(
+        capsys, "coeffs", "--group", "quaternion", "--fn", "f3", "--table", name
+    )
+    assert (code, out) == (2, "")
+    assert "unknown character-table provider" in err
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
