@@ -33,6 +33,7 @@ import numpy as np
 from .cyclo import (
     Cyclo,
     CycloArray,
+    NotRationalError,
     _reduction,
     format_cyclo,
     parse_cyclo,
@@ -126,19 +127,26 @@ def decompose(f: ClassFunction, T: CharacterTable) -> tuple[Fraction, ...]:
         raise ValueError("class functions live on different groups")
     sizes = conjugacy_classes(T.group).sizes
     F = CycloArray.of(f.values, T.array.conductor)
-    X = T.array.lifted(F.conductor)
-    return tuple(
-        (v / T.group.order).to_rational() for v in F.dot(X, sizes).cyclos()
-    )
+    m = F.dot(T.array.lifted(F.conductor), sizes)
+    irrational = m.irrational()
+    if irrational.any():
+        raise NotRationalError(m.item(int(np.argmax(irrational))) / T.group.order)
+    return tuple(Fraction(h, m.den * T.group.order) for h in m.ints[:, 0].tolist())
 
 
 def reconstruct(T: CharacterTable, coeffs) -> ClassFunction:
     """sum_i coeffs[i] * chi_i as a ClassFunction."""
+    return ClassFunction(T.group, tuple(_combination(T, coeffs).cyclos()))
+
+
+def _combination(T: CharacterTable, coeffs) -> CycloArray:
+    """sum_i coeffs[i] * chi_i, coefficients ints or Fractions, as one value
+    per class: a one-axis array at the table's conductor."""
     X = T.array
-    den = lcm(1, *(Fraction(q).denominator for q in coeffs))
-    nums = np.array([int(Fraction(q) * den) for q in coeffs], dtype=object)
+    den = lcm(1, *(q.denominator for q in coeffs))
+    nums = np.array([q.numerator * (den // q.denominator) for q in coeffs], dtype=object)
     by_class = CycloArray(X.ints.swapaxes(0, 1), X.den, X.conductor)
-    return ClassFunction(T.group, tuple(by_class.weighted(nums, den).cyclos()))
+    return by_class.weighted(nums, den)
 
 
 # -- validation ---------------------------------------------------------------

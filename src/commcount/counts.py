@@ -28,13 +28,15 @@ Everything here is exact: brute-force tallies are plain integers, and
 character-formula values are certified to be non-negative integers
 before they are returned.  The formulas run on the table's integer array
 (`CharacterTable.array`): the theta weights are an integer matrix applied to
-it, and the t_n coefficients are weighted norms of its rows.
+it, and the t_n coefficients are weighted norms of its rows.  Integrality,
+sign and rationality are read off the residues of the resulting array
+(`_certified_ints`); a `Cyclo` is made only to word an error.
 
 The paper's pair weight H[a, b] = |C(ab) b  intersect  C(a)| is evaluated in
-one place, `_pair_weights`, one row a at a time from the group's commuting
-matrix (`GroupTable.commuting`).  Binning its rows by the class of [a, b]
-gives the theta weights (class-rep rows) and the tau weights (all rows,
-per column b).
+one place, `_pair_weight_rows`, for a block of elements a at a time from the
+group's commuting pairs (`GroupTable.commuting`).  Tallying its rows by the
+class of [a, b] gives the theta weights (class-rep rows) and the tau weights
+(all rows, per column b).
 """
 from __future__ import annotations
 
@@ -49,10 +51,10 @@ from .chars import (
     ClassFunction,
     TableProviderError,
     TableValidationError,
-    reconstruct,
+    _combination,
     table_for,
 )
-from .cyclo import Cyclo, CycloArray, NotRationalError, exact_matmul
+from .cyclo import Cyclo, CycloArray, NotRationalError, _amax, _exact, exact_matmul
 from .groups import _BLOCK_PRODUCTS, GroupTable, SubgroupRef, conjugacy_classes
 
 DEFAULT_BUDGET = 10**9
@@ -346,20 +348,33 @@ def _certified_int(value: Cyclo, what: str) -> int:
     return int(q)
 
 
+def _first_failing(values: CycloArray, unit: int = 1):
+    """Column 0 of the residues of a one-axis array, and the index of its
+    first value that is not a non-negative integer multiple of unit (None
+    when all are), read on the residues: every column but 0 must be zero,
+    and column 0 a non-negative multiple of den * unit."""
+    whole = values.den * unit
+    (heads,) = _exact(max(_amax(values.ints), whole), values.ints[:, 0])
+    bad = values.irrational() | (heads % whole != 0) | (heads < 0)
+    return heads, int(np.argmax(bad)) if bad.any() else None
+
+
+def _certified_ints(values: CycloArray, what) -> list[int]:
+    """The values of a one-axis array, certified non-negative integers on
+    their residues.  The first that is not raises through `_certified_int`,
+    named by what(index)."""
+    heads, i = _first_failing(values)
+    if i is not None:
+        _certified_int(values.item(i), what(i))
+    return (heads // values.den).tolist()
+
+
 def _certified_counts(
     G: GroupTable, T: CharacterTable, coeffs, kind: str, n: int
 ) -> ClassCounts:
     """sum_i coeffs[i] * chi_i, certified a non-negative integer per class."""
-    values = reconstruct(T, coeffs).values
-    return ClassCounts(
-        G,
-        tuple(
-            _certified_int(v, f"{kind}_{n} at class {c}")
-            for c, v in enumerate(values)
-        ),
-        kind,
-        n,
-    )
+    values = _certified_ints(_combination(T, coeffs), lambda c: f"{kind}_{n} at class {c}")
+    return ClassCounts(G, tuple(values), kind, n)
 
 
 def f2_coeffs(T: CharacterTable) -> tuple[Fraction, ...]:
@@ -383,27 +398,51 @@ def _commuting_pairs(G: GroupTable):
     return x.astype(np.int32), u.astype(np.int32), np.cumsum(sizes) - sizes
 
 
-def _pair_weights(G: GroupTable, a: int):
-    """H[b] = |C(ab) b  intersect  C(a)| for every b: the u in C(ab) with
-    u * b in C(a).  Each pair (x, u) of the commuting matrix is taken once,
-    with x = ab, so b = a^-1 x and the row costs k(G) * |G| gathers."""
+def _pair_weight_rows(G: GroupTable, a):
+    """For the elements a (an index array), blocks (s, R), s a slice of a
+    and row i of R is R[i, x] = H[a_i, a_i^-1 x], a_i = a[s][i] and x over
+    G: the pair weights
+    H[a, b] = |C(ab) b  intersect  C(a)| with column b moved to x = ab, the
+    u in C(x) with u * a^-1 x in C(a).  Each block takes every pair (x, u)
+    of the commuting matrix once per row, k(G) * |G| gathers."""
     x, u, starts = G.cached("commuting-pairs", _commuting_pairs)
-    to_b = G.table[G.inv[a]]
-    hits = G.commuting()[a][G.table[u, to_b[x]]]
-    H = np.empty(G.order, dtype=np.int64)
-    H[to_b] = np.add.reduceat(hits, starts, dtype=np.int64)
-    return H
+    # an entry costs about 17 bytes of temporaries (gathered int32 indices
+    # and their intp copies), so blocks of _BLOCK_PRODUCTS / 8 entries keep
+    # them near 140 KB
+    step = max(1, _BLOCK_PRODUCTS // 8 // len(x))
+    n = G.order
+    for lo in range(0, len(a), step):
+        s = slice(lo, lo + step)
+        block = a[s]
+        # flat int32 indices (n^2 < 2^31 under ORDER_CAP), each gather 1-D
+        ub = G.table[G.inv[block]][:, x]  # b = a^-1 x, one row per a
+        ub += u * n
+        y = G.table.reshape(-1)[ub]  # u * b
+        y += (np.arange(len(block), dtype=np.int32) * n)[:, None]
+        hits = G.commuting()[block].reshape(-1)[y]  # u * b in C(a)
+        yield s, np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
+
+
+def _pair_weights(G: GroupTable, a: int):
+    """H[b] = |C(ab) b  intersect  C(a)| for every b: one row of
+    `_pair_weight_rows`, read at x = ab."""
+    (_, R), = _pair_weight_rows(G, np.array([a]))
+    return R[0, G.table[a]]
 
 
 def _aggregated_theta_weights(G: GroupTable):
     """W[a, c]: for the rep a of class a, the sum of the pair weights H[a, b]
-    over the b with [a, b] in class c, as a k x k matrix."""
+    over the b with [a, b] in class c, as a k x k matrix.  As
+    [a, a^-1 x] = [a, x], R[i, x] of `_pair_weight_rows` goes to the class
+    of [a_i, x]: one tally on (rep, class) keys per block of reps."""
     part = conjugacy_classes(G)
-    class_of = np.array(part.class_of)
-    W = np.zeros((len(part), len(part)), dtype=np.int64)
-    for row, a in zip(W, part.reps):
-        np.add.at(row, class_of[G.comm_row(a)], _pair_weights(G, a))
-    return W
+    k = len(part)
+    reps, class_of = np.array(part.reps), np.array(part.class_of)
+    W = np.zeros(k * k, dtype=np.int64)
+    for s, R in _pair_weight_rows(G, reps):
+        rows = np.arange(k)[s, None]
+        np.add.at(W, rows * k + class_of[G.comm_row(reps[s])], R)
+    return W.reshape(k, k)
 
 
 def _weighted(G: GroupTable, weights, chi: ClassFunction) -> list[Cyclo]:
@@ -429,12 +468,14 @@ def _tau_weights(G: GroupTable):
     one row per element b: the summand of theta with the roles of a and b
     swapped, so summing it over b is a second path to m_chi."""
     part = conjugacy_classes(G)
-    class_of = np.array(part.class_of)
+    k, class_of = len(part), np.array(part.class_of)
     every = np.arange(G.order)
-    W = np.zeros((G.order, len(part)), dtype=np.int64)
-    for a in range(G.order):
-        np.add.at(W, (every, class_of[G.comm_row(a)]), _pair_weights(G, a))
-    return W
+    W = np.zeros(G.order * k, dtype=np.int64)
+    for s, R in _pair_weight_rows(G, every):
+        # R[i, x] is H[a, b] at b = a^-1 x, whose class is that of [a, x]
+        b = G.table[G.inv[every[s]]]
+        np.add.at(W, b * k + class_of[G.comm_row(every[s])], R)
+    return W.reshape(G.order, k)
 
 
 def tau_chi(G: GroupTable, chi: ClassFunction, b: int) -> Cyclo:
@@ -444,29 +485,26 @@ def tau_chi(G: GroupTable, chi: ClassFunction, b: int) -> Cyclo:
     return _weighted(G, weights[b:b + 1], chi)[0]
 
 
-def _m_values(G: GroupTable, X: CycloArray, labels) -> list[Cyclo]:
+def _m_values(G: GroupTable, X: CycloArray, labels) -> CycloArray:
     """m_chi = sum_a theta_chi(a) for each row of X (rows x classes x N):
     the size-weighted column sums of the theta weights times X, certified
-    real."""
+    real (a rational value is; any other must equal its conjugate)."""
     part = conjugacy_classes(G)
     weights = G.cached("theta-weights", _aggregated_theta_weights)
     m = X.weighted(exact_matmul(np.array(part.sizes), weights))
-    out = []
-    for label, res, conj in zip(labels, m.ints, m.conj().ints):
-        total = Cyclo(X.conductor, res, X.den)
-        if (res != conj).any():
-            raise ValueError(
-                f"m_{label} is not real ({total}); table is inconsistent"
-            )
-        out.append(total)
-    return out
+    if m.irrational().any():
+        unreal = (m.ints != m.conj().ints).any(axis=-1)
+        if unreal.any():
+            i = int(np.argmax(unreal))
+            raise ValueError(f"m_{labels[i]} is not real ({m.item(i)}); table is inconsistent")
+    return m
 
 
 def m_chi(G: GroupTable, chi: ClassFunction) -> Cyclo:
     """m_chi = sum_a theta_chi(a), certified real."""
     if chi.group is not G:
         raise ValueError("character belongs to a different group")
-    return _m_values(G, CycloArray.of([chi.values]), ["chi"])[0]
+    return _m_values(G, CycloArray.of([chi.values]), ["chi"]).item(0)
 
 
 def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction, ...]:
@@ -477,17 +515,15 @@ def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction,
 
 
 def _f3_coeffs(G: GroupTable, T: CharacterTable) -> tuple[Fraction, ...]:
-    out = []
-    for m, label in zip(_m_values(G, T.array, T.labels), T.labels):
-        try:
-            q = m.to_rational()
-        except NotRationalError:
-            raise ValueError(
-                f"m_{label} is irrational ({m}); the f_3 expansion has no "
-                "rational coefficient here"
-            ) from None
-        out.append(q / G.order)
-    return tuple(out)
+    m = _m_values(G, T.array, T.labels)
+    irrational = m.irrational()
+    if irrational.any():
+        i = int(np.argmax(irrational))
+        raise ValueError(
+            f"m_{T.labels[i]} is irrational ({m.item(i)}); the f_3 expansion has no "
+            "rational coefficient here"
+        )
+    return tuple(Fraction(h, m.den * G.order) for h in m.ints[:, 0].tolist())
 
 
 def f3_from_characters(G: GroupTable, T: CharacterTable | None = None) -> ClassCounts:
@@ -515,13 +551,15 @@ def conjecture_report(
     G: GroupTable, T: CharacterTable | None = None
 ) -> list[ConjectureRecord]:
     T = table_for(G, T)
+    m = _m_values(G, T.array, T.labels)
     out = []
-    for m, label in zip(_m_values(G, T.array, T.labels), T.labels):
-        m = m / G.order
-        rational = m.is_rational()
-        integer = rational and m.den == 1
-        nonneg = rational and m.ints[0] >= 0
-        out.append(ConjectureRecord(label, str(m), rational, integer, nonneg))
+    for i, (irrational, h) in enumerate(zip(m.irrational().tolist(), m.ints[:, 0].tolist())):
+        if irrational:
+            value = str(m.item(i) / G.order)
+            out.append(ConjectureRecord(T.labels[i], value, False, False, False))
+        else:
+            q = Fraction(h, m.den * G.order)
+            out.append(ConjectureRecord(T.labels[i], str(q), True, q.denominator == 1, q >= 0))
     return out
 
 
@@ -542,24 +580,22 @@ def t_coeffs(
     weights = np.array(
         [size * (G.order // size) ** (n - 2) for size in part.sizes], dtype=object
     )
-    norms = T.array.dot(T.array, weights).cyclos()
-    out = []
-    for total, d, label in zip(norms, T.degrees, T.labels):
-        try:
-            q = total.to_rational() / d
-        except NotRationalError:
+    norms = T.array.dot(T.array, weights)
+    # the multiplicity of chi is its norm over |G|
+    heads, i = _first_failing(norms, G.order)
+    if i is not None:
+        label = T.labels[i]
+        if norms.irrational()[i]:
             raise ValueError(
-                f"t_{n} coefficient for {label} is irrational ({total}); "
+                f"t_{n} coefficient for {label} is irrational ({norms.item(i)}); "
                 "table is inconsistent"
-            ) from None
-        mult = q * d / G.order
-        if mult.denominator != 1 or mult < 0:
-            raise ValueError(
-                f"multiplicity of {label} in theta^{n-2}*{label} is {mult}, "
-                "not a non-negative integer; table is inconsistent"
             )
-        out.append(q)
-    return tuple(out)
+        raise ValueError(
+            f"multiplicity of {label} in theta^{n-2}*{label} is "
+            f"{Fraction(int(heads[i]), norms.den * G.order)}, not a non-negative "
+            "integer; table is inconsistent"
+        )
+    return tuple(Fraction(h, norms.den * d) for h, d in zip(heads.tolist(), T.degrees))
 
 
 def t_from_characters(

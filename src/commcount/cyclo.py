@@ -20,7 +20,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm, prod
+from itertools import count
+from math import gcd, isqrt, lcm
 from operator import index
 
 import numpy as np
@@ -453,16 +454,30 @@ def is_prime(n: int) -> bool:
 
 def split_primes(n: int, bound: int, ceiling: int) -> list[int]:
     """Primes p = 1 (mod n) below ceiling, descending, until their product
-    exceeds bound."""
-    primes = []
-    for p in range(ceiling - 1 - (ceiling - 2) % n, 1, -n):
-        if is_prime(p):
-            primes.append(p)
-            if prod(primes) > bound:
-                return primes
-    raise ArithmeticError(f"too few primes = 1 (mod {n}) below {ceiling}")
+    exceeds bound.  The primes found are kept per (n, ceiling), and a larger
+    bound resumes the search below the last candidate tested."""
+    search = _split_prime_search(n, ceiling)
+    found, total = search["found"], 1
+    for i in count():
+        while i == len(found):
+            p = search["next"]
+            if p < 2:
+                raise ArithmeticError(f"too few primes = 1 (mod {n}) below {ceiling}")
+            if is_prime(p):  # refuses p beyond its range before the search moves on
+                found.append(p)
+            search["next"] = p - n
+        total *= found[i]
+        if total > bound:
+            return found[: i + 1]
 
 
+@cache
+def _split_prime_search(n: int, ceiling: int) -> dict:
+    # the primes found so far, descending, and the next candidate to test
+    return {"found": [], "next": ceiling - 1 - (ceiling - 2) % n}
+
+
+@cache
 def root_of_unity(n: int, p: int) -> int:
     """A root of exact multiplicative order n mod a prime p = 1 (mod n)."""
     qs = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
@@ -470,7 +485,8 @@ def root_of_unity(n: int, p: int) -> int:
     return next(w for w in roots if all(pow(w, n // q, p) != 1 for q in qs))
 
 
-def unit_generators(n: int) -> list[int]:
+@cache
+def unit_generators(n: int) -> tuple[int, ...]:
     """Generators of (Z/n)^x, each the least unit outside the subgroup of
     those before it."""
     gens, reached = [], {1 % n}
@@ -479,7 +495,7 @@ def unit_generators(n: int) -> list[int]:
             gens.append(u)
             powers = {pow(u, j, n) for j in range(n)}
             reached = {r * q % n for r in reached for q in powers}
-    return gens
+    return tuple(gens)
 
 
 # -- table-scale arrays ----------------------------------------------------------
@@ -566,9 +582,12 @@ class CycloArray:
     def galois_moved(self) -> list[int]:
         """The generators u of (Z/N)^x, from `unit_generators`, under which
         the multiset of rows along the first axis changes."""
+        gens = unit_generators(self.conductor)
+        if not gens:
+            return []
         rows, e = _sorted_rows(self.ints), np.arange(self.ints.shape[-1])
         return [
-            u for u in unit_generators(self.conductor)
+            u for u in gens
             if _sorted_rows(self._mapped(u * e, self.conductor).ints) != rows
         ]
 
@@ -603,6 +622,15 @@ class CycloArray:
             np.array(where, dtype=np.int64).reshape(self.ints.shape[:-1]),
         )
 
+    def irrational(self):
+        """For every value, in the leading shape, whether it is irrational:
+        whether a residue beyond column 0 is nonzero."""
+        return (self.ints[..., 1:] != 0).any(axis=-1)
+
+    def item(self, i: int) -> Cyclo:
+        """The value at index i of a one-axis array, as a Cyclo."""
+        return Cyclo(self.conductor, self.ints[i].tolist(), self.den)
+
     def cyclos(self) -> list[Cyclo]:
         """The values of a one-axis array as Cyclo values."""
         return [Cyclo(self.conductor, r, self.den) for r in self.ints.tolist()]
@@ -618,15 +646,29 @@ class CycloArray:
         """sum_c weights[c] * self[..., c] * conj(other[..., c]) over the axis
         before the value axis, both at one conductor, leading axes broadcast
         by matmul rules; over self.den * other.den.  The sums of coefficient
-        pairs, (..., phi(N), phi(N)), are reduced through `_products`."""
+        pairs, (..., phi(N), phi(N)), are reduced through `_products`.
+
+        Weights too large for that to fit in int64 are split into base-B
+        digits small enough for it, one int64 contraction per digit, and the
+        digit sums are combined in Python ints; only entries too large by
+        themselves put the contraction in Python ints."""
         conj = other.conj().ints
         w = np.asarray(weights)
-        bound = len(w) * _amax(w) * _amax(self.ints) * _amax(conj)
-        a, b, w = _exact(bound, self.ints, conj, w[:, None])
-        pairs = np.matmul((a * w).swapaxes(-1, -2), b)
-        pairs = pairs.reshape(pairs.shape[:-2] + (-1,))
-        return CycloArray(
-            exact_matmul(pairs, _products(self.conductor)),
-            self.den * other.den,
-            self.conductor,
-        )
+        P = _products(self.conductor)
+        entries = _amax(self.ints) * _amax(conj)
+        # with weights below B, every sum and reduced coefficient fits
+        B = _INT64_MAX // max(1, len(w) * entries * len(P) * _amax(P))
+        digits, rest = [], np.abs(w)
+        while B > 1 and _amax(rest) >= B:
+            digits.append(np.where(w < 0, -(rest % B), rest % B))
+            rest = rest // B
+        digits.append(np.where(w < 0, -rest, rest) if digits else w)
+        sums = []
+        for d in digits:
+            a, b, d = _exact(len(d) * _amax(d) * entries, self.ints, conj, d[:, None])
+            pairs = np.matmul((a * d).swapaxes(-1, -2), b)
+            sums.append(exact_matmul(pairs.reshape(pairs.shape[:-2] + (-1,)), P))
+        if len(sums) > 1:
+            scales = np.array([B**j for j in range(len(sums))], dtype=object)
+            sums = [exact_matmul(np.stack(sums, axis=-1), scales)]
+        return CycloArray(sums[0], self.den * other.den, self.conductor)

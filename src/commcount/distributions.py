@@ -18,8 +18,8 @@ from math import lcm
 
 import numpy as np
 
-from .chars import CharacterTable, _class_pair_counts, reconstruct, table_for
-from .counts import ClassCounts, _certified_int, count_f_n, f3_coeffs
+from .chars import CharacterTable, _class_pair_counts, _combination, table_for
+from .counts import ClassCounts, _certified_ints, count_f_n, f3_coeffs
 from .cyclo import Cyclo, CycloArray, _exact, format_cyclo
 from .groups import ClassPartition, GroupTable, center_and_derived, conjugacy_classes
 from .realcmp import abs_as_cyclo, compare
@@ -233,10 +233,7 @@ def q3_power_by_characters(
         q**k * Fraction(G.order, d) ** (k - 1)
         for q, d in zip(f3_coeffs(G, T), T.degrees)
     ]
-    ints = [
-        _certified_int(v, f"f_3^*{k} at class {c}")
-        for c, v in enumerate(reconstruct(T, weights).values)
-    ]
+    ints = _certified_ints(_combination(T, weights), lambda c: f"f_3^*{k} at class {c}")
     sizes = conjugacy_classes(G).sizes
     return GroupDistribution.on_classes(G, ints, sum(s * u for s, u in zip(sizes, ints)))
 
@@ -275,11 +272,23 @@ class BoundsReport:
 
 
 def _record(name: str, lhs, rhs) -> BoundRecord:
+    """lhs <= rhs, each side an int, a Fraction or a real Cyclo.  Two
+    rational sides are compared as Fractions, and str(Fraction) is the
+    literal `format_cyclo` gives a rational value."""
+    left, right = _as_rational(lhs), _as_rational(rhs)
+    if left is not None and right is not None:
+        return BoundRecord(name, str(left), str(right), left <= right)
     left = lhs if isinstance(lhs, Cyclo) else Cyclo.rational(lhs)
     right = rhs if isinstance(rhs, Cyclo) else Cyclo.rational(rhs)
     return BoundRecord(
         name, format_cyclo(left), format_cyclo(right), compare(left, right) <= 0
     )
+
+
+def _as_rational(value) -> Fraction | None:
+    if not isinstance(value, Cyclo):
+        return Fraction(value)
+    return value.to_rational() if value.is_rational() else None
 
 
 def _abs_table(T: CharacterTable) -> list[tuple[list[int], CycloArray]]:

@@ -423,7 +423,13 @@ def _element_orders(G: GroupTable):
 
 
 def _commuting(G: GroupTable):
-    K = G.table == G.table.T
+    """A product's is the AND of its parts', broadcast as in `_pair_matrix`:
+    (x, a) and (y, b) commute exactly when x, y and a, b do."""
+    if G.product_parts is not None:
+        KA, KB = (P.commuting() for P in G.product_parts)
+        K = (KA[:, None, :, None] & KB[None, :, None, :]).reshape(G.order, G.order)
+    else:
+        K = G.table == G.table.T
     K.flags.writeable = False
     return K
 
@@ -514,7 +520,7 @@ def _plan(spec: str):
         first, rem = _parse_spec_prefix(spec[len("product:"):])
         (na, build_a), (nb, build_b) = _plan(first), _plan(rem[1:])
         order = None if na is None or nb is None else na * nb
-        return order, lambda: _product(build_a(), build_b(), spec)
+        return order, lambda: _product(build_a(), build_b())
     if spec.startswith("perm:"):
         return None, lambda: _perm_group(spec)
     if spec.startswith("file:"):
@@ -664,9 +670,13 @@ def _perm_group(spec: str) -> GroupTable:
     return _table_from_perms(plist, spec)
 
 
-def _product(A: GroupTable, B: GroupTable, spec: str) -> GroupTable:
+def _product(A: GroupTable, B: GroupTable) -> GroupTable:
+    """A x B, under the spec of its factors' specs, so that every spelling
+    of a factor gives one spec."""
     _check_cap(A.order * B.order)
-    return GroupTable(_pair_matrix(A.table, B.table), spec=spec, product_parts=(A, B))
+    return GroupTable(
+        _pair_matrix(A.table, B.table), spec=f"product:{A.spec},{B.spec}", product_parts=(A, B)
+    )
 
 
 # -- structural operations ---------------------------------------------------

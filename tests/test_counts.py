@@ -1,10 +1,18 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from commcount import counts as counts_module
-from commcount.chars import TableProviderError, build_table, decompose
+from commcount.chars import (
+    CharacterTable,
+    ClassFunction,
+    TableProviderError,
+    build_table,
+    decompose,
+)
+from commcount.cyclo import Cyclo, CycloArray, NotRationalError, cyclo_root
 from commcount.counts import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -192,6 +200,113 @@ def test_conjecture_report_small_sweep():
                  "dihedral:4", "dihedral:5", "dihedral:6", "cyclic:8"):
         G = make_group(spec)
         assert all(r.ok for r in conjecture_report(G)), spec
+
+
+# -- certification: what fails, and where ------------------------------------------
+
+
+def _crafted_table(spec, edits):
+    """The table of spec with each row i in `edits` replaced by
+    edits[i](old row), not validated, so that the certificates themselves
+    must catch it."""
+    G = make_group(spec)
+    T = build_table(G)
+    rows = [list(chi.values) for chi in T.irreducibles]
+    for i, edit in edits.items():
+        rows[i] = edit(rows[i])
+    X = CycloArray.of(rows, T.array.conductor)
+    return G, CharacterTable(G, X, T.degrees, T.labels, "crafted")
+
+
+def _raised(call) -> str:
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs, kind, n, message",
+    [
+        ("symmetric:3", (0, 0, Fraction(1, 2)), "f", 3,
+         "f_3 at class 2 is not an integer: -1/2"),
+        ("symmetric:3", (1, 0, 0), "f", 3, "f_3 at class 1 is negative: -1"),
+        ("dihedral:5", (0, 0, Fraction(1, 2), 0), "t", 4,
+         "t_4 at class 1 is irrational: -1/2-1/2*E(5)^2-1/2*E(5)^3"),
+        ("dihedral:5", (1, 1, Fraction(-1, 2), 3), "f", 2,
+         "f_2 at class 1 is irrational: 5/2+7/2*E(5)^2+7/2*E(5)^3"),
+        ("cyclic:4", (Fraction(1, 3), Fraction(1, 3), 0, 0), "f", 3,
+         "f_3 at class 0 is not an integer: 2/3"),
+    ],
+)
+def test_certified_counts_name_the_first_failing_class(spec, coeffs, kind, n, message):
+    G = make_group(spec)
+    T = build_table(G)
+    got = _raised(lambda: counts_module._certified_counts(G, T, coeffs, kind, n))
+    assert got == message
+
+
+def test_certified_counts_are_python_ints():
+    G = make_group("dihedral:5")
+    coeffs = (Fraction(3, 2), Fraction(1, 2), 1, 1)
+    counts = counts_module._certified_counts(G, build_table(G), coeffs, "f", 2)
+    assert counts.values == (6, 1, 1, 1)
+    assert all(type(v) is int for v in counts.values)
+
+
+def test_formula_certificates_name_what_fails():
+    z = cyclo_root(5)
+    G, T = _crafted_table("dihedral:5", {2: lambda r: [v * z for v in r]})
+    assert _raised(lambda: f3_coeffs(G, T)) == (
+        "m_psi1 is not real (300*E(5)); table is inconsistent"
+    )
+    G, T = _crafted_table(
+        "dihedral:5", {0: lambda r: [v + z + z**4 if i else v for i, v in enumerate(r)]}
+    )
+    assert _raised(lambda: f3_coeffs(G, T)) == (
+        "m_chi1 is irrational (160-40*E(5)^2-40*E(5)^3); the f_3 expansion has "
+        "no rational coefficient here"
+    )
+    assert _raised(lambda: t_coeffs(G, 3, T)) == (
+        "t_3 coefficient for chi1 is irrational (40-30*E(5)^2-30*E(5)^3); "
+        "table is inconsistent"
+    )
+    assert [(r.label, r.value, r.is_rational, r.is_integer, r.is_nonnegative)
+            for r in conjecture_report(G, T)] == [
+        ("chi1", "16-4*E(5)^2-4*E(5)^3", False, False, False),
+        ("chi2", "20", True, True, True),
+        ("psi1", "30", True, True, True),
+        ("psi2", "30", True, True, True),
+    ]
+    G, T = _crafted_table(
+        "symmetric:3", {2: lambda r: [r[0], Cyclo.rational(-2), r[2] * 3]}
+    )
+    assert _raised(lambda: t_coeffs(G, 2, T)) == (
+        "multiplicity of (2,1) in theta^0*(2,1) is 17/3, not a non-negative "
+        "integer; table is inconsistent"
+    )
+    G, T = _crafted_table(
+        "symmetric:3", {0: lambda r: [-v for v in r], 1: lambda r: [v / 7 for v in r]}
+    )
+    assert [(r.label, r.value, r.is_rational, r.is_integer, r.is_nonnegative)
+            for r in conjecture_report(G, T)] == [
+        ("(1,1,1)", "-10", True, True, False),
+        ("(3)", "10/7", True, False, True),
+        ("(2,1)", "14", True, True, True),
+    ]
+
+
+def test_decompose_refuses_an_irrational_multiplicity():
+    G = make_group("dihedral:5")
+    z = cyclo_root(5)
+    f = ClassFunction(G, (Cyclo.rational(1), z, Cyclo.rational(1), Cyclo.rational(0)))
+    with pytest.raises(NotRationalError) as exc:
+        decompose(f, build_table(G))
+    assert str(exc.value) == "not a rational number: 3/10+1/5*E(5)"
+    f = ClassFunction(G, (Cyclo.rational(-5), Cyclo.rational(3), Cyclo.rational(3),
+                          Cyclo.rational(1)))
+    assert decompose(f, build_table(G)) == (
+        Fraction(6, 5), Fraction(1, 5), Fraction(-8, 5), Fraction(-8, 5)
+    )
 
 
 def test_recursion_matches_brute():
@@ -629,3 +744,15 @@ def test_a_class_sum_off_a_multiple_of_the_class_size_is_refused(monkeypatch):
     monkeypatch.setattr(counts_module, "_class_sums", off_by_one)
     with pytest.raises(RuntimeError, match="not a multiple of its size 6"):
         brute_f_n(make_group("symmetric:4"), 3)
+
+
+def test_t_from_characters_with_weights_beyond_int64():
+    # at n = 16 the weights |c| * |C(g_c)|^14 reach 200^14 > 2^63 on
+    # dihedral:100, while the entries stay small: the contraction splits the
+    # weights into int64 digits
+    G = make_group("dihedral:100")
+    assert G.order ** 14 > 2**63
+    assert t_from_characters(G, 16) == brute_t_n(G, 16)
+    assert t_coeffs(G, 16)[0] == sum(
+        s * (G.order // s) ** 14 for s in conjugacy_classes(G).sizes
+    )

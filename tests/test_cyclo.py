@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import random
+import re
 from fractions import Fraction
 from math import gcd, prod
 
@@ -341,6 +342,40 @@ def test_prime_search_stays_in_the_proven_range():
             split_primes(1, 10, ceiling)
     with pytest.raises(ValueError):
         is_prime(limit)
+
+
+def _uncached_split_primes(n, bound, ceiling):
+    primes = []
+    for p in range(ceiling - 1 - (ceiling - 2) % n, 1, -n):
+        if is_prime(p):
+            primes.append(p)
+            if prod(primes) > bound:
+                return primes
+    raise ArithmeticError(f"too few primes = 1 (mod {n}) below {ceiling}")
+
+
+@pytest.mark.parametrize("n, ceiling", [(1, 10**4), (12, 10**5), (240, 10**6), (7, 3000)])
+def test_cached_split_primes_equal_a_fresh_search(n, ceiling):
+    # smaller bounds first, then larger ones that resume the search, then
+    # smaller ones again read from what is kept
+    for bound in (10, 10**3, 10**40, 10**6, 1, 10**80, 10**20):
+        try:
+            want = _uncached_split_primes(n, bound, ceiling)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+                split_primes(n, bound, ceiling)
+            continue
+        got = split_primes(n, bound, ceiling)
+        assert got == want, (n, ceiling, bound)
+        got.append(2)  # the caller's list is its own
+        assert split_primes(n, bound, ceiling) == want
+
+
+def test_refused_prime_search_is_refused_again():
+    limit = 3_215_031_751
+    for _ in range(3):
+        with pytest.raises(ValueError, match="Miller-Rabin"):
+            split_primes(7, 10, limit + 7)
 
 
 def test_split_primes_are_descending_and_cover_the_bound():

@@ -5,7 +5,7 @@ import pytest
 from commcount import distributions
 from commcount.chars import ClassFunction, build_table, decompose
 from commcount.counts import brute_f_n, brute_t_n, count_f_n
-from commcount.cyclo import Cyclo, CycloArray, parse_cyclo
+from commcount.cyclo import Cyclo, CycloArray, cyclo_root, format_cyclo, parse_cyclo
 from commcount.distributions import (
     BoundsReport,
     GroupDistribution,
@@ -407,3 +407,25 @@ def test_element_saturation_matches_the_literal_powers():
     for d in _not_class_functions():
         for k_max in (1, 3, 12):
             assert first_saturating_k(d, k_max) == literal_saturating_k(d, k_max)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        (Fraction(-3, 4), 0),
+        (0, Fraction(5, 8)),
+        (Fraction(5, 8), Fraction(5, 8)),
+        (Cyclo(5, [3, 0, 0, 0], 4), Fraction(3, 4)),
+        (7, Cyclo(12, [-1, 0, 0, 0], 3)),
+        (cyclo_root(5) + cyclo_root(5, 4), Fraction(1, 2)),
+        (Fraction(1, 3), cyclo_root(5, 2) + cyclo_root(5, 3)),
+    ],
+)
+def test_bound_records_read_as_the_cyclotomic_comparison(lhs, rhs):
+    # rational sides skip Cyclo, with the same literals and verdict
+    left = lhs if isinstance(lhs, Cyclo) else Cyclo.rational(lhs)
+    right = rhs if isinstance(rhs, Cyclo) else Cyclo.rational(rhs)
+    record = distributions._record("r", lhs, rhs)
+    assert (record.lhs, record.rhs, record.holds) == (
+        format_cyclo(left), format_cyclo(right), compare(left, right) <= 0
+    )

@@ -982,3 +982,24 @@ def test_close_reaches_the_generated_subgroup_only():
         reached[0] = True
         groups._close(G.table, reached, np.array([0]), gens)
         assert tuple(np.flatnonzero(reached).tolist()) == _generated(G, gens)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "product:cyclic:2,cyclic:3",
+        "product:cyclic:2,product:cyclic:2,cyclic:2",
+        "product:symmetric:3,dihedral:4",
+        "product:quaternion,cyclic:3",
+        "product:product:cyclic:2,symmetric:3,dihedral:4",
+        "product:symmetric:3,dihedral:10",
+        "product:perm:(1 2 3),dihedral:4",
+        "product:symmetric:4,dihedral:10",
+        "product:alternating:5,cyclic:5",
+    ],
+)
+def test_product_commuting_matrix_is_the_and_of_its_factors(spec):
+    G = make_group(spec)
+    K = G.commuting()
+    assert K.dtype == bool and not K.flags.writeable
+    assert np.array_equal(K, G.table == G.table.T)

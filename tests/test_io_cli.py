@@ -563,3 +563,26 @@ def test_recursive_count_on_a_large_abelian_group_stays_small():
                                     "--method", "recursive", "--format", "csv"])
     assert out.splitlines()[-1].endswith(f",{2000**3}")  # abelian: f_3(1) = |G|^3
     assert peak < 150 * 1024  # kilobytes
+
+
+@pytest.mark.parametrize(
+    "typed, canonical",
+    [
+        ("product:cyclic:05,cyclic:2", "product:cyclic:5,cyclic:2"),
+        ("product:dihedral:003,product:cyclic:02,symmetric:03",
+         "product:dihedral:3,product:cyclic:2,symmetric:3"),
+    ],
+)
+def test_a_product_spec_is_its_factors_specs(capsys, typed, canonical):
+    G = make_group(typed)
+    assert G.spec == make_group(canonical).spec == canonical
+    assert G.spec == f"product:{G.product_parts[0].spec},{G.product_parts[1].spec}"
+    outs = []
+    for spec in (typed, canonical):
+        code, out, _ = run_cli(
+            capsys, "count", "--group", spec, "--fn", "f3", "--method", "character"
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(f"f_3 per conjugacy class on {canonical} (character)\n")

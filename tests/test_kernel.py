@@ -87,6 +87,21 @@ def test_exact_products_switch_to_python_ints():
     assert got.cyclos() == [7 * z * w.conj()]
 
 
+@pytest.mark.parametrize("spec", ["dihedral:7", "cyclic:12", "alternating:5"])
+def test_dot_takes_weights_beyond_int64_in_digits(spec):
+    # weights of 20, 70 and 140 bits, of both signs, against the sum of
+    # Cyclo products
+    T = build_table(make_group(spec))
+    X = T.array
+    rng = np.random.default_rng(7)
+    for bits in (20, 70, 140):
+        draws = rng.integers(-(2**20), 2**20, X.ints.shape[1]).tolist()
+        weights = [v * 2 ** (bits - 20) + v for v in draws]
+        got = X.dot(X, np.array(weights, dtype=object)).cyclos()
+        for chi, value in zip(T.irreducibles, got):
+            assert value == cyclo_sum(weights, [v * v.conj() for v in chi.values]), bits
+
+
 @pytest.mark.parametrize(
     "entry, dtype, den",
     [("1/2", np.int64, 2), (str(2**40), np.int64, 1), (str(2**70), object, 1)],
