@@ -134,11 +134,6 @@ def decompose(f: ClassFunction, T: CharacterTable) -> tuple[Fraction, ...]:
     return tuple(Fraction(h, m.den * T.group.order) for h in m.ints[:, 0].tolist())
 
 
-def reconstruct(T: CharacterTable, coeffs) -> ClassFunction:
-    """sum_i coeffs[i] * chi_i as a ClassFunction."""
-    return ClassFunction(T.group, tuple(_combination(T, coeffs).cyclos()))
-
-
 def _combination(T: CharacterTable, coeffs) -> CycloArray:
     """sum_i coeffs[i] * chi_i, coefficients ints or Fractions, as one value
     per class: a one-axis array at the table's conductor."""

@@ -187,18 +187,22 @@ def cmd_count(args) -> int:
     kind, n = _parse_fn(args.fn)
     if args.subgroup is not None:
         return _count_subgroup(G, kind, n, args)
-    method = args.method
-    if method == "recursive":
+    if args.method == "recursive":
         if kind != "f":
             raise ValueError("the recursive method computes f_n(1) only")
-        value = recursive_fn1(G, n)
-        rows = (ClassRow(G.names[0], 1, 1, str(value)),)
-        report = CountReport(G.spec, kind, n, "recursive", rows)
-        _emit_report(report, args.format, identity_only=True)
-        return 0
-    count = _compute_count(G, kind, n, method)
-    report = _class_report(G, count, _REPORT_METHOD[method])
-    _emit_report(report, args.format)
+        rows = (ClassRow(G.names[0], 1, 1, str(recursive_fn1(G, n))),)
+        report, scope = CountReport(G.spec, kind, n, "recursive", rows), "f_n(1) only"
+    else:
+        count = _compute_count(G, kind, n, args.method)
+        report = _class_report(G, count, _REPORT_METHOD[args.method])
+        scope = "per conjugacy class"
+    _emit(
+        args.format,
+        report_to_document(report),
+        f"{report.kind}_{report.n} {scope} on {report.group} ({report.method})",
+        ("rep", "order", "size", "value"),
+        [(r.rep, str(r.rep_order), str(r.size), r.value) for r in report.class_rows],
+    )
     return 0
 
 
@@ -236,25 +240,17 @@ def _class_report(G, count, method: str) -> CountReport:
     return CountReport(G.spec, count.kind, count.n, method, rows)
 
 
-def _emit_report(report: CountReport, fmt: str, identity_only: bool = False) -> None:
+def _emit(fmt: str, doc, title: str, header, rows) -> None:
+    """Print a report as json (doc), csv or a titled table (header, rows)."""
     if fmt == "json":
-        print(json.dumps(report_to_document(report), indent=1))
-        return
-    if fmt == "csv":
+        print(json.dumps(doc, indent=1))
+    elif fmt == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["rep", "order", "size", "value"])
-        for r in report.class_rows:
-            w.writerow([r.rep, r.rep_order, r.size, r.value])
-        return
-    scope = "f_n(1) only" if identity_only else "per conjugacy class"
-    print(
-        f"{report.kind}_{report.n} {scope} on {report.group} "
-        f"({report.method})"
-    )
-    _print_table(
-        ("rep", "order", "size", "value"),
-        [(r.rep, str(r.rep_order), str(r.size), r.value) for r in report.class_rows],
-    )
+        w.writerow(header)
+        w.writerows(rows)
+    else:
+        print(title)
+        _print_table(header, rows)
 
 
 def _print_table(header, rows) -> None:
@@ -274,25 +270,18 @@ def _count_subgroup(G, kind: str, n: int, args) -> int:
     H = subgroup_generated(G, gens)
     values = brute_f_n(G, n, H)
     rows = [(G.names[x], str(values.get(x, 0))) for x in H.members]
-    if args.format == "json":
-        doc = {
-            "group": G.spec,
-            "subgroup": [G.names[g] for g in H.members],
-            "kind": kind,
-            "n": n,
-            "values": {name: int(v) for name, v in rows},
-        }
-        print(json.dumps(doc, indent=1))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["element", "value"])
-        w.writerows(rows)
-    else:
-        print(
-            f"f_{n} inside the subgroup of order {len(H)} generated by "
-            f"{args.subgroup} on {G.spec}"
-        )
-        _print_table(("element", "value"), rows)
+    doc = {
+        "group": G.spec,
+        "subgroup": [G.names[g] for g in H.members],
+        "kind": kind,
+        "n": n,
+        "values": {name: int(v) for name, v in rows},
+    }
+    title = (
+        f"f_{n} inside the subgroup of order {len(H)} generated by "
+        f"{args.subgroup} on {G.spec}"
+    )
+    _emit(args.format, doc, title, ("element", "value"), rows)
     return 0
 
 

@@ -423,13 +423,6 @@ def _pair_weight_rows(G: GroupTable, a):
         yield s, np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
 
 
-def _pair_weights(G: GroupTable, a: int):
-    """H[b] = |C(ab) b  intersect  C(a)| for every b: one row of
-    `_pair_weight_rows`, read at x = ab."""
-    (_, R), = _pair_weight_rows(G, np.array([a]))
-    return R[0, G.table[a]]
-
-
 def _aggregated_theta_weights(G: GroupTable):
     """W[a, c]: for the rep a of class a, the sum of the pair weights H[a, b]
     over the b with [a, b] in class c, as a k x k matrix.  As

@@ -22,7 +22,7 @@ from .chars import CharacterTable, _class_pair_counts, _combination, table_for
 from .counts import ClassCounts, _certified_ints, count_f_n, f3_coeffs
 from .cyclo import Cyclo, CycloArray, _exact, format_cyclo
 from .groups import ClassPartition, GroupTable, center_and_derived, conjugacy_classes
-from .realcmp import abs_as_cyclo, compare
+from .realcmp import _real_sign, abs_as_cyclo
 
 
 class GroupDistribution:
@@ -274,14 +274,15 @@ class BoundsReport:
 def _record(name: str, lhs, rhs) -> BoundRecord:
     """lhs <= rhs, each side an int, a Fraction or a real Cyclo.  Two
     rational sides are compared as Fractions, and str(Fraction) is the
-    literal `format_cyclo` gives a rational value."""
+    literal `format_cyclo` gives a rational value.  An irrational side is
+    built from `abs_as_cyclo` values, proved real there."""
     left, right = _as_rational(lhs), _as_rational(rhs)
     if left is not None and right is not None:
         return BoundRecord(name, str(left), str(right), left <= right)
     left = lhs if isinstance(lhs, Cyclo) else Cyclo.rational(lhs)
     right = rhs if isinstance(rhs, Cyclo) else Cyclo.rational(rhs)
     return BoundRecord(
-        name, format_cyclo(left), format_cyclo(right), compare(left, right) <= 0
+        name, format_cyclo(left), format_cyclo(right), _real_sign(left - right) <= 0
     )
 
 

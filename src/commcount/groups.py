@@ -44,6 +44,11 @@ rejected with ``GroupSpecError`` before their table is allocated: a dense
 int32 table costs 4n^2 bytes, about 100 MB at the cap, and its structural
 data a few times that.
 
+A spec is parsed in one pass, ``_plan``: ``product:`` takes two specs and a
+comma, ``perm:`` runs to a comma outside parentheses with text other than
+"(" after it, ``file:`` to the end, any other spec to its first comma.
+Parameters are read once the whole text has parsed, then the order capped.
+
 Element layouts are deterministic per family:
 
 * ``cyclic:n``      index r is a^r.
@@ -437,36 +442,6 @@ def _commuting(G: GroupTable):
 # -- spec parsing ------------------------------------------------------------
 
 
-def _parse_spec_prefix(text: str) -> tuple[str, str]:
-    """Split one spec off the front of text; returns (spec, remainder)."""
-    if text.startswith("product:"):
-        rest = text[len("product:"):]
-        first, rem = _parse_spec_prefix(rest)
-        if not rem.startswith(","):
-            raise GroupSpecError(f"product spec needs two factors: {text!r}")
-        second, rem = _parse_spec_prefix(rem[1:])
-        return f"product:{first},{second}", rem
-    if text.startswith("perm:"):
-        rest = text[len("perm:"):]
-        depth, i = 0, 0
-        while i < len(rest):
-            ch = rest[i]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0 and (i + 1 < len(rest) and rest[i + 1] != "("):
-                break
-            i += 1
-        return "perm:" + rest[:i], rest[i:]
-    if text.startswith("file:"):
-        return text, ""
-    cut = text.find(",")
-    if cut < 0:
-        return text, ""
-    return text[:cut], text[cut:]
-
-
 def make_group(spec: str) -> GroupTable:
     """Build a group from a spec string.
 
@@ -478,10 +453,10 @@ def make_group(spec: str) -> GroupTable:
     always refused).
     """
     spec = spec.strip()
-    parsed, rem = _parse_spec_prefix(spec)
+    check, rem = _plan(spec)
     if rem:
         raise GroupSpecError(f"trailing text {rem!r} in group spec {spec!r}")
-    order, build = _plan(parsed)
+    order, build = check()
     if order is not None:
         _check_cap(order)
     return build()
@@ -495,14 +470,43 @@ def _int_param(spec: str, lo: int, hi: int | None = None) -> int:
         raise GroupSpecError(f"bad parameter in spec {spec!r}")
     n = int(tail)
     if n < lo or (hi is not None and n > hi):
-        top = f"..{hi}" if hi is not None else ""
-        raise GroupSpecError(f"{head} parameter must be in {lo}{top}, got {n}")
+        bound = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise GroupSpecError(f"{head} parameter must be {bound}, got {n}")
     return n
 
 
-def _plan(spec: str):
-    """(order or None when only building tells, builder) for a parsed spec.
-    The order lets make_group refuse an oversized spec before building."""
+def _plan(text: str):
+    """Read one spec off the front of text: (check, rest), where check()
+    reads the spec's parameters and returns (order or None when only
+    building tells, builder)."""
+    if text.startswith("product:"):
+        check_a, rem = _plan(text[len("product:"):])
+        if not rem.startswith(","):
+            raise GroupSpecError(f"product spec needs two factors: {text!r}")
+        check_b, rem = _plan(rem[1:])
+
+        def check():
+            (na, build_a), (nb, build_b) = check_a(), check_b()
+            order = None if na is None or nb is None else na * nb
+            return order, lambda: _product(build_a(), build_b())
+        return check, rem
+    if text.startswith("perm:"):
+        depth, end = 0, len(text)
+        for i, ch in enumerate(text):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0 and text[i + 1:i + 2] not in ("", "("):
+                end = i
+                break
+    elif text.startswith("file:") or "," not in text:
+        end = len(text)
+    else:
+        end = text.index(",")
+    spec = text[:end]
+    return lambda: _leaf(spec), text[end:]
+
+
+def _leaf(spec: str):
+    """(order or None, builder) for a spec other than a product."""
     if spec.startswith("cyclic:"):
         n = _int_param(spec, 1)
         return n, lambda: _cyclic(n)
@@ -516,11 +520,6 @@ def _plan(spec: str):
         return order, lambda: _symmetric(n, even_only)
     if spec == "quaternion":
         return 8, _quaternion
-    if spec.startswith("product:"):
-        first, rem = _parse_spec_prefix(spec[len("product:"):])
-        (na, build_a), (nb, build_b) = _plan(first), _plan(rem[1:])
-        order = None if na is None or nb is None else na * nb
-        return order, lambda: _product(build_a(), build_b())
     if spec.startswith("perm:"):
         return None, lambda: _perm_group(spec)
     if spec.startswith("file:"):

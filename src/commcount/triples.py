@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .groups import GroupTable
 from .perms import cycles_of, identity, is_even, pcomm, pmul
 
 PermTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -68,34 +67,6 @@ def decompose_cycles(p: tuple[int, ...]) -> CycleDecomposition:
     for cyc in cycles_of(p):
         (odds if len(cyc) % 2 else evens).append(cyc)
     return CycleDecomposition(tuple(p), tuple(evens), tuple(odds))
-
-
-def combine_disjoint_triples(
-    G: GroupTable, tx: tuple[int, int, int], ty: tuple[int, int, int]
-) -> tuple[int, int, int]:
-    """(x1 y1, x2 y2, x3 y3) from commuting triples: if the x-triple solves
-    for g and the y-triple for h, the product triple solves for gh."""
-    for xi in tx:
-        row = G.comm_row(xi)
-        for yj in ty:
-            if row[yj] != 0:
-                raise ValueError(
-                    f"components {xi} and {yj} do not commute"
-                )
-    g = _system_value(G, tx)
-    h = _system_value(G, ty)
-    combined = tuple(G.table[tx, ty].tolist())
-    if _system_value(G, combined) != G.table[g, h]:
-        raise RuntimeError("combined triple failed verification")
-    return combined
-
-
-def _system_value(G: GroupTable, t: tuple[int, int, int]) -> int:
-    first = G.comm_row(t[0])
-    g = int(first[t[1]])
-    if first[t[2]] != g or G.comm_row(t[1])[t[2]] != g:
-        raise ValueError(f"triple {t} has unequal pairwise commutators")
-    return g
 
 
 # -- block solvers (local, canonical targets, cached) ---------------------------

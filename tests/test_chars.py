@@ -12,11 +12,11 @@ from commcount.chars import (
     ClassFunction,
     TableProviderError,
     TableValidationError,
+    _combination,
     build_table,
     decompose,
     inner_product,
     partitions_of,
-    reconstruct,
     rimhook_character,
     table_from_document,
     table_to_document,
@@ -277,7 +277,7 @@ def test_conjugation_character():
         )
         assert mults[triv] == len(conjugacy_classes(H))
         assert all(m.denominator == 1 and m >= 0 for m in mults)
-        assert reconstruct(T, mults) == th
+        assert tuple(_combination(T, mults).cyclos()) == th.values
         # the same values written at conductor 3 (1 + zeta_3 + zeta_3^2 = 0)
         lifted = tuple(v + 1 + cyclo_root(3) + cyclo_root(3, 2) for v in th.values)
         assert decompose(ClassFunction(H, lifted), T) == mults

@@ -429,3 +429,26 @@ def test_bound_records_read_as_the_cyclotomic_comparison(lhs, rhs):
     assert (record.lhs, record.rhs, record.holds) == (
         format_cyclo(left), format_cyclo(right), compare(left, right) <= 0
     )
+
+
+@pytest.mark.parametrize("spec", ("alternating:5", "dihedral:5") + IRRATIONAL_NORMS)
+def test_bound_records_take_no_second_realness_proof(spec, monkeypatch):
+    # |chi(g)| is proved real by abs_as_cyclo in _abs_sums; _record then
+    # reads the sign of an irrational record without Cyclo.conj
+    G = make_group(spec)
+    f2, f3, T = count_f_n(G, 2), count_f_n(G, 3), build_table(G)
+    want = bounds_report(G, f2, f3, T)
+    sums = distributions._abs_sums(T)
+    monkeypatch.setattr(distributions, "_abs_sums", lambda T: sums)
+    calls = []
+    conj = Cyclo.conj
+
+    def spy(self):
+        calls.append(self)
+        return conj(self)
+
+    monkeypatch.setattr(Cyclo, "conj", spy)
+    got = bounds_report(G, f2, f3, T)
+    monkeypatch.undo()
+    assert got == want and calls == []
+    assert any(not parse_cyclo(r.rhs).is_rational() for r in got.records)

@@ -175,6 +175,61 @@ def test_spec_errors():
         make_group("symmetric:8")  # order 40320 exceeds the cap
 
 
+@pytest.mark.parametrize(
+    "text, spec, order",
+    [
+        ("  product:dihedral:3,quaternion  ", "product:dihedral:3,quaternion", 48),
+        ("product:product:cyclic:2,cyclic:3,product:quaternion,cyclic:2",
+         "product:product:cyclic:2,cyclic:3,product:quaternion,cyclic:2", 96),
+        ("product:product:product:cyclic:2,cyclic:2,cyclic:2,cyclic:3",
+         "product:product:product:cyclic:2,cyclic:2,cyclic:2,cyclic:3", 24),
+        # a comma before "(" stays inside the generator list
+        ("product:perm:(1 2),(1 2 3),cyclic:2", "product:perm:(1 2),(1 2 3),cyclic:2", 12),
+        ("product:cyclic:2,perm:(1 2),(1 2 3)", "product:cyclic:2,perm:(1 2),(1 2 3)", 12),
+        ("perm:(1 2),", "perm:(1 2),", 2),
+    ],
+)
+def test_spec_grammar_results(text, spec, order):
+    G = make_group(text)
+    assert (G.spec, G.order) == (spec, order)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("product:", "product spec needs two factors: 'product:'"),
+        ("product:cyclic:2", "product spec needs two factors: 'product:cyclic:2'"),
+        ("product:cyclic:2,", "unknown group spec ''"),
+        ("product:,cyclic:2", "unknown group spec ''"),
+        ("quaternion,cyclic:2",
+         "trailing text ',cyclic:2' in group spec 'quaternion,cyclic:2'"),
+        ("product:cyclic:2,cyclic:3,x",
+         "trailing text ',x' in group spec 'product:cyclic:2,cyclic:3,x'"),
+        ("product:cyclic:2,product:cyclic:3",
+         "product spec needs two factors: 'product:cyclic:3'"),
+        ("perm:,", "need at least one generator"),
+        ("perm:(1 2),cyclic:2",
+         "trailing text ',cyclic:2' in group spec 'perm:(1 2),cyclic:2'"),
+        # a file: spec runs to the end of the text
+        ("product:file:/x,cyclic:2",
+         "product spec needs two factors: 'product:file:/x,cyclic:2'"),
+        ("", "unknown group spec ''"),
+        ("cyclic", "unknown group spec 'cyclic'"),
+        ("cyclic:", "spec 'cyclic:' needs a numeric parameter"),
+        # the whole text parses before any parameter is read, and every
+        # parameter before the order cap
+        ("product:cyclic:x", "product spec needs two factors: 'product:cyclic:x'"),
+        ("cyclic:x,y", "trailing text ',y' in group spec 'cyclic:x,y'"),
+        ("product:cyclic:x,noidea", "bad parameter in spec 'cyclic:x'"),
+        ("product:symmetric:8,cyclic:x", "bad parameter in spec 'cyclic:x'"),
+    ],
+)
+def test_spec_error_messages(text, message):
+    with pytest.raises(GroupSpecError) as info:
+        make_group(text)
+    assert str(info.value) == message
+
+
 def _never_built(*args):
     raise AssertionError("an oversized group was built")
 

@@ -428,6 +428,30 @@ def test_numeric_parameters_take_ascii_digits_only(capsys, param):
         assert code == 2 and "unknown element" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cyclic:0", "cyclic parameter must be at least 1, got 0"),
+        ("dihedral:2", "dihedral parameter must be at least 3, got 2"),
+        ("product:quaternion,dihedral:1", "dihedral parameter must be at least 3, got 1"),
+        ("symmetric:9", "symmetric parameter must be in 1..8, got 9"),
+        ("alternating:0", "alternating parameter must be in 1..8, got 0"),
+    ],
+)
+def test_parameter_ranges_are_worded_by_their_bounds(capsys, spec, message):
+    with pytest.raises(GroupSpecError) as info:
+        make_group(spec)
+    assert str(info.value) == message
+    code, out, err = run_cli(capsys, "count", "--group", spec, "--fn", "f2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_the_package_exports_each_name_once():
+    names = commcount.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(commcount, n)] == []
+
+
 @pytest.mark.parametrize("name", ["cyclic-closed-form", "bundled:q8", "nonsense"])
 def test_coeffs_table_takes_auto_or_a_file(capsys, name):
     code, out, err = run_cli(

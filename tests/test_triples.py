@@ -7,7 +7,6 @@ import pytest
 
 from commcount import perms
 from commcount.chars import partitions_of
-from commcount.groups import make_group
 from commcount.perms import (
     cycle_type,
     cycles_of,
@@ -21,7 +20,6 @@ from commcount.perms import (
 from commcount.triples import (
     _EVEN_PAIR_TRIPLES,
     CycleDecomposition,
-    combine_disjoint_triples,
     decompose_cycles,
     ore_triple_symmetric,
 )
@@ -244,46 +242,3 @@ def test_decomposition_validation():
         )
     # a correct decomposition passes
     CycleDecomposition(g, ((0, 1), (2, 3)), ())
-
-
-def grafted_triple_indices(G, txt, n):
-    # solve a small target, then look the permutations up in the big table
-    g = parse_cycles(txt, n)
-    triple = ore_triple_symmetric(n, g)
-    index = {p: i for i, p in enumerate(G.perm_list)}
-    return tuple(index[p] for p in triple), index[g]
-
-
-def test_combine_disjoint_triples():
-    G = make_group("symmetric:6")
-    tx, gx = grafted_triple_indices(G, "(1 2 3)", 6)
-    ty, gy = grafted_triple_indices(G, "(4 5 6)", 6)
-
-    combined = combine_disjoint_triples(G, tx, ty)
-    want = {p: i for i, p in enumerate(G.perm_list)}[
-        parse_cycles("(1 2 3)(4 5 6)", 6)
-    ]
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    P = G.perm_list
-    assert all(pcomm(P[combined[i]], P[combined[j]]) == P[want] for i, j in pairs)
-
-    # the identity triple is neutral
-    assert combine_disjoint_triples(G, tx, (0, 0, 0)) == tx
-
-    # the product target follows the product of the block targets
-    tz, _ = grafted_triple_indices(G, "(4 6 5)", 6)
-    merged = combine_disjoint_triples(G, tx, tz)
-    assert pcomm(P[merged[0]], P[merged[1]]) == parse_cycles("(1 2 3)(4 6 5)", 6)
-
-
-def test_combine_rejects_bad_input():
-    G = make_group("symmetric:6")
-    tx, _ = grafted_triple_indices(G, "(1 2 3)", 6)
-    overlapping, _ = grafted_triple_indices(G, "(3 4 5)", 6)
-    with pytest.raises(ValueError, match="commute"):
-        combine_disjoint_triples(G, tx, overlapping)
-
-    ty, _ = grafted_triple_indices(G, "(4 5 6)", 6)
-    broken = (ty[0], ty[1], 0)
-    with pytest.raises(ValueError, match="unequal"):
-        combine_disjoint_triples(G, tx, broken)
