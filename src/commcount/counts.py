@@ -34,9 +34,9 @@ sign and rationality are read off the residues of the resulting array
 
 The paper's pair weight H[a, b] = |C(ab) b  intersect  C(a)| is evaluated in
 one place, `_pair_weight_rows`, for a block of elements a at a time from the
-group's commuting pairs (`GroupTable.commuting`).  Tallying its rows by the
-class of [a, b] gives the theta weights (class-rep rows) and the tau weights
-(all rows, per column b).
+group's commuting pairs (`GroupTable.commuting_pairs`).  Tallying its rows by
+the class of [a, b] gives the theta weights (class-rep rows) and the tau
+weights (all rows, per column b).
 """
 from __future__ import annotations
 
@@ -389,28 +389,20 @@ def f2_from_characters(G: GroupTable, T: CharacterTable | None = None) -> ClassC
     return _certified_counts(G, T, f2_coeffs(T), "f", 2)
 
 
-def _commuting_pairs(G: GroupTable):
-    """The commuting matrix in CSR form: the pairs (x, u) with u in C(x),
-    row by row, and where each row starts; k(G) * |G| pairs in all."""
-    K = G.commuting()
-    x, u = np.nonzero(K)
-    sizes = K.sum(axis=1)
-    return x.astype(np.int32), u.astype(np.int32), np.cumsum(sizes) - sizes
-
-
 def _pair_weight_rows(G: GroupTable, a):
     """For the elements a (an index array), blocks (s, R), s a slice of a
     and row i of R is R[i, x] = H[a_i, a_i^-1 x], a_i = a[s][i] and x over
     G: the pair weights
     H[a, b] = |C(ab) b  intersect  C(a)| with column b moved to x = ab, the
     u in C(x) with u * a^-1 x in C(a).  Each block takes every pair (x, u)
-    of the commuting matrix once per row, k(G) * |G| gathers."""
-    x, u, starts = G.cached("commuting-pairs", _commuting_pairs)
+    of `GroupTable.commuting_pairs` once per row, k(G) * |G| gathers."""
+    u, starts = G.commuting_pairs()
+    n = G.order
+    x = np.repeat(np.arange(n, dtype=np.int32), np.diff(starts))
     # an entry costs about 17 bytes of temporaries (gathered int32 indices
     # and their intp copies), so blocks of _BLOCK_PRODUCTS / 8 entries keep
     # them near 140 KB
     step = max(1, _BLOCK_PRODUCTS // 8 // len(x))
-    n = G.order
     for lo in range(0, len(a), step):
         s = slice(lo, lo + step)
         block = a[s]
@@ -420,7 +412,7 @@ def _pair_weight_rows(G: GroupTable, a):
         y = G.table.reshape(-1)[ub]  # u * b
         y += (np.arange(len(block), dtype=np.int32) * n)[:, None]
         hits = G.commuting()[block].reshape(-1)[y]  # u * b in C(a)
-        yield s, np.add.reduceat(hits, starts, axis=1, dtype=np.int64)
+        yield s, np.add.reduceat(hits, starts[:-1], axis=1, dtype=np.int64)
 
 
 def _aggregated_theta_weights(G: GroupTable):

@@ -14,7 +14,9 @@ table is a Latin square, so no Latin check is needed.  A direct product
 ``product:A,B`` is proved instead by its two proved factors and one n^2
 equality of its table with the broadcast of theirs; its inverses,
 commutators, classes, center and derived subgroup are those of the factors
-paired, since the commutator is taken per factor.  A subgroup
+paired, since the commutator is taken per factor.  A group is abelian
+exactly when the generators that proved it (or both its factors) commute,
+and then each element is a class of its own.  A subgroup
 (``SubgroupRef``) is proved closed by greedy generators, the smallest
 member not yet reached each time, with |H| products per generator and at
 most log2|H| of them.  Element names not given to the constructor are
@@ -33,11 +35,14 @@ blocks: from a block's diagonal rightwards each entry is one gather on the
 flattened table at inv[M[y, x]] * n + M[x, y], and left of it [y, x]^-1
 from the rows above.  ``comm_row`` gathers from that matrix once it is
 built, so a reader of a few rows never forces the n^2 build.
-Centralizers have one representation, the commuting matrix
-``G.commuting()``: the read-only boolean matrix K = (table == table.T), so
-row x is C(x), its row sums are the centralizer orders and the rows that
-are all true are the center.  It costs n^2 bytes, where per-element index
-tuples cost n * |C(x)| Python ints (over 1 GB for ``cyclic:5040``).
+Centralizers are read from the commuting matrix ``G.commuting()``: the
+read-only boolean matrix K = (table == table.T), so row x is C(x), its row
+sums are the centralizer orders and the rows that are all true are the
+center.  It costs n^2 bytes, where per-element index tuples cost
+n * |C(x)| Python ints (over 1 GB for ``cyclic:5040``).  A reader of every
+row takes them from ``G.commuting_pairs()``, K in CSR form: the sorted u in
+C(x) row after row, as int32, and where each row starts, k(G) * n pairs in
+all, found by one flat pass over K.  A reader of a few rows reads K.
 
 Groups above order 5040 (``ORDER_CAP``, the order of ``symmetric:7``) are
 rejected with ``GroupSpecError`` before their table is allocated: a dense
@@ -63,7 +68,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -189,9 +194,12 @@ class GroupTable:
                 raise GroupLawError(f"expected {order} names, got {len(names)}")
             self._memo["names"] = tuple(str(s) for s in names)
         if product_parts is None:
-            self.inv = _check_group_laws(M, generators)
+            self.inv, gens = _check_group_laws(M, generators)
+            # the proved generators commute pairwise exactly when G is abelian
+            self.abelian = all(M[g, h] == M[h, g] for g, h in combinations(gens, 2))
         else:
             self.inv = _check_product(M, *product_parts)
+            self.abelian = all(P.abelian for P in product_parts)
         # C order, so that comm_row's flat gather reads it without a copy
         self.table = np.ascontiguousarray(M, dtype=np.int32).view()
         self.table.flags.writeable = False
@@ -240,11 +248,18 @@ class GroupTable:
         """The read-only boolean matrix K[x, y] = (xy == yx); row x is C(x)."""
         return self.cached("commuting", _commuting)
 
+    def commuting_pairs(self):
+        """``commuting()`` in CSR form, (u, starts): u[starts[x]:starts[x + 1]]
+        is the sorted C(x), both read-only int32 vectors."""
+        return self.cached("commuting-pairs", _commuting_pairs)
+
     def centralizer_lists(self):
-        """Per element: the sorted tuple of indices commuting with it, read
-        from the rows of ``commuting()`` on each call.  No library code calls
-        it; it stays only for the benchmark in ``perfbench/`` and the tests."""
-        return [tuple(np.flatnonzero(row).tolist()) for row in self.commuting()]
+        """Per element: the sorted tuple of indices commuting with it, cut
+        from ``commuting_pairs()`` on each call.  No library code calls it;
+        it stays only for the benchmark in ``perfbench/`` and the tests."""
+        u, starts = self.commuting_pairs()
+        u, starts = u.tolist(), starts.tolist()
+        return [tuple(u[lo:hi]) for lo, hi in zip(starts, starts[1:])]
 
 
 def _names(G: GroupTable) -> tuple[str, ...]:
@@ -257,7 +272,8 @@ def _names(G: GroupTable) -> tuple[str, ...]:
 
 
 def _check_group_laws(M, seeds=()):
-    """Prove the dense table M a group; return the inverses.
+    """Prove the dense table M a group; return the inverses and the
+    generators that Light's test proved.
 
     Three checks make the proof:
 
@@ -305,13 +321,14 @@ def _check_group_laws(M, seeds=()):
                 f"associativity fails: more than log2({n}) greedy generators"
             )
         # (x*a)*y == x*(a*y) for the x of each row block and every y
-        if not all((M[M[rows, a]] == M[rows][:, M[a]]).all() for rows in blocks):
+        if not all((np.take(M, M[rows, a], axis=0) == np.take(M[rows], M[a], axis=1)).all()
+                   for rows in blocks):
             raise GroupLawError(f"associativity fails with middle element {a}")
 
-    _greedy_closure(M, seed_or_largest, associative)
+    _, gens = _greedy_closure(M, seed_or_largest, associative)
     # In a group the right inverse (where a row holds 0) is two-sided.
     inv.flags.writeable = False
-    return inv
+    return inv, gens
 
 
 def _check_product(M, A: GroupTable, B: GroupTable):
@@ -339,9 +356,9 @@ def _pair_matrix(MA, MB):
 
 def _greedy_closure(M, pick, admit=None):
     """The subgroup reached from the identity by generators taken one at a
-    time, as a boolean mask: pick(reached) names the next generator (None
-    ends the loop), admit(gens), when given, checks the newest one before
-    the mask reached is closed under all of them."""
+    time, as a boolean mask, and the generators: pick(reached) names the
+    next generator (None ends the loop), admit(gens), when given, checks the
+    newest one before the mask reached is closed under all of them."""
     reached = np.zeros(len(M), dtype=bool)
     reached[0] = True
     gens: list[int] = []
@@ -350,7 +367,7 @@ def _greedy_closure(M, pick, admit=None):
         if admit is not None:
             admit(gens)
         _close(M, reached, np.flatnonzero(reached), gens)
-    return reached
+    return reached, gens
 
 
 def _close(M, reached, frontier, gens) -> int:
@@ -437,6 +454,20 @@ def _commuting(G: GroupTable):
         K = G.table == G.table.T
     K.flags.writeable = False
     return K
+
+
+def _commuting_pairs(G: GroupTable):
+    """The CSR of K from one flatnonzero: entry x * n + u is row x, column
+    u, and row x starts at the first entry at or above x * n.  Its int64
+    temporary is 8 bytes per pair; the int32 columns 4 more (n^2 < 2^31
+    under ORDER_CAP)."""
+    n = G.order
+    flat = np.flatnonzero(G.commuting())
+    starts = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
+    flat %= n
+    u = flat.astype(np.int32)
+    u.flags.writeable = starts.flags.writeable = False
+    return u, starts
 
 
 # -- spec parsing ------------------------------------------------------------
@@ -656,7 +687,7 @@ def _perm_group(spec: str) -> GroupTable:
     body = spec[len("perm:"):]
     if not body:
         raise GroupSpecError("perm spec needs at least one generator")
-    gen_texts = [s for s in body.split(",") if s.strip()]
+    gen_texts = [s.strip() for s in body.split(",") if s.strip()]
     degree = 1  # perm:() is the identity on one point: a key needs a byte
     for t in gen_texts:
         g = perms.parse_cycles(t)
@@ -666,7 +697,8 @@ def _perm_group(spec: str) -> GroupTable:
         plist = perms.closure(gens, ORDER_CAP)
     except ValueError as exc:
         raise GroupSpecError(str(exc)) from None
-    return _table_from_perms(plist, spec)
+    # the spec of the texts that parsed, so that it reads back as one spec
+    return _table_from_perms(plist, "perm:" + ",".join(gen_texts))
 
 
 def _product(A: GroupTable, B: GroupTable) -> GroupTable:
@@ -686,12 +718,21 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
 
 
 def _class_partition(G: GroupTable) -> ClassPartition:
-    """A product's classes are the pairs of its parts' classes, numbered
-    lexicographically: the least member of a pair class is
-    rep_A*|B| + rep_B, so that order is the canonical one."""
+    """An abelian group's classes are its elements.  A product's are the
+    pairs of its parts' classes, numbered lexicographically: the least
+    member of a pair class is rep_A*|B| + rep_B, so that order is the
+    canonical one.  Any other group's are its conjugation orbits."""
+    if G.abelian:
+        return _partition(np.arange(G.order))
     if G.product_parts is not None:
         A, B = map(conjugacy_classes, G.product_parts)
         return _partition((np.array(A.class_of)[:, None] * len(B) + B.class_of).reshape(-1))
+    return _partition(_orbit_classes(G))
+
+
+def _orbit_classes(G: GroupTable):
+    """The class number of each element, one conjugation orbit per class
+    in the order of its least member."""
     M, inv = G.table, G.inv
     every = np.arange(G.order)
     class_of = np.full(G.order, -1)
@@ -701,7 +742,7 @@ def _class_partition(G: GroupTable) -> ClassPartition:
             # the orbit y^-1 * start * y over all y; start is its least member
             class_of[M[M[inv, start], every]] = count
             count += 1
-    return _partition(class_of)
+    return class_of
 
 
 def _partition(class_of) -> ClassPartition:
@@ -744,7 +785,7 @@ def _generated(G: GroupTable, gens) -> SubgroupRef:
     """The subgroup that gens, valid indices, generate; each one already
     reached is skipped."""
     todo = iter(gens)
-    reached = _greedy_closure(
+    reached, _ = _greedy_closure(
         G.table, lambda reached: next((g for g in todo if not reached[g]), None)
     )
     return SubgroupRef(G, tuple(np.flatnonzero(reached).tolist()))

@@ -175,23 +175,31 @@ def test_spec_errors():
         make_group("symmetric:8")  # order 40320 exceeds the cap
 
 
-@pytest.mark.parametrize(
-    "text, spec, order",
-    [
-        ("  product:dihedral:3,quaternion  ", "product:dihedral:3,quaternion", 48),
-        ("product:product:cyclic:2,cyclic:3,product:quaternion,cyclic:2",
-         "product:product:cyclic:2,cyclic:3,product:quaternion,cyclic:2", 96),
-        ("product:product:product:cyclic:2,cyclic:2,cyclic:2,cyclic:3",
-         "product:product:product:cyclic:2,cyclic:2,cyclic:2,cyclic:3", 24),
-        # a comma before "(" stays inside the generator list
-        ("product:perm:(1 2),(1 2 3),cyclic:2", "product:perm:(1 2),(1 2 3),cyclic:2", 12),
-        ("product:cyclic:2,perm:(1 2),(1 2 3)", "product:cyclic:2,perm:(1 2),(1 2 3)", 12),
-        ("perm:(1 2),", "perm:(1 2),", 2),
-    ],
-)
+SPEC_GRAMMAR_RESULTS = [
+    ("  product:dihedral:3,quaternion  ", "product:dihedral:3,quaternion", 48),
+    ("product:product:cyclic:2,cyclic:3,product:quaternion,cyclic:2",
+     "product:product:cyclic:2,cyclic:3,product:quaternion,cyclic:2", 96),
+    ("product:product:product:cyclic:2,cyclic:2,cyclic:2,cyclic:3",
+     "product:product:product:cyclic:2,cyclic:2,cyclic:2,cyclic:3", 24),
+    # a comma before "(" stays inside the generator list
+    ("product:perm:(1 2),(1 2 3),cyclic:2", "product:perm:(1 2),(1 2 3),cyclic:2", 12),
+    ("product:cyclic:2,perm:(1 2),(1 2 3)", "product:cyclic:2,perm:(1 2),(1 2 3)", 12),
+    # a perm: spec is its generator texts joined by ",", so it parses again
+    ("perm:(1 2),", "perm:(1 2)", 2),
+]
+
+
+@pytest.mark.parametrize("text, spec, order", SPEC_GRAMMAR_RESULTS)
 def test_spec_grammar_results(text, spec, order):
     G = make_group(text)
     assert (G.spec, G.order) == (spec, order)
+
+
+@pytest.mark.parametrize("text, spec, order", SPEC_GRAMMAR_RESULTS)
+def test_every_spec_reads_back_as_a_first_factor(text, spec, order):
+    P = make_group(f"product:{make_group(text).spec},cyclic:2")
+    assert (P.spec, P.order) == (f"product:{spec},cyclic:2", 2 * order)
+    assert make_group(P.spec).spec == P.spec
 
 
 @pytest.mark.parametrize(
@@ -308,6 +316,18 @@ def test_group_law_checks_reach_the_last_block():
     t[1][250], t[1][260] = t[1][260], t[1][250]  # row 1 stays a permutation
     with pytest.raises(GroupLawError, match="associativity fails"):
         GroupTable(t)
+
+
+def test_light_test_message_is_the_same_in_every_block():
+    # order 300 is checked in blocks of 65536 // 300 = 218 rows; a defect in
+    # a row of either block is refused by the first generator, 299, with
+    # one message
+    for row in (1, 280):
+        t = [[(i + j) % 300 for j in range(300)] for i in range(300)]
+        t[row][250], t[row][260] = t[row][260], t[row][250]  # a permutation still
+        with pytest.raises(GroupLawError) as refused:
+            GroupTable(t)
+        assert str(refused.value) == "associativity fails with middle element 299"
 
 
 def _is_group(t) -> bool:
@@ -540,7 +560,7 @@ def test_vectorized_builders_match_definitions(spec):
     if G.product_parts is not None:
         # the inverses a product takes from its parts are the ones the full
         # group-law checks find
-        inv = groups._check_group_laws(G.table)
+        inv, _ = groups._check_group_laws(G.table)
         assert inv.dtype == G.inv.dtype and np.array_equal(inv, G.inv)
     if spec.startswith("perm:"):
         gens = [perms.parse_cycles(t, len(G.perm_list[0]))
@@ -986,7 +1006,7 @@ def test_seeds_that_reach_part_of_the_group_fall_back_to_greedy(monkeypatch):
     G = make_group("symmetric:5")
     five_cycle = G.perm_list.index(perms.parse_cycles("(1 2 3 4 5)", 5))
     seen = _spy_on_close(monkeypatch)
-    inv = groups._check_group_laws(G.table, [five_cycle])
+    inv, _ = groups._check_group_laws(G.table, [five_cycle])
     assert np.array_equal(inv, G.inv)
     # the 5-cycle reaches the 5 elements of its cyclic group; the largest
     # index outside it, the last element, is the next generator
@@ -1039,22 +1059,56 @@ def test_close_reaches_the_generated_subgroup_only():
         assert tuple(np.flatnonzero(reached).tolist()) == _generated(G, gens)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "product:cyclic:2,cyclic:3",
-        "product:cyclic:2,product:cyclic:2,cyclic:2",
-        "product:symmetric:3,dihedral:4",
-        "product:quaternion,cyclic:3",
-        "product:product:cyclic:2,symmetric:3,dihedral:4",
-        "product:symmetric:3,dihedral:10",
-        "product:perm:(1 2 3),dihedral:4",
-        "product:symmetric:4,dihedral:10",
-        "product:alternating:5,cyclic:5",
-    ],
+PRODUCT_SPECS = (
+    "product:cyclic:2,cyclic:3",
+    "product:cyclic:2,product:cyclic:2,cyclic:2",
+    "product:symmetric:3,dihedral:4",
+    "product:quaternion,cyclic:3",
+    "product:product:cyclic:2,symmetric:3,dihedral:4",
+    "product:symmetric:3,dihedral:10",
+    "product:perm:(1 2 3),dihedral:4",
+    "product:symmetric:4,dihedral:10",
+    "product:alternating:5,cyclic:5",
 )
+
+
+@pytest.mark.parametrize("spec", PRODUCT_SPECS)
 def test_product_commuting_matrix_is_the_and_of_its_factors(spec):
     G = make_group(spec)
     K = G.commuting()
     assert K.dtype == bool and not K.flags.writeable
     assert np.array_equal(K, G.table == G.table.T)
+
+
+@pytest.mark.parametrize("spec", verify.sweep_specs() + PRODUCT_SPECS + ("symmetric:6",))
+def test_commuting_pairs_are_the_rows_of_the_commuting_matrix(spec):
+    G = make_group(spec)
+    K = G.commuting()
+    u, starts = G.commuting_pairs()
+    assert u.dtype == starts.dtype == np.int32
+    assert not u.flags.writeable and not starts.flags.writeable
+    assert len(starts) == G.order + 1 and starts[0] == 0 and starts[-1] == len(u)
+    for x in range(G.order):
+        assert np.array_equal(u[starts[x]:starts[x + 1]], np.flatnonzero(K[x]))
+    # |C(x)| = |G| / |class of x|
+    part = conjugacy_classes(G)
+    class_sizes = np.array(part.sizes)[list(part.class_of)]
+    assert (np.diff(starts) * class_sizes == G.order).all()
+    # the tuples one flatnonzero per row gave
+    cents = G.centralizer_lists()
+    assert cents == [tuple(np.flatnonzero(row).tolist()) for row in K]
+    assert all(type(y) is int for c in cents for y in c)
+
+
+@pytest.mark.parametrize(
+    "spec", verify.sweep_specs() + ("cyclic:240", "product:cyclic:16,cyclic:16")
+)
+def test_abelian_groups_take_one_class_per_element(spec):
+    G = make_group(spec)
+    assert G.abelian == bool((G.table == G.table.T).all())
+    assert GroupTable(G.table).abelian == G.abelian
+    part = conjugacy_classes(G)
+    assert "commuting" not in G._memo
+    if G.abelian:
+        assert part == groups._partition(groups._orbit_classes(G))
+        assert part.sizes == (1,) * G.order
