@@ -55,7 +55,7 @@ from .chars import (
     table_for,
 )
 from .cyclo import Cyclo, CycloArray, NotRationalError, _amax, _exact, exact_matmul
-from .groups import _BLOCK_PRODUCTS, GroupTable, SubgroupRef, conjugacy_classes
+from .groups import _BLOCK_PRODUCTS, INDEX_DTYPE, GroupTable, SubgroupRef, conjugacy_classes
 
 DEFAULT_BUDGET = 10**9
 
@@ -398,20 +398,21 @@ def _pair_weight_rows(G: GroupTable, a):
     of `GroupTable.commuting_pairs` once per row, k(G) * |G| gathers."""
     u, starts = G.commuting_pairs()
     n = G.order
-    x = np.repeat(np.arange(n, dtype=np.int32), np.diff(starts))
-    # an entry costs about 17 bytes of temporaries (gathered int32 indices
-    # and their intp copies), so blocks of _BLOCK_PRODUCTS / 8 entries keep
-    # them near 140 KB
+    x = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(starts))
+    # an entry costs about 13 bytes of temporaries (one buffer of flat intp
+    # indices, reused, and gathered int16 elements), so blocks of
+    # _BLOCK_PRODUCTS / 8 entries keep them near 100 KB
     step = max(1, _BLOCK_PRODUCTS // 8 // len(x))
     for lo in range(0, len(a), step):
         s = slice(lo, lo + step)
         block = a[s]
-        # flat int32 indices (n^2 < 2^31 under ORDER_CAP), each gather 1-D
-        ub = G.table[G.inv[block]][:, x]  # b = a^-1 x, one row per a
-        ub += u * n
-        y = G.table.reshape(-1)[ub]  # u * b
-        y += (np.arange(len(block), dtype=np.int32) * n)[:, None]
-        hits = G.commuting()[block].reshape(-1)[y]  # u * b in C(a)
+        # flat indices in intp (n^2 > 2^15, and a gather takes intp as is),
+        # each gather 1-D
+        flat = np.multiply(u, n, out=np.empty((len(block), len(x)), np.intp), dtype=np.intp)
+        flat += G.table[G.inv[block]][:, x]  # + b, b = a^-1 x, one row per a
+        y = G.table.reshape(-1)[flat]  # u * b
+        np.add(y, np.arange(0, len(block) * n, n)[:, None], out=flat)
+        hits = G.commuting()[block].reshape(-1)[flat]  # u * b in C(a)
         yield s, np.add.reduceat(hits, starts[:-1], axis=1, dtype=np.int64)
 
 
@@ -459,7 +460,7 @@ def _tau_weights(G: GroupTable):
     for s, R in _pair_weight_rows(G, every):
         # R[i, x] is H[a, b] at b = a^-1 x, whose class is that of [a, x]
         b = G.table[G.inv[every[s]]]
-        np.add.at(W, b * k + class_of[G.comm_row(every[s])], R)
+        np.add.at(W, np.multiply(b, k, dtype=np.intp) + class_of[G.comm_row(every[s])], R)
     return W.reshape(G.order, k)
 
 

@@ -1,8 +1,8 @@
 """Finite groups as dense multiplication tables.
 
 Elements are indices 0..order-1 with the identity pinned at 0.  Each group
-holds one read-only int32 numpy table, ``GroupTable.table``, which every
-reader in the package indexes, and its inverses as a read-only int32
+holds one read-only int16 numpy table, ``GroupTable.table``, which every
+reader in the package indexes, and its inverses as a read-only int16
 vector, ``GroupTable.inv``.  Every constructor proves its table a group,
 at every order, from three checks: index 0 is a two-sided identity, every
 row holds a 0 (a right inverse), and Light's test passes on a generating
@@ -30,7 +30,7 @@ broadcast of the factors' matrices, and commutators, classes, element
 orders and subgroup closure by gathers on ``table``.
 
 Commutators have one representation, ``G.comm_table()``: the read-only
-int32 matrix of [x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), filled in row
+int16 matrix of [x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), filled in row
 blocks: from a block's diagonal rightwards each entry is one gather on the
 flattened table at inv[M[y, x]] * n + M[x, y], and left of it [y, x]^-1
 from the rows above.  ``comm_row`` gathers from that matrix once it is
@@ -41,13 +41,18 @@ sums are the centralizer orders and the rows that are all true are the
 center.  It costs n^2 bytes, where per-element index tuples cost
 n * |C(x)| Python ints (over 1 GB for ``cyclic:5040``).  A reader of every
 row takes them from ``G.commuting_pairs()``, K in CSR form: the sorted u in
-C(x) row after row, as int32, and where each row starts, k(G) * n pairs in
-all, found by one flat pass over K.  A reader of a few rows reads K.
+C(x) row after row, as int16, and where each row starts, as int32 (a
+position), k(G) * n pairs in all, found by one flat pass over K.  A reader
+of a few rows reads K.
 
 Groups above order 5040 (``ORDER_CAP``, the order of ``symmetric:7``) are
 rejected with ``GroupSpecError`` before their table is allocated: a dense
-int32 table costs 4n^2 bytes, about 100 MB at the cap, and its structural
-data a few times that.
+int16 table costs 2n^2 bytes, about 51 MB at the cap, and its structural
+data a few times that.  int16 is ``INDEX_DTYPE``, the smallest signed dtype
+that holds ORDER_CAP and the one dtype of every element-valued array a
+group holds: its table, inverses, commutators and centralizer columns.  A
+position in an n x n matrix, x * n + y, does not fit in it (n^2 > 2^15), so
+every such index is computed in a wider dtype.
 
 A spec is parsed in one pass, ``_plan``: ``product:`` takes two specs and a
 comma, ``perm:`` runs to a comma outside parentheses with text other than
@@ -75,6 +80,9 @@ import numpy as np
 from . import perms
 
 ORDER_CAP = 5040
+# The dtype of an element index: int16, as -ORDER_CAP fits (the sign leaves
+# room for the -1 a builder marks a missing product with).
+INDEX_DTYPE = np.min_scalar_type(-ORDER_CAP)
 # A character table holds rows x classes x phi(N) int64 residues; one above
 # 2^24 (128 MB) is refused with TableProviderError before it is allocated.
 TABLE_CAP = 1 << 24
@@ -159,14 +167,15 @@ class GroupTable:
     """Immutable multiplication table plus cached structural data.
 
     ``mul`` is a square table of indices: rows of ints or a 2-D integer
-    array.  ``table`` keeps it as a read-only int32 array once every group
-    law has been checked on it, and ``inv`` the inverses as a read-only
-    int32 vector.  ``family`` is the prefix of ``spec`` before its first
-    colon, or ``"table"`` for a table without a spec.  Light's test takes
-    the indices in ``generators`` first.  With ``product_parts`` (A, B),
-    two proved groups, the table must equal the broadcast of theirs, with
-    (a, b) at a*|B| + b; then it is their direct product, and the group-law
-    checks give way to that one equality.
+    array.  ``table`` keeps it as a read-only ``INDEX_DTYPE`` (int16)
+    array once every group law has been checked on it, 2n^2 bytes, and
+    ``inv`` the inverses as a read-only int16 vector.  ``family`` is the
+    prefix of ``spec`` before its first colon, or ``"table"`` for a table
+    without a spec.  Light's test takes the indices in ``generators``
+    first.  With ``product_parts`` (A, B), two proved groups, the table must
+    equal the broadcast of theirs, with (a, b) at a*|B| + b; then it is
+    their direct product, and the group-law checks give way to that one
+    equality.
     """
 
     def __init__(self, mul, names=None, spec="", perm_list=None, product_parts=None,
@@ -201,7 +210,7 @@ class GroupTable:
             self.inv = _check_product(M, *product_parts)
             self.abelian = all(P.abelian for P in product_parts)
         # C order, so that comm_row's flat gather reads it without a copy
-        self.table = np.ascontiguousarray(M, dtype=np.int32).view()
+        self.table = np.ascontiguousarray(M, dtype=INDEX_DTYPE).view()
         self.table.flags.writeable = False
 
     def cached(self, key, build, *args):
@@ -229,7 +238,7 @@ class GroupTable:
         return int(self.table[x, y])
 
     def comm_row(self, x):
-        """x^-1 * y^-1 * x * y for every y, as an int32 array: gathered from
+        """x^-1 * y^-1 * x * y for every y, as an int16 array: gathered from
         ``comm_table()`` once it is built, else one flat gather on table.
         An int gives one row; a 1-D array or a slice of x, one row per x."""
         comm = self._memo.get("comm")
@@ -238,7 +247,7 @@ class GroupTable:
         return _comm_columns(self, x, 0)
 
     def comm_table(self):
-        """The read-only int32 matrix C[x, y] = x^-1 * y^-1 * x * y."""
+        """The read-only int16 matrix C[x, y] = x^-1 * y^-1 * x * y."""
         return self.cached("comm", _comm_table)
 
     def element_orders(self):
@@ -250,7 +259,7 @@ class GroupTable:
 
     def commuting_pairs(self):
         """``commuting()`` in CSR form, (u, starts): u[starts[x]:starts[x + 1]]
-        is the sorted C(x), both read-only int32 vectors."""
+        is the sorted C(x), read-only int16 and int32 vectors."""
         return self.cached("commuting-pairs", _commuting_pairs)
 
     def centralizer_lists(self):
@@ -285,12 +294,13 @@ def _check_group_laws(M, seeds=()):
     An associative magma with a two-sided identity and right inverses is a
     group, and a group's table is a Latin square.  Each check runs over row
     blocks of about _BLOCK_PRODUCTS entries, so that no temporary grows
-    with the size of M."""
+    with the size of M.  They read M as given, before the constructor casts
+    it to INDEX_DTYPE, so that no entry can wrap into range."""
     n = len(M)
     ar = np.arange(n)
     step = max(1, _BLOCK_PRODUCTS // n)
     blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
-    inv = np.empty(n, dtype=np.int32)
+    inv = np.empty(n, dtype=INDEX_DTYPE)
     for rows in blocks:
         is_one = M[rows] == 0
         inv[rows] = is_one.argmax(axis=1)
@@ -349,7 +359,9 @@ def _check_product(M, A: GroupTable, B: GroupTable):
 
 def _pair_matrix(MA, MB):
     """The matrix on pairs with ((x, a), (y, b)) -> MA[x, y]*|B| + MB[a, b],
-    rows and columns numbered x*|B| + a; MA may be a block of rows."""
+    rows and columns numbered x*|B| + a; MA may be a block of rows.  Its
+    entries are below |A||B|, within ORDER_CAP, so index arithmetic is
+    exact in INDEX_DTYPE."""
     nb = len(MB)
     return (MA[:, None, :, None] * nb + MB[None, :, None, :]).reshape(len(MA) * nb, -1)
 
@@ -403,10 +415,10 @@ def _comm_columns(G: GroupTable, x, lo: int):
     """[x, y] for the y from lo on, one row per x (an int, a 1-D array or a
     slice of x), by one flat gather on the table."""
     # [x, y] = (y*x)^-1 * (x*y), at flat index inv[M[y, x]] * n + M[x, y];
-    # computed with y on the first axis, so that M[:, x] is read by rows
+    # computed with y on the first axis, so that M[:, x] is read by rows, and
+    # in intp, as x * n overflows INDEX_DTYPE and a gather takes intp as is
     M, n = G.table, G.order
-    flat = G.inv[M[lo:, x]]
-    flat *= n
+    flat = np.multiply(G.inv[M[lo:, x]], n, dtype=np.intp)
     flat += M[x, lo:].T
     return M.reshape(-1)[flat].T
 
@@ -421,7 +433,7 @@ def _comm_table(G: GroupTable):
         C = _pair_matrix(A.comm_table(), B.comm_table())
     else:
         step = max(1, _BLOCK_PRODUCTS // G.order)
-        C = np.empty((G.order, G.order), dtype=np.int32)
+        C = np.empty((G.order, G.order), dtype=INDEX_DTYPE)
         for lo in range(0, G.order, step):
             x = slice(lo, lo + step)
             C[x, lo:] = _comm_columns(G, x, lo)
@@ -459,13 +471,13 @@ def _commuting(G: GroupTable):
 def _commuting_pairs(G: GroupTable):
     """The CSR of K from one flatnonzero: entry x * n + u is row x, column
     u, and row x starts at the first entry at or above x * n.  Its int64
-    temporary is 8 bytes per pair; the int32 columns 4 more (n^2 < 2^31
-    under ORDER_CAP)."""
+    temporary is 8 bytes per pair; the INDEX_DTYPE columns 2 more.  The
+    starts are positions, up to n^2 < 2^31 under ORDER_CAP: int32."""
     n = G.order
     flat = np.flatnonzero(G.commuting())
     starts = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
     flat %= n
-    u = flat.astype(np.int32)
+    u = flat.astype(INDEX_DTYPE)
     u.flags.writeable = starts.flags.writeable = False
     return u, starts
 
@@ -560,8 +572,8 @@ def _leaf(spec: str):
 
 
 def _cyclic(n: int) -> GroupTable:
-    r = np.arange(n, dtype=np.int32)
-    mul = r[:, None] + r
+    r = np.arange(n, dtype=INDEX_DTYPE)
+    mul = r[:, None] + r  # below 2n, within INDEX_DTYPE
     mul %= n  # in place: one n x n table at a time
     names = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
     return GroupTable(mul, names, spec=f"cyclic:{n}")
@@ -570,7 +582,7 @@ def _cyclic(n: int) -> GroupTable:
 def _dihedral(n: int) -> GroupTable:
     # a^i * a^j = a^(i+j), a^i * a^j b = a^(i+j) b, a^i b * a^j = a^(i-j) b,
     # a^i b * a^j b = a^(i-j)
-    r = np.arange(n, dtype=np.int32)
+    r = np.arange(n, dtype=INDEX_DTYPE)
     add, sub = (r[:, None] + r) % n, (r[:, None] - r) % n
     mul = np.block([[add, add + n], [sub + n, sub]])
     rot = ["1"] + ["a" if i == 1 else f"a^{i}" for i in range(1, n)]
@@ -625,7 +637,7 @@ def _table_from_perms(plist, spec, generators=()) -> GroupTable:
     one = index.get(np.arange(P.shape[1], dtype=P.dtype).tobytes())
     if one is None:
         raise GroupLawError("permutation list not closed: () is not in it")
-    mul = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=INDEX_DTYPE)
     mul[one] = np.arange(n)
     filled = np.zeros(n, dtype=bool)
     filled[one] = True
@@ -634,7 +646,7 @@ def _table_from_perms(plist, spec, generators=()) -> GroupTable:
     while not filled.all():
         s = n - 1 - int(filled[::-1].argmin())
         keys = _row_keys(P[:, P[s]])
-        mul[s] = row = np.array(list(map(index.get, keys, repeat(-1))), np.int32)
+        mul[s] = row = np.array(list(map(index.get, keys, repeat(-1))), INDEX_DTYPE)
         if row.min() < 0:
             p = plist[int(row.argmin())]
             raise GroupLawError(

@@ -517,6 +517,76 @@ def test_pair_weights_match_definition(spec):
     assert counts_module._tau_weights(G).tolist() == tau
 
 
+# Element indices are int16; the pair-weight kernel's flat positions u * n + b
+# and the tau tally's keys b * k + c pass 2^15 once n or n * k does.  The
+# references below read the table by 2-D gathers with int64 indices only.
+
+
+def _pair_weights_int64(G, a, K):
+    """H[a, b] = |C(ab) b  intersect  C(a)| for every b, as int64, in blocks
+    of 256 columns b: the u with u in C(ab) and u * b in C(a)."""
+    n = G.order
+    H = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, 256):
+        b = np.arange(lo, min(lo + 256, n))
+        H[b] = (K[G.table[a, b]].T & K[a][G.table[:, b]]).sum(axis=0, dtype=np.int64)
+    return H
+
+
+def _comm_classes_int64(G, a):
+    """The class of [a, b] for every b, through int64 indices."""
+    inv = G.inv.astype(np.int64)
+    comm = G.table[G.table[inv[a], inv].astype(np.int64), G.table[a].astype(np.int64)]
+    return np.array(conjugacy_classes(G).class_of)[comm]
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric:7", "dihedral:300", "cyclic:240", "product:cyclic:16,cyclic:16"]
+)
+def test_pair_weight_rows_past_int16_match_an_int64_reference(spec):
+    # u * n reaches n^2 - n: 25.4 million on symmetric:7, past 2^15 on each
+    G = make_group(spec)
+    n = G.order
+    K = G.table == G.table.T
+    picks = np.unique([1, n - 1, *np.random.default_rng(n).integers(0, n, 1)])
+    rows = [R for _, R in counts_module._pair_weight_rows(G, picks)]
+    for a, R in zip(picks, np.concatenate(rows)):
+        assert np.array_equal(R[G.table[a]], _pair_weights_int64(G, a, K)), a
+
+
+@pytest.mark.parametrize("spec", ["cyclic:240", "product:cyclic:16,cyclic:16"])
+def test_tau_weights_past_int16_match_an_int64_reference(spec):
+    # b * k reaches 57360 and 65280
+    G = make_group(spec)
+    n, k = G.order, len(conjugacy_classes(G))
+    K = G.table == G.table.T
+    want = np.zeros((n, k), dtype=np.int64)
+    for a in range(n):
+        np.add.at(want, (np.arange(n), _comm_classes_int64(G, a)), _pair_weights_int64(G, a, K))
+    assert np.array_equal(counts_module._tau_weights(G), want)
+
+
+def test_tau_weights_at_the_cap_tally_sampled_rows(monkeypatch):
+    # b * k reaches 5039 * 15 = 75585 on symmetric:7; the full tally reads
+    # every row (about 14 s), so it runs on the rows of a few elements a
+    G = make_group("symmetric:7")
+    n, k = G.order, len(conjugacy_classes(G))
+    picks = [1, n - 1]
+    kernel = counts_module._pair_weight_rows
+
+    def sampled(G, every):
+        for a in picks:
+            ((_, R),) = kernel(G, every[a:a + 1])
+            yield slice(a, a + 1), R
+
+    monkeypatch.setattr(counts_module, "_pair_weight_rows", sampled)
+    K = G.table == G.table.T
+    want = np.zeros((n, k), dtype=np.int64)
+    for a in picks:
+        np.add.at(want, (np.arange(n), _comm_classes_int64(G, a)), _pair_weights_int64(G, a, K))
+    assert np.array_equal(counts_module._tau_weights(G), want)
+
+
 @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:6"])
 def test_library_reads_the_commuting_matrix(spec, monkeypatch):
     # Per-element centralizer tuples cost n * |C(x)| Python ints; no library

@@ -425,7 +425,7 @@ def _comm(G, x, y):
 def test_commutator_convention():
     G = make_group("symmetric:3")
     C = G.comm_table()
-    assert C.dtype == np.int32 and C.shape == (6, 6)
+    assert C.dtype == groups.INDEX_DTYPE and C.shape == (6, 6)
     assert not C.flags.writeable
     for x in range(6):
         assert G.comm_row(x).tolist() == C[x].tolist()
@@ -611,7 +611,7 @@ def test_derived_subgroup_is_generated_by_every_commutator(spec):
 
 def test_comm_row_is_the_same_with_and_without_the_matrix():
     # rows are computed from the table until comm_table() is built, then
-    # gathered from it; both give equal int32 arrays of the same shape
+    # gathered from it; both give equal INDEX_DTYPE arrays of the same shape
     for spec in ("symmetric:4", "product:dihedral:5,cyclic:30"):
         G = make_group(spec)
         xs = [0, 3, np.int64(7), np.array([5, 1, 5]), np.arange(G.order)]
@@ -619,7 +619,7 @@ def test_comm_row_is_the_same_with_and_without_the_matrix():
         G.comm_table()
         for x, row in zip(xs, before):
             after = G.comm_row(x)
-            assert after.dtype == row.dtype == np.int32
+            assert after.dtype == row.dtype == groups.INDEX_DTYPE
             assert after.shape == row.shape and np.array_equal(after, row)
 
 
@@ -649,19 +649,71 @@ def test_comm_kernel_matches_the_three_gather_formula(spec):
     def check_rows():
         for x in (0, n - 1, int(picks[0]), np.int64(picks[1])):
             got = G.comm_row(x)
-            assert got.dtype == np.int32 and np.array_equal(got, want[x])
+            assert got.dtype == groups.INDEX_DTYPE and np.array_equal(got, want[x])
         got = G.comm_row(picks)
-        assert got.dtype == np.int32 and np.array_equal(got, want[picks])
+        assert got.dtype == groups.INDEX_DTYPE and np.array_equal(got, want[picks])
         for cut in cuts:
             got = G.comm_row(cut)
-            assert got.dtype == np.int32 and np.array_equal(got, want[cut])
+            assert got.dtype == groups.INDEX_DTYPE and np.array_equal(got, want[cut])
 
     assert "comm" not in G._memo  # rows from the table
     check_rows()
     C = G.comm_table()
-    assert C.dtype == np.int32 and not C.flags.writeable
+    assert C.dtype == groups.INDEX_DTYPE and not C.flags.writeable
     assert np.array_equal(C, want)
     check_rows()  # rows from the matrix
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric:4", "cyclic:12", "quaternion", "product:dihedral:5,cyclic:30"]
+)
+def test_element_arrays_share_the_index_dtype(spec):
+    # every element index fits in int16 under the cap; CSR row starts are
+    # positions, up to n^2, and stay int32
+    assert groups.INDEX_DTYPE == np.int16
+    assert np.iinfo(groups.INDEX_DTYPE).max >= groups.ORDER_CAP
+    G = make_group(spec)
+    for H in (G, GroupTable(G.table.tolist())):
+        u, starts = H.commuting_pairs()
+        arrays = [H.table, H.inv, H.comm_row(1), H.comm_row(np.arange(H.order)), u]
+        arrays += [H.comm_table(), H.comm_row(1)]
+        assert all(a.dtype == groups.INDEX_DTYPE for a in arrays)
+        assert starts.dtype == np.int32
+
+
+def _reference_rows(G, xs):
+    """Rows xs of the table of a cyclic, permutation or product group, from
+    its definition, as Python ints."""
+    n = G.order
+    if G.perm_list is not None:
+        index = {p: i for i, p in enumerate(G.perm_list)}
+        return [[index[perms.pmul(G.perm_list[x], q)] for q in G.perm_list] for x in xs]
+    if G.family == "cyclic":
+        return [[(x + y) % n for y in range(n)] for x in xs]
+    A, B = G.product_parts
+    nb = B.order
+    rows = zip(_reference_rows(A, [x // nb for x in xs]), _reference_rows(B, [x % nb for x in xs]))
+    return [[ra[y // nb] * nb + rb[y % nb] for y in range(n)] for ra, rb in rows]
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5040", "product:cyclic:70,cyclic:72", "symmetric:7"])
+def test_index_arithmetic_at_the_cap_matches_an_int64_reference(spec):
+    # at order 5040 a flat position x * n + y reaches 25401599, far past
+    # int16: sampled rows of the table, the inverses and the commutators
+    # against Python ints and 2-D gathers with int64 indices
+    G = make_group(spec)
+    n = G.order
+    picks = np.random.default_rng(n).integers(0, n, 3).tolist()
+    xs = sorted({1, n // 2, n - 2, n - 1, *picks})
+    assert G.table[xs].tolist() == _reference_rows(G, xs)
+    inv = G.inv.astype(np.int64)
+    assert (G.table[np.arange(n), inv] == 0).all()
+    # [x, y] = (x^-1 y^-1)(x y)
+    want = G.table[G.table[inv[xs]][:, inv].astype(np.int64), G.table[xs].astype(np.int64)]
+    assert np.array_equal(G.comm_row(np.array(xs)), want)  # rows from the table
+    assert np.array_equal(G.comm_row(slice(n - 2, None)), want[-2:])
+    assert np.array_equal(G.comm_table()[xs], want)
+    assert np.array_equal(G.comm_row(np.array(xs)), want)  # rows from the matrix
 
 
 def _left_map_table(plist):
@@ -1085,7 +1137,7 @@ def test_commuting_pairs_are_the_rows_of_the_commuting_matrix(spec):
     G = make_group(spec)
     K = G.commuting()
     u, starts = G.commuting_pairs()
-    assert u.dtype == starts.dtype == np.int32
+    assert u.dtype == groups.INDEX_DTYPE and starts.dtype == np.int32
     assert not u.flags.writeable and not starts.flags.writeable
     assert len(starts) == G.order + 1 and starts[0] == 0 and starts[-1] == len(u)
     for x in range(G.order):

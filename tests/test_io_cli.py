@@ -73,6 +73,17 @@ def test_group_document_errors(tmp_path, text, error, fragment):
         load_group(str(path))
 
 
+@pytest.mark.parametrize("entry", [65537, 65536, -1])
+def test_table_entries_outside_the_index_range_exit_2(tmp_path, capsys, entry):
+    # every row holds a 0, so only the range check can refuse the table; it
+    # reads the entries as written, where int16 would wrap 65537 to 1 and
+    # 65536 to 0
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"order": 2, "mul": [[0, entry], [entry, 0]]}))
+    code, out, err = run_cli(capsys, "info", "--group", f"file:{path}")
+    assert (code, out, err) == (2, "", "error: table entry out of range\n")
+
+
 def _c2_table(**edit) -> str:
     # a cyclic:2 table document, with fields replaced (or dropped for None)
     doc = {
