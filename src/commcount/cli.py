@@ -43,7 +43,7 @@ from .groups import (
     make_group,
     subgroup_generated,
 )
-from .perms import format_cycles, parse_cycles
+from .perms import format_cycles, parse_cycles, split_top_level
 from .triples import TripleSearchError, ore_triple_symmetric
 from .verify import SUITES, run_suite
 
@@ -266,7 +266,7 @@ def _print_table(header, rows) -> None:
 def _count_subgroup(G, kind: str, n: int, args) -> int:
     if kind != "f" or args.method != "brute":
         raise ValueError("--subgroup works with f-counts and --method brute")
-    gens = [_parse_element(G, tok.strip()) for tok in args.subgroup.split(",")]
+    gens = [_parse_element(G, t.strip()) for t in split_top_level(args.subgroup)]
     H = subgroup_generated(G, gens)
     values = brute_f_n(G, n, H)
     rows = [(G.names[x], str(values.get(x, 0))) for x in H.members]

@@ -342,75 +342,47 @@ def _root(n: int, k: int) -> Cyclo:
 
 # -- literal grammar -------------------------------------------------------
 #
-#   expr := ["-"] term (("+" | "-") term)*
-#   term := rat | [rat "*"] "E(" int ")" ["^" int]
-#   rat  := int ["/" int]
+#   literal := term+
+#   term    := sign* (rat ["*"] root | rat | root)
+#   sign    := "+" | "-"
+#   rat     := int ["/" int]
+#   root    := "E(" int ")" ["^" int]
+#   int     := ASCII digits
 #
-# E(n) denotes zeta_n.  format_cyclo emits the canonical residue with
-# exponents ascending, so parse(format(z)) == z for every value.
+# E(n) denotes zeta_n.  A literal is the sum of its terms, so juxtaposed
+# terms add ("2 3" is 5) and a rational just before a root multiplies it
+# ("3E(4)" is 3*E(4)).  Whitespace may come before any token ("E(n)" is one)
+# but not end the text.  The value sits at the lcm of the conductors named
+# ("0*E(7)" at 7).  format_cyclo emits the canonical residue with exponents
+# ascending, so parse(format(z)) == z for every value.
 
-_TOKEN = re.compile(r"\s*(E\(\d+\)|\d+|[+\-*/^])")
-
-
-def _tokenize(text: str) -> list[str]:
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad cyclotomic literal at {text[pos:]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+_TERM = re.compile(
+    r"((?:\s*[+-])*)(?:\s*([0-9]+)(?:\s*/\s*([0-9]+))?(\s*\*)?)?"
+    r"(?:\s*E\(([0-9]+)\)(?:\s*\^\s*([0-9]+))?)?"
+)
 
 
 def parse_cyclo(text: str) -> Cyclo:
-    """Parse a cyclotomic literal such as '1/2', '-E(5)^2-E(5)^3' or '3*E(4)'."""
-    toks = _tokenize(text)
-    if not toks:
-        raise ValueError("empty cyclotomic literal")
-    pos = 0
-    total = _RAT_ZERO
-
-    def take_int() -> int:
-        nonlocal pos
-        if pos >= len(toks) or not toks[pos].isdigit():
-            raise ValueError(f"expected integer in literal {text!r}")
-        val = int(toks[pos])
-        pos += 1
-        return val
-
-    while pos < len(toks):
-        sign = 1
-        while pos < len(toks) and toks[pos] in "+-":
-            if toks[pos] == "-":
-                sign = -sign
-            pos += 1
-        if pos >= len(toks):
-            raise ValueError(f"dangling sign in literal {text!r}")
-        num, den = 1, 1
-        root: Cyclo | None = None
-        if toks[pos].isdigit():
-            num = take_int()
-            if pos < len(toks) and toks[pos] == "/":
-                pos += 1
-                den = take_int()
-            if pos < len(toks) and toks[pos] == "*":
-                pos += 1
-                if pos >= len(toks) or not toks[pos].startswith("E("):
-                    raise ValueError(f"expected E(n) after '*' in {text!r}")
-        if pos < len(toks) and toks[pos].startswith("E("):
-            n = int(toks[pos][2:-1])
-            pos += 1
-            k = 1
-            if pos < len(toks) and toks[pos] == "^":
-                pos += 1
-                k = take_int()
-            root = cyclo_root(n, k)
-        term = Cyclo(1, (sign * num,), den)
-        if root is not None:
-            term = term * root
-        total = total + term
-    return total
+    """Parse a literal of the grammar above, such as '1/2', '-E(5)^2-E(5)^3'
+    or '3*E(4)'.  Each term must consume text; any other text raises
+    ValueError."""
+    terms, pos = [], 0
+    while pos < len(text) or not terms:
+        m = _TERM.match(text, pos)
+        signs, num, den, star, n, k = m.groups()
+        if not (num or n) or (star and not n):
+            raise ValueError(f"bad cyclotomic literal at {text[pos:]!r}")
+        c, q, n, k = (int(s or 1) for s in (num, den, n, k))
+        if not (q and n):
+            raise ValueError(f"zero denominator or conductor in {text!r}")
+        terms.append((-c if signs.count("-") % 2 else c, q, n, k))
+        pos = m.end()
+    # each term c/q * zeta_n^k on the powers of zeta_N, over the lcm D of the q
+    N, D = lcm(*(t[2] for t in terms)), lcm(*(t[1] for t in terms))
+    vec = [0] * N
+    for c, q, n, k in terms:
+        vec[k * (N // n) % N] += c * (D // q)
+    return Cyclo(N, _reduce(vec, N), D)
 
 
 def format_cyclo(z: Cyclo) -> str:

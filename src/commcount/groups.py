@@ -57,6 +57,8 @@ every such index is computed in a wider dtype.
 A spec is parsed in one pass, ``_plan``: ``product:`` takes two specs and a
 comma, ``perm:`` runs to a comma outside parentheses with text other than
 "(" after it, ``file:`` to the end, any other spec to its first comma.
+The generators of ``perm:`` split at the same commas
+(``perms.split_top_level``), so a cycle may separate its points by commas.
 Parameters are read once the whole text has parsed, then the order capped.
 
 Element layouts are deterministic per family:
@@ -534,12 +536,10 @@ def _plan(text: str):
             return order, lambda: _product(build_a(), build_b())
         return check, rem
     if text.startswith("perm:"):
-        depth, end = 0, len(text)
-        for i, ch in enumerate(text):
-            depth += (ch == "(") - (ch == ")")
-            if ch == "," and depth == 0 and text[i + 1:i + 2] not in ("", "("):
-                end = i
-                break
+        parts, k = perms.split_top_level(text), 1
+        while k < len(parts) and (parts[k].startswith("(") or parts[k:] == [""]):
+            k += 1
+        end = len(",".join(parts[:k]))
     elif text.startswith("file:") or "," not in text:
         end = len(text)
     else:
@@ -699,7 +699,7 @@ def _perm_group(spec: str) -> GroupTable:
     body = spec[len("perm:"):]
     if not body:
         raise GroupSpecError("perm spec needs at least one generator")
-    gen_texts = [s.strip() for s in body.split(",") if s.strip()]
+    gen_texts = [s.strip() for s in perms.split_top_level(body) if s.strip()]
     degree = 1  # perm:() is the identity on one point: a key needs a byte
     for t in gen_texts:
         g = perms.parse_cycles(t)

@@ -135,8 +135,8 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str, n: int | None = None) -> tuple[int, ...]:
     """Parse disjoint-cycle notation on points 1..n, e.g. '(1 2 3)(4 5)'.
 
-    Points may be separated by spaces or commas.  '()' is the identity.
-    When n is omitted it is inferred from the largest point named.
+    Points are ASCII digits, separated by spaces or commas; '()' is the
+    identity.  When n is omitted it is inferred from the largest point named.
     """
     text = text.strip()
     if not text:
@@ -149,9 +149,9 @@ def parse_cycles(text: str, n: int | None = None) -> tuple[int, ...]:
         pts = [s for s in re.split(r"[\s,]+", body.strip()) if s]
         if not pts:
             continue
+        if not all(s.isascii() and s.isdigit() and int(s) for s in pts):
+            raise ValueError(f"points must be ASCII integers >= 1 in {text!r}")
         cyc = [int(s) for s in pts]
-        if any(v < 1 for v in cyc):
-            raise ValueError(f"points must be >= 1 in {text!r}")
         cycles.append(cyc)
     top = max((v for c in cycles for v in c), default=0)
     if n is None:
@@ -168,6 +168,18 @@ def parse_cycles(text: str, n: int | None = None) -> tuple[int, ...]:
         for i, v in enumerate(cyc):
             out[v - 1] = cyc[(i + 1) % len(cyc)] - 1
     return tuple(out)
+
+
+def split_top_level(text: str) -> list[str]:
+    """text cut at each comma outside parentheses, so that a list such as
+    '(1,2,3),(1,2)' or '(a,1),b' splits into its items."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
 
 
 def format_cycles(p: tuple[int, ...]) -> str:

@@ -200,6 +200,58 @@ def test_parse_inputs():
             parse_cyclo(bad)
 
 
+# (conductor, ints, den) of accepted literals, as the token-loop parser gave
+# them: juxtaposed terms add, a rational before a root multiplies it, sign
+# runs multiply out, and the value sits at the lcm of the conductors named
+ACCEPTED_LITERALS = [
+    ("2 3", (1, (5,), 1)),
+    ("3E(4)", (4, (0, 3), 1)),
+    ("2/3 E(4)", (4, (0, 2), 3)),
+    ("E(4)E(4)", (4, (0, 2), 1)),
+    ("E(4) 3", (4, (3, 1), 1)),
+    ("--2", (1, (2,), 1)),
+    ("+-+E(5)^2", (5, (0, 0, -1, 0), 1)),
+    ("- - E(3)", (3, (0, 1), 1)),
+    ("E(1)", (1, (1,), 1)),
+    ("E(1)^5", (1, (1,), 1)),
+    ("0*E(7)", (7, (0, 0, 0, 0, 0, 0), 1)),
+    ("1/2+3*E(4)", (4, (1, 6), 2)),
+    ("  -1/2", (1, (-1,), 2)),
+    ("\t2*E(8)^3", (8, (0, 0, 0, 2), 1)),
+    ("6/4", (1, (3,), 2)),
+    ("E(3)^0", (3, (1, 0), 1)),
+    ("E(6)^7", (6, (0, 1), 1)),
+    ("E(2)+E(3)", (6, (-2, 1), 1)),
+    ("1/2*E(4)-1/3*E(6)^2", (12, (2, 0, -2, 3), 6)),
+    ("E(03)^004", (3, (0, 1), 1)),
+    ("0", (1, (0,), 1)),
+]
+
+
+@pytest.mark.parametrize("text, want", ACCEPTED_LITERALS)
+def test_accepted_literals_keep_their_normal_form(text, want):
+    z = parse_cyclo(text)
+    assert (z.conductor, z.ints, z.den) == want
+
+
+REJECTED_LITERALS = [
+    "", "  ", "2 ", "E(3) ", "E(0)", "E(00)^2", "1/0", "0/0", "3*", "1/2*2",
+    "E(3)^-1", "E( 3)", "-", "1+",
+    # the token-loop parser never returned on these: a term that opened with
+    # "*", "/" or "^" consumed no token
+    "2^3", "E(3)*2", "/", "*", "^", "2/3/4", "E(3)^2^3", "- *E(3)", "E(5)/2",
+    "*E(3)",
+    # digits other than ASCII ones
+    "\u0663", "E(\u0664)", "\uff13", "2+\u0662",
+]
+
+
+@pytest.mark.parametrize("text", REJECTED_LITERALS)
+def test_rejected_literals_raise_value_error(text):
+    with pytest.raises(ValueError):
+        parse_cyclo(text)
+
+
 def test_immutability():
     z = cyclo_root(5)
     with pytest.raises(AttributeError):

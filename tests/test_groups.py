@@ -186,7 +186,15 @@ SPEC_GRAMMAR_RESULTS = [
     ("product:cyclic:2,perm:(1 2),(1 2 3)", "product:cyclic:2,perm:(1 2),(1 2 3)", 12),
     # a perm: spec is its generator texts joined by ",", so it parses again
     ("perm:(1 2),", "perm:(1 2)", 2),
+    # generators split at commas outside parentheses only
+    ("perm:(1,2,3),(1,2)", "perm:(1,2,3),(1,2)", 6),
+    ("product:perm:(1,2),cyclic:2", "product:perm:(1,2),cyclic:2", 4),
 ]
+
+
+def test_perm_points_separated_by_commas_give_the_same_group():
+    G, H = make_group("perm:(1,2,3),(1,2)"), make_group("perm:(1 2 3),(1 2)")
+    assert np.array_equal(G.table, H.table) and G.names == H.names
 
 
 @pytest.mark.parametrize("text, spec, order", SPEC_GRAMMAR_RESULTS)

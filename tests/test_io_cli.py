@@ -24,6 +24,7 @@ from commcount.fileio import (
     save_report,
 )
 from commcount.groups import GroupLawError, GroupSpecError, make_group
+from commcount.perms import parse_cycles
 from commcount.verify import CheckResult
 
 
@@ -324,6 +325,73 @@ def test_subgroup_count_lists_all_members(capsys):
     assert code == 0
     rows = [line.split() for line in out.splitlines()[2:]]
     assert [r[-1] for r in rows] == ["16", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_subgroup_elements_split_at_commas_outside_parentheses(capsys, fmt):
+    def count(subgroup):
+        code, out, _ = run_cli(
+            capsys, "count", "--group", "symmetric:4", "--fn", "f3",
+            "--method", "brute", "--format", fmt, "--subgroup", subgroup,
+        )
+        assert code == 0
+        # the table's title repeats the --subgroup text
+        return out.split("\n", 1)[1] if fmt == "table" else out
+
+    assert count("(1,2,3),(1,2)") == count("(1 2 3),(1 2)")
+
+
+def test_subgroup_takes_a_product_element_name(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "--group", "product:cyclic:2,cyclic:3", "--fn", "f3",
+        "--method", "brute", "--format", "csv", "--subgroup", "(a,1)",
+    )
+    assert (code, out) == (0, 'element,value\n"(1,1)",8\n"(a,1)",0\n')
+
+
+@pytest.mark.parametrize("point", ["+1", "1_0", "\u0662", "\uff12"])
+def test_cycle_points_take_ascii_digits_only(capsys, point):
+    cycle = f"({point} 3)"
+    with pytest.raises(ValueError, match="ASCII integers"):
+        parse_cycles(cycle)
+    with pytest.raises(ValueError, match="ASCII integers"):
+        make_group(f"perm:{cycle},(1 2)")
+    for argv in (
+        ["info", "--group", f"perm:{cycle},(1 2)"],
+        ["count", "--group", "symmetric:3", "--fn", "f2", "--method", "brute",
+         "--subgroup", cycle],
+        ["triple", "--n", "3", "--g", f"({point} 2 3)"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "ASCII integers" in err
+
+
+def _run_with_timeout(script: str):
+    # a child process, so that a reader that never returns fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(commcount.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=10)
+
+
+@pytest.mark.parametrize("literal", ["2^3", "E(3)*2", "/", "*"])
+def test_files_with_unreadable_literals_fail_fast(tmp_path, literal):
+    table = tmp_path / "table.json"
+    table.write_text(_c2_table(irreducibles=[["1", "1"], ["1", literal]]))
+    got = _run_with_timeout(
+        "from commcount.cli import main; raise SystemExit(main(['coeffs', "
+        f"'--group', 'cyclic:2', '--fn', 'f3', '--table', {f'file:{table}'!r}]))"
+    )
+    assert (got.returncode, got.stdout) == (2, "")
+    assert "bad cyclotomic literal" in got.stderr
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(_report_doc(value=literal)))
+    got = _run_with_timeout(
+        "from commcount.fileio import load_report\n"
+        f"try:\n    load_report({str(report)!r})\n"
+        "except ValueError as e:\n    print(type(e).__name__, e)\n    raise SystemExit(2)"
+    )
+    assert got.returncode == 2
+    assert got.stdout.startswith("ValueError bad cyclotomic literal")
 
 
 def test_recursive_method_identity_only(capsys):
