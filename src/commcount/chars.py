@@ -31,15 +31,17 @@ from math import gcd, lcm
 import numpy as np
 
 from .cyclo import (
+    TABLE_CAP,
     Cyclo,
     CycloArray,
     NotRationalError,
     _reduction,
+    degree,
     format_cyclo,
     parse_cyclo,
     root_of_unity,
 )
-from .groups import TABLE_CAP, ClassPartition, GroupTable, conjugacy_classes
+from .groups import ClassPartition, GroupTable, conjugacy_classes
 
 
 class TableProviderError(ValueError):
@@ -365,11 +367,11 @@ def _check_table_cap(G: GroupTable, conductor: int) -> None:
     """Refuse a table of G at this conductor above ``TABLE_CAP`` residues,
     before it is allocated."""
     k = len(conjugacy_classes(G))
-    phi = sum(gcd(u, conductor) == 1 for u in range(conductor))
-    if k * k * phi > TABLE_CAP:
+    size = k * k * degree(conductor)
+    if size > TABLE_CAP:
         raise TableProviderError(
             f"the character table of {G.spec or 'the group'} would hold {k} x {k} "
-            f"x phi({conductor}) = {k * k * phi} residues, above the cap {TABLE_CAP}"
+            f"x phi({conductor}) = {size} residues, above the cap {TABLE_CAP}"
         )
 
 

@@ -10,10 +10,11 @@ inverse is provided; the only division is by a nonzero rational.
 `Cyclo` is the scalar type.  `CycloArray` holds many values at one
 conductor over one common denominator as a single integer numpy array, for
 table-scale work (see its docstring); a `Cyclo` has the format of one of its
-rows.  Both reduce powers of zeta_n through the same cached integer
-residues: `_power_rows` for the scalar loops; `_reduction`, built on it,
-for the roots of unity and array maps; and `_products`, the residues of
-zeta_n^i * zeta_n^j, the one rule by which arrays are multiplied.
+rows.  Products, conjugates, lifts, Galois images and parsed literals all
+reduce by one rule, `_on_powers`: an exact product with the rows of the one
+cached table `_reduction(n)`, the residues of zeta_n^e.  That table is
+refused with ValueError above ``TABLE_CAP`` entries before it is built, so a
+literal such as E(10007) fails at once; the same cap bounds character tables.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import index
 
 import numpy as np
@@ -36,98 +37,97 @@ class NotRationalError(ValueError):
         super().__init__(f"not a rational number: {value}")
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, ascending coefficients
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        c = num[shift + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[shift] = q
-        if q:
-            for i, d in enumerate(den):
-                num[shift + i] -= q * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("nonzero remainder in polynomial division")
-    return out
+# One cap on residue arrays: a table of rows x classes x phi(N) residues, or
+# the reduction table of a conductor n, n x phi(n), above 2^24 int64 entries
+# (128 MB) is refused before it is allocated.
+TABLE_CAP = 1 << 24
+
+
+@cache
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing a conductor n, ascending."""
+    if n < 1:
+        raise ValueError(f"conductor must be positive, got {n}")
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return tuple(out + [n] * (n > 1))
 
 
 @cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree.  Phi_1 = x - 1."""
-    if n < 1:
-        raise ValueError(f"conductor must be positive, got {n}")
-    # (x^n - 1) divided by the product of Phi_d over proper divisors d of n
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
+    """Coefficients of Phi_n, ascending degree.  Phi_1 = x - 1.
 
-
-def degree(n: int) -> int:
-    """deg Phi_n = phi(n)."""
-    return len(cyclotomic_polynomial(n)) - 1
+    Phi_n is the product of (x^(n/s) - 1)^mu(s) over the squarefree divisors
+    s of n: each factor with mu(s) = 1 multiplies by shift-and-subtract, then
+    each with mu(s) = -1 divides exactly by a running sum."""
+    divisors = [(1, 1)]  # the squarefree divisors s of n, with mu(s)
+    for p in _prime_factors(n):
+        divisors += [(s * p, -mu) for s, mu in divisors]
+    poly = [1]
+    for s, mu in sorted(divisors, key=lambda t: -t[1]):  # products first
+        d = n // s
+        if mu > 0:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+        else:
+            # poly = q * (x^d - 1), so q_i = q_(i-d) - poly_i
+            poly = [-c for c in poly[: len(poly) - d]]
+            for i in range(d, len(poly)):
+                poly[i] += poly[i - d]
+    return tuple(poly)
 
 
 @cache
-def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row e - phi(n) is the canonical residue of x^e modulo Phi_n, for
-    phi(n) <= e < n.  Phi_n is monic, so the residues are integral; higher
-    powers wrap around, since Phi_n divides x^n - 1."""
-    phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    rows = []
-    row = tuple(-c for c in phi[:d])  # x^d
-    for _ in range(d, n):
-        rows.append(row)
-        top = row[-1]
-        row = tuple(top * a + b for a, b in zip(rows[0], (0,) + row[:-1]))
-    return tuple(rows)
+def degree(n: int) -> int:
+    """deg Phi_n = phi(n), from the prime factors of n."""
+    ps = _prime_factors(n)
+    return n // prod(ps) * prod(p - 1 for p in ps)
 
 
 @cache
 def _reduction(n: int):
     """Row e is the canonical residue of zeta_n^e, for 0 <= e < n, as a
-    read-only int64 array of shape (n, phi(n))."""
+    read-only int64 array of shape (n, phi(n)); refused with ValueError above
+    ``TABLE_CAP`` entries.  Phi_n is monic, so the residues are integral: row
+    phi(n) is -Phi_n without its leading 1, and each later row is the one
+    before times x, its top coefficient folded back through row phi(n)."""
+    if n > TABLE_CAP or n * degree(n) > TABLE_CAP:
+        raise ValueError(
+            f"conductor {n}: its table of n x phi(n) residues would exceed "
+            f"the cap {TABLE_CAP}"
+        )
     d = degree(n)
-    rows = np.array(_power_rows(n), dtype=np.int64).reshape(-1, d)
-    out = np.concatenate([np.eye(d, dtype=np.int64), rows])
+    out = np.zeros((n, d), dtype=np.int64)
+    np.fill_diagonal(out, 1)  # rows e < phi(n): zeta_n^e itself
+    low = -np.array(cyclotomic_polynomial(n)[:d], dtype=np.int64)
+    row = low
+    for e in range(d, n):
+        out[e] = row
+        row = row[-1] * low
+        row[1:] += out[e, :-1]
+    # by induction on e, every row is exact if each entry times 1 + max|low|
+    # fits: then no step can leave int64 (the extremes need no copy of out)
+    if max(int(out.max()), -int(out.min())) * (1 + _amax(low)) > _INT64_MAX:
+        raise OverflowError(f"the residues of conductor {n} exceed int64")
     out.flags.writeable = False
     return out
 
 
-@cache
-def _products(n: int):
-    """Row i * phi(n) + j is the canonical residue of zeta_n^i * zeta_n^j,
-    for i, j < phi(n): the structure constants of Z[zeta_n] in the power
-    basis, as a read-only int64 array of shape (phi(n)^2, phi(n))."""
-    e = np.arange(degree(n))
-    out = _reduction(n)[(e[:, None] + e).ravel() % n]
-    out.flags.writeable = False
-    return out
-
-
-def _reduce(vec: list[int], n: int) -> tuple[int, ...]:
-    # reduce an integer vector on powers of zeta_n to the canonical residue
-    d = degree(n)
-    rows = _power_rows(n)
-    out = list(vec[:d]) + [0] * max(0, d - len(vec))
-    for e in range(d, len(vec)):
-        c = vec[e]
-        if not c:
-            continue
-        e %= n
-        if e < d:
-            out[e] += c
-            continue
-        for k, r in enumerate(rows[e - d]):
-            if r:
-                out[k] += c * r
-    return tuple(out)
+def _on_powers(coeffs, exponents, n: int):
+    """The canonical residues of sum_i coeffs[..., i] * zeta_n^exponents[i]:
+    the one reduction rule.  One exact product with the rows of
+    `_reduction(n)` at the exponents whose coefficients are nonzero
+    somewhere; a sequence of Python ints is read exactly."""
+    if not isinstance(coeffs, np.ndarray):
+        coeffs = np.array(coeffs, dtype=object)
+    live = np.flatnonzero(coeffs.reshape(-1, coeffs.shape[-1]).any(axis=0))
+    if len(live) < coeffs.shape[-1]:  # a dense array is multiplied uncopied
+        coeffs = coeffs[..., live]
+    return exact_matmul(coeffs, _reduction(n)[np.asarray(exponents)[live] % n])
 
 
 class Cyclo:
@@ -180,10 +180,11 @@ class Cyclo:
         n = self.conductor
         if m == n:
             return self.ints
-        t = m // n
-        vec = [0] * m
-        vec[: len(self.ints) * t : t] = self.ints  # zeta_n^i = zeta_m^(i * t)
-        return _reduce(vec, m)
+        if n == 1:  # a rational is its own residue at every conductor
+            return self.ints + (0,) * (degree(m) - 1)
+        # zeta_n^i = zeta_m^(i * m/n)
+        exponents = np.arange(len(self.ints)) * (m // n)
+        return tuple(_on_powers(self.ints, exponents, m).tolist())
 
     # -- predicates and coercions ----------------------------------------
 
@@ -202,7 +203,7 @@ class Cyclo:
         return Fraction(self.ints[0], self.den)
 
     def is_real(self) -> bool:
-        return self == self.conj()
+        return self.is_rational() or self == self.conj()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -252,13 +253,9 @@ class Cyclo:
             return Cyclo(a.conductor, [c * b.ints[0] for c in a.ints], den)
         m = lcm(self.conductor, o.conductor)
         a, b = self._lifted(m), o._lifted(m)
-        prod = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclo(m, _reduce(prod, m), den)
+        a, b = _exact(len(a) * max(map(abs, a)) * max(map(abs, b)), a, b)
+        pairs = np.convolve(a, b)  # the coefficient of zeta_m^e is pairs[e]
+        return Cyclo(m, _on_powers(pairs, np.arange(len(pairs)), m).tolist(), den)
 
     __rmul__ = __mul__
 
@@ -292,11 +289,8 @@ class Cyclo:
         n = self.conductor
         if n <= 2:
             return self
-        vec = [0] * n
-        for i, c in enumerate(self.ints):
-            if c:
-                vec[(n - i) % n] += c
-        return Cyclo(n, _reduce(vec, n), self.den)
+        residue = _on_powers(self.ints, -np.arange(len(self.ints)), n)
+        return Cyclo(n, residue.tolist(), self.den)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -379,10 +373,11 @@ def parse_cyclo(text: str) -> Cyclo:
         pos = m.end()
     # each term c/q * zeta_n^k on the powers of zeta_N, over the lcm D of the q
     N, D = lcm(*(t[2] for t in terms)), lcm(*(t[1] for t in terms))
-    vec = [0] * N
-    for c, q, n, k in terms:
-        vec[k * (N // n) % N] += c * (D // q)
-    return Cyclo(N, _reduce(vec, N), D)
+    coeffs = [c * (D // q) for c, q, n, k in terms]
+    if N == 1:  # no root but E(1): a rational, with nothing to reduce
+        return Cyclo(1, (sum(coeffs),), D)
+    exponents = [k * (N // n) % N for c, q, n, k in terms]
+    return Cyclo(N, _on_powers(coeffs, exponents, N).tolist(), D)
 
 
 def format_cyclo(z: Cyclo) -> str:
@@ -452,7 +447,7 @@ def _split_prime_search(n: int, ceiling: int) -> dict:
 @cache
 def root_of_unity(n: int, p: int) -> int:
     """A root of exact multiplicative order n mod a prime p = 1 (mod n)."""
-    qs = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+    qs = _prime_factors(n)
     roots = (pow(g, (p - 1) // n, p) for g in range(2, p))
     return next(w for w in roots if all(pow(w, n // q, p) != 1 for q in qs))
 
@@ -484,7 +479,7 @@ def _exact(bound: int, *arrays):
     # int64 when nothing the caller computes exceeds `bound` in size, Python
     # ints (dtype=object) otherwise; both give the same exact result.
     dtype = np.int64 if bound <= _INT64_MAX else object
-    return [np.asarray(a).astype(dtype, copy=False) for a in arrays]
+    return [np.asarray(a, dtype=dtype) for a in arrays]
 
 
 def exact_matmul(a, b):
@@ -509,7 +504,7 @@ class CycloArray:
     so equal arrays hold equal values.  Entries are int64 when they fit and
     Python ints otherwise; every product is typed by `_exact`, which uses
     int64 only under a bound on the result.  Values are multiplied only in
-    `dot`, through the structure constants `_products(N)`.
+    `dot`, and reduced, like every `Cyclo`, by `_on_powers`.
     """
 
     __slots__ = ("ints", "den", "conductor")
@@ -537,9 +532,7 @@ class CycloArray:
 
     def _mapped(self, exponents, m: int) -> "CycloArray":
         # the values with zeta_N^i sent to zeta_m^exponents[i]
-        return CycloArray(
-            exact_matmul(self.ints, _reduction(m)[exponents % m]), self.den, m
-        )
+        return CycloArray(_on_powers(self.ints, exponents, m), self.den, m)
 
     def lifted(self, m: int) -> "CycloArray":
         """The same values at conductor m, a multiple of N."""
@@ -618,18 +611,20 @@ class CycloArray:
         """sum_c weights[c] * self[..., c] * conj(other[..., c]) over the axis
         before the value axis, both at one conductor, leading axes broadcast
         by matmul rules; over self.den * other.den.  The sums of coefficient
-        pairs, (..., phi(N), phi(N)), are reduced through `_products`.
+        pairs, (..., phi(N), phi(N)), are reduced at exponents i - j by
+        `_on_powers`, as conj(zeta_N^j) = zeta_N^-j: no conjugate is built.
 
         Weights too large for that to fit in int64 are split into base-B
         digits small enough for it, one int64 contraction per digit, and the
         digit sums are combined in Python ints; only entries too large by
         themselves put the contraction in Python ints."""
-        conj = other.conj().ints
         w = np.asarray(weights)
-        P = _products(self.conductor)
-        entries = _amax(self.ints) * _amax(conj)
+        e = np.arange(self.ints.shape[-1])
+        exponents = (e[:, None] - e).ravel()
+        entries = _amax(self.ints) * _amax(other.ints)
         # with weights below B, every sum and reduced coefficient fits
-        B = _INT64_MAX // max(1, len(w) * entries * len(P) * _amax(P))
+        reduce_bound = len(exponents) * _amax(_reduction(self.conductor))
+        B = _INT64_MAX // max(1, len(w) * entries * reduce_bound)
         digits, rest = [], np.abs(w)
         while B > 1 and _amax(rest) >= B:
             digits.append(np.where(w < 0, -(rest % B), rest % B))
@@ -637,9 +632,10 @@ class CycloArray:
         digits.append(np.where(w < 0, -rest, rest) if digits else w)
         sums = []
         for d in digits:
-            a, b, d = _exact(len(d) * _amax(d) * entries, self.ints, conj, d[:, None])
+            a, b, d = _exact(len(d) * _amax(d) * entries, self.ints, other.ints, d[:, None])
             pairs = np.matmul((a * d).swapaxes(-1, -2), b)
-            sums.append(exact_matmul(pairs.reshape(pairs.shape[:-2] + (-1,)), P))
+            pairs = pairs.reshape(pairs.shape[:-2] + (-1,))
+            sums.append(_on_powers(pairs, exponents, self.conductor))
         if len(sums) > 1:
             scales = np.array([B**j for j in range(len(sums))], dtype=object)
             sums = [exact_matmul(np.stack(sums, axis=-1), scales)]

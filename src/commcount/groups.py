@@ -85,9 +85,6 @@ ORDER_CAP = 5040
 # The dtype of an element index: int16, as -ORDER_CAP fits (the sign leaves
 # room for the -1 a builder marks a missing product with).
 INDEX_DTYPE = np.min_scalar_type(-ORDER_CAP)
-# A character table holds rows x classes x phi(N) int64 residues; one above
-# 2^24 (128 MB) is refused with TableProviderError before it is allocated.
-TABLE_CAP = 1 << 24
 # Products per block of a large gather (permutation tables, the group-law and
 # product checks, the brute search), about 2^16, so that each block's
 # temporaries stay near 0.5 MB.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import gcd, prod
 
@@ -10,17 +11,20 @@ import numpy as np
 import pytest
 
 from commcount.cyclo import (
+    TABLE_CAP,
     Cyclo,
     CycloArray,
     NotRationalError,
     cyclo_root,
     cyclotomic_polynomial,
     degree,
+    exact_matmul,
     format_cyclo,
     is_prime,
     parse_cyclo,
     split_primes,
     unit_generators,
+    _reduction,
 )
 
 
@@ -68,6 +72,39 @@ def test_cyclotomic_product_recovers_x_n_minus_1():
 def test_degree_is_totient():
     for n in range(1, 50):
         assert degree(n) == totient(n)
+
+
+@pytest.mark.parametrize("n", [105, 1155, 5040])
+def test_large_cyclotomic_polynomials_vanish_at_primitive_roots(n):
+    # monic of degree phi(n) with integer coefficients and a root at every
+    # primitive n-th root of unity: the minimal polynomial of zeta_n
+    coeffs = cyclotomic_polynomial(n)
+    assert coeffs[-1] == 1 and len(coeffs) - 1 == totient(n)
+    assert all(type(c) is int for c in coeffs)
+    scale = sum(map(abs, coeffs))
+    for k in (1, 13, 17, n - 1):  # units mod n
+        z = cmath.exp(2j * cmath.pi * k / n)
+        assert abs(np.polyval(coeffs[::-1], z)) < 1e-9 * scale, k
+
+
+def long_division_residues(n: int):
+    # x^e mod Phi_n for every e < n by schoolbook long division, all the
+    # dividends x^e at once: each step clears the top remaining degree
+    phi = np.array(cyclotomic_polynomial(n), dtype=np.int64)
+    d = len(phi) - 1
+    rem = np.eye(n, dtype=np.int64)
+    for top in range(n - 1, d - 1, -1):
+        rem[:, top - d : top + 1] -= rem[:, top, None] * phi
+    return rem[:, :d]
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 105, 1155])
+def test_reduction_rows_are_long_division_remainders(n):
+    R = _reduction(n)
+    assert R.shape == (n, totient(n)) and not R.flags.writeable
+    assert (R == long_division_residues(n)).all()
+    if n == 1155:
+        assert np.abs(R).max() == 9
 
 
 def test_root_products():
@@ -243,6 +280,8 @@ REJECTED_LITERALS = [
     "*E(3)",
     # digits other than ASCII ones
     "\u0663", "E(\u0664)", "\uff13", "2+\u0662",
+    # conductors, or an lcm of them, whose n x phi(n) residues exceed the cap
+    "E(10007)", "1+E(4)^3+E(2503)",
 ]
 
 
@@ -250,6 +289,50 @@ REJECTED_LITERALS = [
 def test_rejected_literals_raise_value_error(text):
     with pytest.raises(ValueError):
         parse_cyclo(text)
+
+
+def test_a_conductor_over_the_cap_is_refused_before_any_table():
+    # 10007 x 10006 int64 residues would take 800 MB; n = 2^30 is refused
+    # before its prime factors are sought
+    for n in (10007, 1 << 30):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"conductor {n}: .* exceed the cap"):
+                cyclo_root(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, n
+    assert 5040 * degree(5040) <= TABLE_CAP < 10007 * degree(10007)
+
+
+def test_a_root_at_a_large_conductor_times_its_conjugate_is_one():
+    z = parse_cyclo("E(5040)")
+    assert z.conductor == 5040 and z * z.conj() == 1
+    assert z.conj() == cyclo_root(5040, -1) and z**5040 == 1
+
+
+def test_scalar_products_past_int64_match_hand_expanded_residues():
+    # in Q(zeta_5), x^4 = -(1 + x + x^2 + x^3), x^5 = 1 and x^6 = x
+    z = Cyclo(5, [2**70, -3, 0, 1])
+    w = Cyclo(5, [1, 2, -(2**40), 5], 3)
+    # z * w on x^0..x^6: 2^70, 2^71 - 3, -2^110 - 6, 5*2^70 + 3*2^40 + 1,
+    # -13, -2^40, 5; the x^4 term folds into the lower powers
+    product = (2**70 + 13 - 2**40, 2**71 + 15, 7 - 2**110, 5 * 2**70 + 3 * 2**40 + 14)
+    assert ((z * w).ints, (z * w).den) == (product, 3)
+    assert ((w * z).ints, (w * z).den) == (product, 3)
+    # conj(a0 + a1 x + a2 x^2 + a3 x^3) = a0 + a3 x^2 + a2 x^3 + a1 x^4
+    assert (z.conj().ints, z.conj().den) == ((2**70 + 3, 3, 4, 3), 1)
+    assert (w.conj().ints, w.conj().den) == ((-1, -2, 3, -(2**40) - 2), 3)
+    assert z.conj().conj() == z and w.conj().conj() == w
+
+
+def test_exact_products_read_python_int_lists_exactly():
+    # numpy reads a list that mixes ints beyond int64 with negative ones as
+    # float64; the typed product must see the exact ints
+    got = exact_matmul([[2**63 + 3, -1]], [[1], [1]])
+    assert got.dtype == object and type(got[0, 0]) is int and got[0, 0] == 2**63 + 2
+    assert Cyclo(4, [2**63 + 3, -1]) * Cyclo(4, [1, 1]) == Cyclo(4, [2**63 + 4, 2**63 + 2])
 
 
 def test_immutability():

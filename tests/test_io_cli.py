@@ -373,7 +373,18 @@ def _run_with_timeout(script: str):
                           text=True, env=env, timeout=10)
 
 
-@pytest.mark.parametrize("literal", ["2^3", "E(3)*2", "/", "*"])
+# the error each literal is refused with: a conductor whose residue table
+# would exceed the cap is refused before the table is built
+UNREADABLE_LITERALS = {
+    "2^3": "bad cyclotomic literal",
+    "E(3)*2": "bad cyclotomic literal",
+    "/": "bad cyclotomic literal",
+    "*": "bad cyclotomic literal",
+    "E(10007)": "conductor 10007: its table of n x phi(n) residues would exceed",
+}
+
+
+@pytest.mark.parametrize("literal", list(UNREADABLE_LITERALS))
 def test_files_with_unreadable_literals_fail_fast(tmp_path, literal):
     table = tmp_path / "table.json"
     table.write_text(_c2_table(irreducibles=[["1", "1"], ["1", literal]]))
@@ -382,7 +393,7 @@ def test_files_with_unreadable_literals_fail_fast(tmp_path, literal):
         f"'--group', 'cyclic:2', '--fn', 'f3', '--table', {f'file:{table}'!r}]))"
     )
     assert (got.returncode, got.stdout) == (2, "")
-    assert "bad cyclotomic literal" in got.stderr
+    assert UNREADABLE_LITERALS[literal] in got.stderr
     report = tmp_path / "report.json"
     report.write_text(json.dumps(_report_doc(value=literal)))
     got = _run_with_timeout(
@@ -391,7 +402,7 @@ def test_files_with_unreadable_literals_fail_fast(tmp_path, literal):
         "except ValueError as e:\n    print(type(e).__name__, e)\n    raise SystemExit(2)"
     )
     assert got.returncode == 2
-    assert got.stdout.startswith("ValueError bad cyclotomic literal")
+    assert got.stdout.startswith(f"ValueError {UNREADABLE_LITERALS[literal]}")
 
 
 def test_recursive_method_identity_only(capsys):
