@@ -41,7 +41,7 @@ from .cyclo import (
     parse_cyclo,
     root_of_unity,
 )
-from .groups import ClassPartition, GroupTable, conjugacy_classes
+from .groups import ClassPartition, GroupTable, _element, conjugacy_classes
 
 
 class TableProviderError(ValueError):
@@ -72,7 +72,7 @@ class ClassFunction:
 
     def at(self, g: int) -> Cyclo:
         """Value at an element index."""
-        return self.values[conjugacy_classes(self.group).class_of[g]]
+        return self.values[conjugacy_classes(self.group).class_of[_element(self.group, g)]]
 
     def __eq__(self, other):
         return (

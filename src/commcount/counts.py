@@ -33,10 +33,10 @@ sign and rationality are read off the residues of the resulting array
 (`_certified_ints`); a `Cyclo` is made only to word an error.
 
 The paper's pair weight H[a, b] = |C(ab) b  intersect  C(a)| is evaluated in
-one place, `_pair_weight_rows`, for a block of elements a at a time from the
-group's commuting pairs (`GroupTable.commuting_pairs`).  Tallying its rows by
-the class of [a, b] gives the theta weights (class-rep rows) and the tau
-weights (all rows, per column b).
+one place, `_pair_weight_rows`, from the group's commuting pairs
+(`GroupTable.commuting_pairs`): a row a of H for theta, a column b for tau.
+H[a^h, b^h] = H[a, b], so both marginals are class functions, and one tally
+by the class of [a, b] at the k class reps gives each (`_class_weights`).
 """
 from __future__ import annotations
 
@@ -55,7 +55,9 @@ from .chars import (
     table_for,
 )
 from .cyclo import Cyclo, CycloArray, NotRationalError, _amax, _exact, exact_matmul
-from .groups import _BLOCK_PRODUCTS, INDEX_DTYPE, GroupTable, SubgroupRef, conjugacy_classes
+from .groups import (
+    _BLOCK_PRODUCTS, INDEX_DTYPE, GroupTable, SubgroupRef, _element, conjugacy_classes
+)
 
 DEFAULT_BUDGET = 10**9
 
@@ -94,7 +96,7 @@ class ClassCounts:
         )
 
     def at(self, g: int) -> int:
-        return self.values[conjugacy_classes(self.group).class_of[g]]
+        return self.values[conjugacy_classes(self.group).class_of[_element(self.group, g)]]
 
     def total(self) -> int:
         """Sum over all group elements (class sizes times class values)."""
@@ -389,45 +391,58 @@ def f2_from_characters(G: GroupTable, T: CharacterTable | None = None) -> ClassC
     return _certified_counts(G, T, f2_coeffs(T), "f", 2)
 
 
-def _pair_weight_rows(G: GroupTable, a):
-    """For the elements a (an index array), blocks (s, R), s a slice of a
-    and row i of R is R[i, x] = H[a_i, a_i^-1 x], a_i = a[s][i] and x over
-    G: the pair weights
-    H[a, b] = |C(ab) b  intersect  C(a)| with column b moved to x = ab, the
-    u in C(x) with u * a^-1 x in C(a).  Each block takes every pair (x, u)
-    of `GroupTable.commuting_pairs` once per row, k(G) * |G| gathers."""
+def _pair_weight_rows(G: GroupTable, fixed, tau: bool = False):
+    """Blocks (s, R) over the elements fixed (an index array): R[i, x] is the
+    pair weight H[a, b] = |C(ab) b  intersect  C(a)| at the a, b with ab = x,
+    x over G, where a = fixed[s][i] and b = a^-1 x (a row of H, for theta),
+    or with tau, b = fixed[s][i] and a = x b^-1 (a column of H, for tau).
+    H[a, b] counts the u in C(x) with u * b in C(a): each block reads every
+    pair (x, u) of `GroupTable.commuting_pairs` once per fixed element, and
+    tests u * b in C(a) by one flat gather at a * n + u * b."""
     u, starts = G.commuting_pairs()
     n = G.order
     x = np.repeat(np.arange(n, dtype=INDEX_DTYPE), np.diff(starts))
     # an entry costs about 13 bytes of temporaries (one buffer of flat intp
-    # indices, reused, and gathered int16 elements), so blocks of
-    # _BLOCK_PRODUCTS / 8 entries keep them near 100 KB
+    # indices, reused, and gathered int16 elements; 21 with tau, whose a * n
+    # is a second intp buffer), so blocks of _BLOCK_PRODUCTS / 8 entries keep
+    # them near 100-170 KB
     step = max(1, _BLOCK_PRODUCTS // 8 // len(x))
-    for lo in range(0, len(a), step):
+    for lo in range(0, len(fixed), step):
         s = slice(lo, lo + step)
-        block = a[s]
-        # flat indices in intp (n^2 > 2^15, and a gather takes intp as is),
-        # each gather 1-D
-        flat = np.multiply(u, n, out=np.empty((len(block), len(x)), np.intp), dtype=np.intp)
-        flat += G.table[G.inv[block]][:, x]  # + b, b = a^-1 x, one row per a
+        f = fixed[s]
+        if tau:
+            a, b = G.table[:, G.inv[f]].T[:, x], f[:, None]
+        else:
+            a, b = f[:, None], G.table[G.inv[f]][:, x]
+        # flat indices in intp (n^2 > 2^15, and a gather takes intp as is)
+        flat = np.multiply(u, n, out=np.empty((len(f), len(x)), np.intp), dtype=np.intp)
+        flat += b
         y = G.table.reshape(-1)[flat]  # u * b
-        np.add(y, np.arange(0, len(block) * n, n)[:, None], out=flat)
-        hits = G.commuting()[block].reshape(-1)[flat]  # u * b in C(a)
+        np.add(y, np.multiply(a, n, dtype=np.intp), out=flat)
+        hits = G.commuting().reshape(-1)[flat]  # u * b in C(a)
         yield s, np.add.reduceat(hits, starts[:-1], axis=1, dtype=np.int64)
 
 
-def _aggregated_theta_weights(G: GroupTable):
-    """W[a, c]: for the rep a of class a, the sum of the pair weights H[a, b]
-    over the b with [a, b] in class c, as a k x k matrix.  As
-    [a, a^-1 x] = [a, x], R[i, x] of `_pair_weight_rows` goes to the class
-    of [a_i, x]: one tally on (rep, class) keys per block of reps."""
+def _class_weights(G: GroupTable, tau: bool = False):
+    """The pair weights at the class reps r, summed by the class c of the
+    commutator, as a k x k matrix cached on G: W_theta[r, c] sums H[r, b]
+    over the b with [r, b] in c, and with tau, W_tau[r, c] sums H[a, r] over
+    the a with [a, r] in c.  H[a^h, b^h] = H[a, b], so both sums are class
+    functions of r and the reps give every element: theta_chi(a) applies the
+    row of a's class to chi, and tau_chi(b) that of b's."""
+    return G.cached(("class-weights", tau), _tally_class_weights, tau)
+
+
+def _tally_class_weights(G: GroupTable, tau: bool):
+    # R[i, x] of `_pair_weight_rows` goes to the class of [a, b]: with
+    # b = a^-1 x that is [a, x], and with a = x b^-1 it is [b^-1, x]
     part = conjugacy_classes(G)
     k = len(part)
     reps, class_of = np.array(part.reps), np.array(part.class_of)
     W = np.zeros(k * k, dtype=np.int64)
-    for s, R in _pair_weight_rows(G, reps):
-        rows = np.arange(k)[s, None]
-        np.add.at(W, rows * k + class_of[G.comm_row(reps[s])], R)
+    for s, R in _pair_weight_rows(G, reps, tau):
+        comm = G.comm_row(G.inv[reps[s]] if tau else reps[s])
+        np.add.at(W, np.arange(k)[s, None] * k + class_of[comm], R)
     return W.reshape(k, k)
 
 
@@ -438,46 +453,35 @@ def _weighted(G: GroupTable, weights, chi: ClassFunction) -> list[Cyclo]:
     return CycloArray.of(chi.values).weighted(weights).cyclos()
 
 
+def _class_row(G: GroupTable, chi: ClassFunction, g, tau: bool) -> Cyclo:
+    c = conjugacy_classes(G).class_of[_element(G, g)]
+    return _weighted(G, _class_weights(G, tau)[c:c + 1], chi)[0]
+
+
 def theta_class_function(G: GroupTable, chi: ClassFunction) -> ClassFunction:
     """theta_chi as a class function of a (it is conjugation-invariant)."""
-    weights = G.cached("theta-weights", _aggregated_theta_weights)
-    return ClassFunction(G, tuple(_weighted(G, weights, chi)))
+    return ClassFunction(G, tuple(_weighted(G, _class_weights(G), chi)))
 
 
 def theta_chi(G: GroupTable, chi: ClassFunction, a: int) -> Cyclo:
     """theta_chi(a) = sum_b |C(ab) b  intersect  C(a)| * chi([a, b])."""
-    return theta_class_function(G, chi).at(a)
-
-
-def _tau_weights(G: GroupTable):
-    """W[b, c] = sum over a with [a, b] in class c of |C(ab) b  intersect  C(a)|,
-    one row per element b: the summand of theta with the roles of a and b
-    swapped, so summing it over b is a second path to m_chi."""
-    part = conjugacy_classes(G)
-    k, class_of = len(part), np.array(part.class_of)
-    every = np.arange(G.order)
-    W = np.zeros(G.order * k, dtype=np.int64)
-    for s, R in _pair_weight_rows(G, every):
-        # R[i, x] is H[a, b] at b = a^-1 x, whose class is that of [a, x]
-        b = G.table[G.inv[every[s]]]
-        np.add.at(W, np.multiply(b, k, dtype=np.intp) + class_of[G.comm_row(every[s])], R)
-    return W.reshape(G.order, k)
+    return _class_row(G, chi, a, False)
 
 
 def tau_chi(G: GroupTable, chi: ClassFunction, b: int) -> Cyclo:
-    """tau_chi(b) = sum_a |C(ab) b  intersect  C(a)| * chi([a, b]) — the
-    same summand as theta_chi with the roles of a and b swapped."""
-    weights = G.cached("tau-weights", _tau_weights)
-    return _weighted(G, weights[b:b + 1], chi)[0]
+    """tau_chi(b) = sum_a |C(ab) b  intersect  C(a)| * chi([a, b]): the
+    same summand as theta_chi with the roles of a and b swapped, read from
+    the column tally at the class rep of b (tau_chi is a class function, as
+    conjugating a and b together leaves the summand unchanged)."""
+    return _class_row(G, chi, b, True)
 
 
 def _m_values(G: GroupTable, X: CycloArray, labels) -> CycloArray:
     """m_chi = sum_a theta_chi(a) for each row of X (rows x classes x N):
     the size-weighted column sums of the theta weights times X, certified
     real (a rational value is; any other must equal its conjugate)."""
-    part = conjugacy_classes(G)
-    weights = G.cached("theta-weights", _aggregated_theta_weights)
-    m = X.weighted(exact_matmul(np.array(part.sizes), weights))
+    sizes = np.array(conjugacy_classes(G).sizes)
+    m = X.weighted(exact_matmul(sizes, _class_weights(G)))
     if m.irrational().any():
         unreal = (m.ints != m.conj().ints).any(axis=-1)
         if unreal.any():

@@ -21,7 +21,7 @@ import numpy as np
 from .chars import CharacterTable, _class_pair_counts, _combination, table_for
 from .counts import ClassCounts, _certified_ints, count_f_n, f3_coeffs
 from .cyclo import Cyclo, CycloArray, _exact, format_cyclo
-from .groups import ClassPartition, GroupTable, center_and_derived, conjugacy_classes
+from .groups import ClassPartition, GroupTable, _element, center_and_derived, conjugacy_classes
 from .realcmp import _real_sign, abs_as_cyclo
 
 
@@ -84,7 +84,7 @@ class GroupDistribution:
         return all(u * other.den == v * self.den for u, v in pairs)
 
     def at(self, g: int) -> Fraction:
-        return Fraction(self.ints[self.classes.class_of[g]], self.den)
+        return Fraction(self.ints[self.classes.class_of[_element(self.group, g)]], self.den)
 
     def support(self) -> frozenset[int]:
         members = self.classes.classes
@@ -108,7 +108,7 @@ def uniform(G: GroupTable) -> GroupDistribution:
 
 def point_mass(G: GroupTable, g: int = 0) -> GroupDistribution:
     ints = [0] * G.order
-    ints[g] = 1
+    ints[_element(G, g)] = 1
     return GroupDistribution._of(G, ints, 1, _elements(G))
 
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 
-from .cyclo import Cyclo, cyclo_root, degree
+import numpy as np
+
+from .cyclo import Cyclo, _on_powers, _prime_factors, cyclo_root, degree
 
 _ZERO = Fraction(0)
 
@@ -170,35 +172,16 @@ def compare(a: Cyclo, b: Cyclo | int | Fraction) -> int:
     return real_cyclo_sign(a - b)
 
 
-def _squarefree_split(m: int) -> tuple[int, int]:
-    # m = s*s * f with f squarefree
-    s, f, d = 1, 1, 2
-    while d * d <= m:
-        e = 0
-        while m % d == 0:
-            m //= d
-            e += 1
-        s *= d ** (e // 2)
-        if e % 2:
-            f *= d
-        d += 1
-    return s, f * m
-
-
 def _sqrt_prime(p: int) -> Cyclo:
     if p == 2:
         return cyclo_root(8, 1) - cyclo_root(8, 3)
     # quadratic Gauss sum: sum over k of legendre(k, p) zeta_p^k equals
-    # sqrt(p) when p = 1 mod 4 and i*sqrt(p) when p = 3 mod 4
-    gauss = Cyclo.zero()
-    for k in range(1, p):
-        if pow(k, (p - 1) // 2, p) == 1:
-            gauss = gauss + cyclo_root(p, k)
-        else:
-            gauss = gauss - cyclo_root(p, k)
-    if p % 4 == 1:
-        return gauss
-    return gauss * cyclo_root(4, 3)
+    # sqrt(p) when p = 1 mod 4 and i*sqrt(p) when p = 3 mod 4; there each
+    # term is multiplied by zeta_4^3 = -i, an exponent 3p at conductor 4p
+    signs = np.array([1 if pow(k, (p - 1) // 2, p) == 1 else -1 for k in range(1, p)])
+    n, turn = (p, 0) if p % 4 == 1 else (4 * p, 3 * p)
+    exponents = np.arange(1, p) * (n // p) + turn
+    return Cyclo(n, _on_powers(signs, exponents, n).tolist())
 
 
 def sqrt_rational_as_cyclo(q) -> Cyclo:
@@ -209,17 +192,16 @@ def sqrt_rational_as_cyclo(q) -> Cyclo:
         raise ValueError(f"square root of a negative rational: {q}")
     if q == 0:
         return Cyclo.zero()
-    # sqrt(a/b) = sqrt(a*b) / b
-    m = q.numerator * q.denominator
-    s, f = _squarefree_split(m)
-    root = Cyclo.rational(Fraction(s, q.denominator))
-    d = 2
-    rest = f
-    while rest > 1:
-        if rest % d == 0:
-            root = root * _sqrt_prime(d)
-            rest //= d
-        d += 1
+    # sqrt(a/b) = sqrt(a*b) / b = s sqrt(f) / b, with a*b = s^2 f, f squarefree
+    m = f = q.numerator * q.denominator
+    primes = _prime_factors(m)
+    for p in primes:
+        while f % (p * p) == 0:
+            f //= p * p
+    root = Cyclo.rational(Fraction(isqrt(m // f), q.denominator))
+    for p in primes:
+        if f % p == 0:
+            root = root * _sqrt_prime(p)
     if root * root != q:
         raise RuntimeError(f"square-root construction failed for {q}")
     # root^2 = q >= 0, so root is real

@@ -37,9 +37,8 @@ from .chars import (
 )
 from .counts import (
     ClassCounts,
-    _aggregated_theta_weights,
+    _class_weights,
     _m_values,
-    _tau_weights,
     brute_f_n,
     brute_t_n,
     conjecture_report,
@@ -411,13 +410,11 @@ def _m_not_real(G) -> bool:
 
 
 def _theta_tau_differ(G) -> bool:
-    # sum_c |c| theta_chi(c) = (sizes @ W_theta) . chi and
-    # sum_b tau_chi(b) = (1 @ W_tau) . chi, so on an invertible table the two
-    # sums agree for every chi exactly when these integer vectors agree.
+    # sum_a theta_chi(a) = (sizes @ W_theta) . chi and
+    # sum_b tau_chi(b) = (sizes @ W_tau) . chi, so on an invertible table the
+    # two sums agree for every chi exactly when these integer vectors agree.
     sizes = np.array(conjugacy_classes(G).sizes)
-    by_rows = sizes @ G.cached("theta-weights", _aggregated_theta_weights)
-    by_cols = G.cached("tau-weights", _tau_weights).sum(axis=0)
-    return bool((by_rows != by_cols).any())
+    return bool((sizes @ _class_weights(G) != sizes @ _class_weights(G, tau=True)).any())
 
 
 def _isoclinic_match(group) -> CheckResult:

@@ -44,7 +44,7 @@ from commcount.groups import (
     conjugacy_classes,
     make_group,
 )
-from commcount.distributions import bounds_report, convolve, q3
+from commcount.distributions import bounds_report, convolve, p_n, point_mass, q3
 from commcount.fileio import load_group, save_group
 from commcount.perms import is_even
 from commcount.verify import sweep_specs
@@ -513,13 +513,37 @@ def test_pair_weights_match_definition(spec):
             tau[b][c] += H[a][b]
             if a in part.reps:
                 theta[part.reps.index(a)][c] += H[a][b]
-    assert counts_module._aggregated_theta_weights(G).tolist() == theta
-    assert counts_module._tau_weights(G).tolist() == tau
+    assert counts_module._class_weights(G).tolist() == theta
+    # tau, summed over every a, is constant on classes: its rows at the reps
+    # are all of it
+    assert all(tau[b] == tau[part.reps[part.class_of[b]]] for b in range(G.order))
+    assert counts_module._class_weights(G, tau=True).tolist() == [tau[r] for r in part.reps]
+
+
+def test_pair_weight_kernel_runs_on_the_class_reps(monkeypatch):
+    # theta and tau each read the commuting pairs once per class rep: k fixed
+    # elements per side, whatever theta_chi, tau_chi and m_chi are asked
+    G = make_group("symmetric:5")
+    T = build_table(G)
+    kernel, seen = counts_module._pair_weight_rows, []
+
+    def counted(G, fixed, tau=False):
+        seen.append((tau, len(fixed)))
+        return kernel(G, fixed, tau)
+
+    monkeypatch.setattr(counts_module, "_pair_weight_rows", counted)
+    for chi in T.irreducibles:
+        for g in range(G.order):
+            theta_chi(G, chi, g), tau_chi(G, chi, g)
+        m_chi(G, chi)
+    k = len(conjugacy_classes(G))
+    assert seen == [(False, k), (True, k)]
+    assert counts_module._class_weights(G, tau=True).shape == (k, k)
 
 
 # Element indices are int16; the pair-weight kernel's flat positions u * n + b
-# and the tau tally's keys b * k + c pass 2^15 once n or n * k does.  The
-# references below read the table by 2-D gathers with int64 indices only.
+# and a * n + u * b pass 2^15 once n does.  The references below read the
+# table by 2-D gathers with int64 indices only.
 
 
 def _pair_weights_int64(G, a, K):
@@ -533,11 +557,32 @@ def _pair_weights_int64(G, a, K):
     return H
 
 
-def _comm_classes_int64(G, a):
-    """The class of [a, b] for every b, through int64 indices."""
+def _pair_weight_column_int64(G, b, K):
+    """H[a, b] for every a, as int64, in blocks of 256 rows a."""
+    n = G.order
+    H = np.empty(n, dtype=np.int64)
+    ub = G.table[:, b].astype(np.int64)  # u * b for every u
+    for lo in range(0, n, 256):
+        a = np.arange(lo, min(lo + 256, n))
+        ab = G.table[a, b].astype(np.int64)
+        H[a] = np.count_nonzero(K[ab] & K[a][:, ub], axis=1)
+    return H
+
+
+def _comm_classes_int64(G, a, b):
+    """The class of [a, b] through int64 indices, a or b an index array."""
     inv = G.inv.astype(np.int64)
-    comm = G.table[G.table[inv[a], inv].astype(np.int64), G.table[a].astype(np.int64)]
+    left = G.table[inv[a], inv[b]].astype(np.int64)
+    comm = G.table[left, G.table[a, b].astype(np.int64)]
     return np.array(conjugacy_classes(G).class_of)[comm]
+
+
+def _tau_row_int64(G, b, K):
+    """The pair weights H[a, b] over every a, tallied by the class of [a, b]."""
+    row = np.zeros(len(conjugacy_classes(G)), dtype=np.int64)
+    every = np.arange(G.order)
+    np.add.at(row, _comm_classes_int64(G, every, b), _pair_weight_column_int64(G, b, K))
+    return row
 
 
 @pytest.mark.parametrize(
@@ -554,37 +599,34 @@ def test_pair_weight_rows_past_int16_match_an_int64_reference(spec):
         assert np.array_equal(R[G.table[a]], _pair_weights_int64(G, a, K)), a
 
 
-@pytest.mark.parametrize("spec", ["cyclic:240", "product:cyclic:16,cyclic:16"])
+@pytest.mark.parametrize(
+    "spec", ["symmetric:7", "dihedral:300", "cyclic:240", "product:cyclic:16,cyclic:16"]
+)
 def test_tau_weights_past_int16_match_an_int64_reference(spec):
-    # b * k reaches 57360 and 65280
+    # the column kernel reads u * n + b and a * n + u * b, each up to n^2 - 1
     G = make_group(spec)
-    n, k = G.order, len(conjugacy_classes(G))
+    n = G.order
     K = G.table == G.table.T
-    want = np.zeros((n, k), dtype=np.int64)
-    for a in range(n):
-        np.add.at(want, (np.arange(n), _comm_classes_int64(G, a)), _pair_weights_int64(G, a, K))
-    assert np.array_equal(counts_module._tau_weights(G), want)
+    picks = np.unique([1, n - 1, *np.random.default_rng(n).integers(0, n, 1)])
+    columns = [R for _, R in counts_module._pair_weight_rows(G, picks, tau=True)]
+    for b, R in zip(picks, np.concatenate(columns)):
+        # R[x] is H[a, b] at x = ab
+        assert np.array_equal(R[G.table[:, b]], _pair_weight_column_int64(G, b, K)), b
+    want = [_tau_row_int64(G, r, K) for r in conjugacy_classes(G).reps]
+    assert np.array_equal(counts_module._class_weights(G, tau=True), want)
 
 
-def test_tau_weights_at_the_cap_tally_sampled_rows(monkeypatch):
-    # b * k reaches 5039 * 15 = 75585 on symmetric:7; the full tally reads
-    # every row (about 14 s), so it runs on the rows of a few elements a
+def test_tau_weights_at_the_cap_tally_sampled_rows():
+    # tau on symmetric:7 is tallied at the 15 class reps only; the columns of
+    # elements that are not reps, summed over all 5040 a, give their class's row
     G = make_group("symmetric:7")
-    n, k = G.order, len(conjugacy_classes(G))
-    picks = [1, n - 1]
-    kernel = counts_module._pair_weight_rows
-
-    def sampled(G, every):
-        for a in picks:
-            ((_, R),) = kernel(G, every[a:a + 1])
-            yield slice(a, a + 1), R
-
-    monkeypatch.setattr(counts_module, "_pair_weight_rows", sampled)
+    part = conjugacy_classes(G)
     K = G.table == G.table.T
-    want = np.zeros((n, k), dtype=np.int64)
-    for a in picks:
-        np.add.at(want, (np.arange(n), _comm_classes_int64(G, a)), _pair_weights_int64(G, a, K))
-    assert np.array_equal(counts_module._tau_weights(G), want)
+    W = counts_module._class_weights(G, tau=True)
+    others = [b for b in np.random.default_rng(7).integers(0, G.order, 3) if b not in part.reps]
+    assert others
+    for b in others:
+        assert np.array_equal(_tau_row_int64(G, b, K), W[part.class_of[b]]), b
 
 
 @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:6"])
@@ -665,6 +707,33 @@ def test_solution_swap_bijection():
         f3 = brute_f_n(G, 3)
         for g in rng:
             assert variant.get(g, 0) == f3.at(g), (spec, g)
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 1.5])
+@pytest.mark.parametrize(
+    "accessor",
+    ["ClassCounts.at", "ClassFunction.at", "GroupDistribution.at on classes",
+     "GroupDistribution.at on elements", "point_mass", "p_n", "theta_chi", "tau_chi"],
+)
+def test_element_accessors_refuse_other_indices(accessor, bad):
+    # symmetric:3 has the elements 0..5: a tuple index -1 would read element 5
+    # and 6 would raise IndexError
+    G = make_group("symmetric:3")
+    chi = build_table(G).irreducibles[1]
+    f3 = brute_f_n(G, 3)
+    call = {
+        "ClassCounts.at": f3.at,
+        "ClassFunction.at": chi.at,
+        "GroupDistribution.at on classes": q3(f3).at,
+        "GroupDistribution.at on elements": point_mass(G).at,
+        "point_mass": lambda g: point_mass(G, g),
+        "p_n": lambda g: p_n(f3, g),
+        "theta_chi": lambda g: theta_chi(G, chi, g),
+        "tau_chi": lambda g: tau_chi(G, chi, g),
+    }[accessor]
+    call(G.order - 1)
+    with pytest.raises(ValueError, match="element index"):
+        call(bad)
 
 
 def test_tau_properties():

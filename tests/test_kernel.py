@@ -53,7 +53,7 @@ def test_kernel_matches_scalar_cyclo(spec):
     first = CycloArray(X.ints[0], X.den, X.conductor).dot(X, part.sizes)
     assert (first.ints == gram.ints[0]).all() and first.den == gram.den
 
-    weights = counts._aggregated_theta_weights(G).tolist()
+    weights = counts._class_weights(G).tolist()
     for chi, coeff in zip(rows, counts.f3_coeffs(G, T)):
         theta = [cyclo_sum(w, chi.values) for w in weights]
         m = cyclo_sum(part.sizes, theta)

@@ -159,6 +159,22 @@ def test_sqrt_known_forms():
         sqrt_rational_as_cyclo(-1)
 
 
+@pytest.mark.parametrize(
+    "q, literal",
+    [
+        (Fraction(72, 5),
+         "12/5*E(40)+12/5*E(40)^3-6/5*E(40)^5-12/5*E(40)^7+12/5*E(40)^9-6/5*E(40)^15"),
+        (12, "4*E(12)-2*E(12)^3"),
+        (Fraction(1, 8), "1/4*E(8)-1/4*E(8)^3"),
+        (Fraction(50, 49), "5/7*E(8)-5/7*E(8)^3"),
+    ],
+)
+def test_sqrt_literals_are_pinned(q, literal):
+    # sqrt(72/5) = 6 sqrt(2) sqrt(5) / 5: two Gauss sums, at 8 and 5; sqrt(12)
+    # = 2 sqrt(3), whose Gauss sum at 3 is turned by -i to conductor 12
+    assert str(sqrt_rational_as_cyclo(q)) == literal
+
+
 def test_abs():
     assert abs_as_cyclo(Cyclo.rational(Fraction(-5, 2))) == Fraction(5, 2)
     phi_major = cyclo_root(5, 2) + cyclo_root(5, 3)
