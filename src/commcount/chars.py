@@ -4,7 +4,7 @@ Tables are never computed by a generic algorithm.  The group alone picks
 its table: a bundled data file (q8, a4, a5), the closed form of its family
 (dihedral, the rim-hook recursion for symmetric groups, the tensor product
 of the factors' tables), or the cyclic closed form when some element has
-order |G|; only an explicit table file overrides it.  Every table is
+order |G|, and `build_table` builds it once per group.  Every table is
 validated exactly before use: class count, degrees, degree-square sum,
 closure under the Galois group of Q(zeta_N), row orthogonality, and the
 product identity chi(g)*chi(h) = (chi(1)/|G|) * sum_z chi(g * h^z) on every
@@ -12,6 +12,9 @@ pair of class representatives, at every order.  The last two are identities
 in Z[zeta_N] with bounded coefficients, proved at split primes p = 1
 (mod N) (see `validate_table`).  The report of that validation is stored on
 the table.
+
+A table document (JSON, `save_chartable`) is read, aligned against the
+group's classes and validated by `load_chartable` on every call, never cached.
 
 A table is held once, as one integer array (`CharacterTable.array`, a
 `CycloArray` of shape (rows, classes, phi(N)), used only with class functions
@@ -41,7 +44,9 @@ from .cyclo import (
     parse_cyclo,
     root_of_unity,
 )
+from .fileio import DocumentError, _check_fields, _read_doc, _write_doc
 from .groups import ClassPartition, GroupTable, _element, conjugacy_classes
+from .perms import cycle_type
 
 
 class TableProviderError(ValueError):
@@ -308,14 +313,11 @@ def _nonzero_at_split_primes(T: CharacterTable, part: ClassPartition, exponents)
 _BUNDLED = {"quaternion": "q8", "alternating:4": "a4", "alternating:5": "a5"}
 
 
-def build_table(G: GroupTable, provider: str = "auto") -> CharacterTable:
-    """Build and validate the character table of G.
-
-    With ``auto`` the table follows from the group (see
-    `_build_unvalidated`); ``file:<path>`` reads a table document instead.
-    A table that fails validation is rejected.
-    """
-    return G.cached(("table", provider), _build_validated, provider)
+def build_table(G: GroupTable) -> CharacterTable:
+    """The validated character table of G, built once per group from the
+    group alone (see `_build_unvalidated`).  A table that fails validation
+    is rejected."""
+    return G.cached("table", lambda G: _validated(_build_unvalidated(G)))
 
 
 def table_for(G: GroupTable, T: CharacterTable | None = None) -> CharacterTable:
@@ -326,25 +328,19 @@ def table_for(G: GroupTable, T: CharacterTable | None = None) -> CharacterTable:
     return build_table(G) if T is None else T
 
 
-def _build_validated(G: GroupTable, provider: str) -> CharacterTable:
-    T = _build_unvalidated(G, provider)
+def _validated(T: CharacterTable) -> CharacterTable:
+    """T, once `validate_table` passes it; TableValidationError otherwise."""
     report = validate_table(T)
     if not report.passed:
         raise TableValidationError(report)
     return T
 
 
-def _build_unvalidated(G: GroupTable, provider: str) -> CharacterTable:
-    """The table read from ``file:<path>``, or for ``auto``, in this order:
-    the bundled table of G's spec, the closed form of its family (dihedral,
-    symmetric, product), or the cyclic closed form if some element has
-    order |G|.  The provenance names which one."""
-    from .fileio import _read_doc  # fileio imports this module
-
-    if provider.startswith("file:"):
-        return table_from_document(G, _read_doc(provider[len("file:"):]), provider)
-    if provider != "auto":
-        raise TableProviderError(f"unknown character-table provider {provider!r}")
+def _build_unvalidated(G: GroupTable) -> CharacterTable:
+    """The table of G, in this order: the bundled table of G's spec, the
+    closed form of its family (dihedral, symmetric, product), or the cyclic
+    closed form if some element has order |G|.  The provenance names which
+    one."""
     if G.spec in _BUNDLED:
         name = _BUNDLED[G.spec]
         path = resources.files("commcount") / "data" / f"{name}_chartable.json"
@@ -469,8 +465,6 @@ def rimhook_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 def _symmetric_table(G: GroupTable) -> CharacterTable:
     n = len(G.perm_list[0])
     part = conjugacy_classes(G)
-    from .perms import cycle_type
-
     types = [cycle_type(G.perm_list[rep]) for rep in part.reps]
     ident = tuple([1] * n)
     entries = sorted((rimhook_character(lam, ident), lam) for lam in partitions_of(n))
@@ -506,12 +500,13 @@ def _tensor_table(G: GroupTable) -> CharacterTable:
     )
 
 
+# -- the table document -------------------------------------------------------
+
+
 def table_from_document(G: GroupTable, doc: dict, provenance: str) -> CharacterTable:
     """Build a table from a chartable document, aligning it against the
     group's canonical classes.  A malformed document raises DocumentError;
     misalignment is a hard error too."""
-    from .fileio import DocumentError, _check_fields  # fileio imports this module
-
     _check_fields(
         doc,
         "table",
@@ -586,3 +581,13 @@ def table_to_document(T: CharacterTable) -> dict:
             [format_cyclo(v) for v in chi.values] for chi in T.irreducibles
         ],
     }
+
+
+def load_chartable(path: str, G: GroupTable) -> CharacterTable:
+    """Read the document at `path`, align it against G's classes, and fully
+    validate it, on every call."""
+    return _validated(table_from_document(G, _read_doc(path), f"file:{path}"))
+
+
+def save_chartable(T: CharacterTable, path: str) -> None:
+    _write_doc(table_to_document(T), path, indent=1)

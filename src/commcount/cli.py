@@ -20,7 +20,7 @@ import sys
 import time
 from functools import cache
 
-from .chars import TableProviderError, TableValidationError, build_table
+from .chars import TableProviderError, TableValidationError, build_table, load_chartable
 from .counts import (
     BudgetExceededError,
     brute_f_n,
@@ -74,6 +74,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def _digits(text: str) -> int:
+    """An integer option: ASCII digits only, as every number the CLI reads."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 @cache  # parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -109,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="convolution powers of the f3 distribution")
     p.add_argument("--group", required=True)
-    p.add_argument("--convolve", type=int, default=1, metavar="K")
+    p.add_argument("--convolve", type=_digits, default=1, metavar="K")
     p.add_argument("--l1", action="store_true", help="L1 distance to uniform")
     p.set_defaults(func=cmd_dist)
 
@@ -119,11 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ore", help="support of f_k")
     p.add_argument("--group", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_digits, required=True)
     p.set_defaults(func=cmd_ore)
 
     p = sub.add_parser("triple", help="solve [x,y]=[x,z]=[y,z]=g in S_n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_digits, required=True)
     p.add_argument("--g", required=True, help='target in cycle notation, e.g. "(1 2 3)"')
     p.set_defaults(func=cmd_triple)
 
@@ -139,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="brute-naive,brute,character",
         help="comma-separated: brute-naive, brute, character, closed",
     )
-    p.add_argument("--repeat", type=int, default=1)
+    p.add_argument("--repeat", type=_digits, default=1)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -305,7 +312,12 @@ def _parse_element(G, token: str) -> int:
 
 def cmd_coeffs(args) -> int:
     G = make_group(args.group)
-    T = build_table(G, args.table)
+    if args.table == "auto":
+        T = build_table(G)
+    elif args.table.startswith("file:"):
+        T = load_chartable(args.table[len("file:"):], G)
+    else:
+        raise TableProviderError(f"unknown character-table provider {args.table!r}")
     kind, n = _parse_fn(args.fn)
     if (kind, n) == ("f", 3):
         qs = f3_coeffs(G, T)
@@ -407,10 +419,12 @@ def cmd_bench(args) -> int:
     repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
     if repeated:
         raise ValueError(f"bench method {repeated[0]!r} is given twice")
-    runners = {m: _bench_runner(G, kind, n, m) for m in methods}
+    unknown = [m for m in methods if m not in _REPORT_METHOD]
+    if unknown:
+        raise ValueError(f"unknown bench method {unknown[0]!r}")
 
     # warm-up doubles as the correctness gate: no timings unless all agree
-    values = {m: fn() for m, fn in runners.items()}
+    values = {m: _compute_count(G, kind, n, m) for m in methods}
     baseline = values[methods[0]]
     disagreeing = [m for m in methods[1:] if values[m] != baseline]
     if disagreeing:
@@ -428,7 +442,7 @@ def cmd_bench(args) -> int:
 
     timings = {}
     for m in methods:
-        best = min(_timed(runners[m]) for _ in range(args.repeat))
+        best = min(_timed(_compute_count, G, kind, n, m) for _ in range(args.repeat))
         timings[m] = best
     naive = timings.get("brute-naive")
     for m in methods:
@@ -439,19 +453,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _bench_runner(G, kind, n, method):
-    if method not in _REPORT_METHOD:
-        raise ValueError(f"unknown bench method {method!r}")
-
-    def run():
-        return _compute_count(G, kind, n, method)
-
-    return run
-
-
-def _timed(fn) -> float:
+def _timed(fn, *args) -> float:
     t0 = time.perf_counter()
-    fn()
+    fn(*args)
     return time.perf_counter() - t0
 
 

@@ -458,11 +458,6 @@ def _class_row(G: GroupTable, chi: ClassFunction, g, tau: bool) -> Cyclo:
     return _weighted(G, _class_weights(G, tau)[c:c + 1], chi)[0]
 
 
-def theta_class_function(G: GroupTable, chi: ClassFunction) -> ClassFunction:
-    """theta_chi as a class function of a (it is conjugation-invariant)."""
-    return ClassFunction(G, tuple(_weighted(G, _class_weights(G), chi)))
-
-
 def theta_chi(G: GroupTable, chi: ClassFunction, a: int) -> Cyclo:
     """theta_chi(a) = sum_b |C(ab) b  intersect  C(a)| * chi([a, b])."""
     return _class_row(G, chi, a, False)

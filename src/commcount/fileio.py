@@ -1,12 +1,11 @@
-"""Reading and writing the on-disk document formats.
+"""The JSON plumbing of every document, and the count report.
 
-All documents are JSON text.  A group file carries ``order``, ``mul`` and an
-optional ``names`` list (0-based indices, identity at 0); character-table
-files use the fields understood by :func:`.chars.table_from_document`; count
-reports serialize :class:`CountReport`.  Anything wrong with a document --
-bad schema or a table that breaks the group laws -- is a load error, never a
-warning.  Saving writes a canonical form, so saving what was just loaded
-reproduces the file byte for byte.
+Documents are JSON objects, read by ``_read_doc``, written by ``_write_doc``
+and typed field by field by ``_check_fields``.  Each format lives beside its
+type: groups in :mod:`.groups`, character tables in :mod:`.chars`, and count
+reports, which serialize :class:`CountReport`, here.  Anything wrong with a
+document is a load error, never a warning.  Saving writes a canonical form,
+so saving what was just loaded reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .chars import CharacterTable, build_table, table_to_document
 from .cyclo import parse_cyclo
-from .groups import GroupTable
 
 METHODS = frozenset(
     ["brute", "brute-naive", "character", "closed-form", "recursive"]
@@ -144,44 +141,6 @@ def load_report(path: str) -> CountReport:
 
 def save_report(report: CountReport, path: str) -> None:
     _write_doc(report_to_document(report), path, indent=1)
-
-
-# -- group tables ---------------------------------------------------------------
-
-
-def load_group(path: str) -> GroupTable:
-    doc = _read_doc(path)
-    _check_fields(doc, "group", required=("order", "mul"), optional=("names",),
-                  types={"order": int, "mul": list, "names": list})
-    order, mul, names = doc["order"], doc["mul"], doc.get("names")
-    if len(mul) != order:
-        raise DocumentError(f"field 'mul': expected {order} rows")
-    if names is not None and not all(isinstance(s, str) for s in names):
-        raise DocumentError("field 'names': expected a list of strings")
-    # entries that are not integers, ragged rows and group-law violations
-    # surface as GroupLawError straight from the constructor
-    return GroupTable(mul, names, spec=f"file:{path}")
-
-
-def save_group(G: GroupTable, path: str) -> None:
-    doc = {
-        "order": G.order,
-        "mul": G.table.tolist(),
-        "names": list(G.names),
-    }
-    _write_doc(doc, path, indent=None)
-
-
-# -- character tables -----------------------------------------------------------
-
-
-def load_chartable(path: str, G: GroupTable) -> CharacterTable:
-    """Load, align against G's classes, and fully validate."""
-    return build_table(G, f"file:{path}")
-
-
-def save_chartable(T: CharacterTable, path: str) -> None:
-    _write_doc(table_to_document(T), path, indent=1)
 
 
 # -- shared plumbing ------------------------------------------------------------

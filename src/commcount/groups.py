@@ -69,6 +69,10 @@ Element layouts are deterministic per family:
   by cycle type, then one-line form (identity first).
 * ``quaternion``    1, i, j, k, -1, -i, -j, -k.
 * ``product:A,B``   index of (a, b) is a*|B| + b.
+
+A group document (``file:path``, ``load_group``, ``save_group``) is JSON:
+``order``, ``mul`` (0-based, identity at 0) and optional ``names``, proved a
+group like any other table.
 """
 from __future__ import annotations
 
@@ -80,6 +84,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from . import perms
+from .fileio import DocumentError, _check_fields, _read_doc, _write_doc
 
 ORDER_CAP = 5040
 # The dtype of an element index: int16, as -ORDER_CAP fits (the sign leaves
@@ -563,7 +568,6 @@ def _leaf(spec: str):
     if spec.startswith("perm:"):
         return None, lambda: _perm_group(spec)
     if spec.startswith("file:"):
-        from .fileio import load_group
         return None, lambda: load_group(spec[len("file:"):])
     raise GroupSpecError(f"unknown group spec {spec!r}")
 
@@ -717,6 +721,32 @@ def _product(A: GroupTable, B: GroupTable) -> GroupTable:
     return GroupTable(
         _pair_matrix(A.table, B.table), spec=f"product:{A.spec},{B.spec}", product_parts=(A, B)
     )
+
+
+# -- the group document ------------------------------------------------------
+
+
+def load_group(path: str) -> GroupTable:
+    doc = _read_doc(path)
+    _check_fields(doc, "group", required=("order", "mul"), optional=("names",),
+                  types={"order": int, "mul": list, "names": list})
+    order, mul, names = doc["order"], doc["mul"], doc.get("names")
+    if len(mul) != order:
+        raise DocumentError(f"field 'mul': expected {order} rows")
+    if names is not None and not all(isinstance(s, str) for s in names):
+        raise DocumentError("field 'names': expected a list of strings")
+    # entries that are not integers, ragged rows and group-law violations
+    # surface as GroupLawError straight from the constructor
+    return GroupTable(mul, names, spec=f"file:{path}")
+
+
+def save_group(G: GroupTable, path: str) -> None:
+    doc = {
+        "order": G.order,
+        "mul": G.table.tolist(),
+        "names": list(G.names),
+    }
+    _write_doc(doc, path, indent=None)
 
 
 # -- structural operations ---------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from commcount import chars, verify
+from commcount.cli import main
 from commcount.chars import (
     CharacterTable,
     ClassFunction,
@@ -16,15 +17,16 @@ from commcount.chars import (
     build_table,
     decompose,
     inner_product,
+    load_chartable,
     partitions_of,
     rimhook_character,
+    save_chartable,
     table_from_document,
     table_to_document,
     validate_table,
 )
 from commcount.cyclo import Cyclo, CycloArray, cyclo_root, parse_cyclo
-from commcount.fileio import load_chartable, save_chartable, save_group
-from commcount.groups import conjugacy_classes, make_group
+from commcount.groups import conjugacy_classes, make_group, save_group
 
 
 def _approx(c: Cyclo) -> complex:
@@ -165,27 +167,52 @@ def test_bundled_a4_and_q8():
     assert Q.irreducibles[4].values[4] == -2
 
 
-# the names build_table once took besides auto and file:<path>
-FORMER_PROVIDERS = {
-    "cyclic-closed-form": "cyclic:3",
-    "dihedral-closed-form": "dihedral:5",
-    "symmetric-mn": "symmetric:3",
-    "product-tensor": "product:cyclic:2,cyclic:3",
-    "bundled:a4": "alternating:4",
-    "bundled:a5": "alternating:5",
-    "bundled:q8": "quaternion",
-}
-
-
 def test_auto_provider_errors():
     with pytest.raises(TableProviderError, match="no built-in table for perm:.*file:"):
         build_table(make_group("perm:(1 2 3),(4 5 6)"))
-    with pytest.raises(TableProviderError, match="unknown"):
-        build_table(make_group("cyclic:3"), "nonsense")
-    # each on a group whose table it used to build
-    for name, spec in FORMER_PROVIDERS.items():
-        with pytest.raises(TableProviderError, match="unknown character-table provider"):
-            build_table(make_group(spec), name)
+    # the group alone picks its table; a table file is load_chartable's
+    with pytest.raises(TypeError):
+        build_table(make_group("cyclic:3"), "auto")
+
+
+def test_build_table_builds_once_per_group(monkeypatch):
+    calls = []
+    build = chars._build_unvalidated
+
+    def counted(G):
+        calls.append(G)
+        return build(G)
+
+    monkeypatch.setattr(chars, "_build_unvalidated", counted)
+    G = make_group("dihedral:5")
+    assert build_table(G) is build_table(G)
+    assert calls == [G]
+
+
+def test_a_table_file_is_read_on_every_load(tmp_path, capsys):
+    # one group object throughout: nothing of an earlier load may answer
+    G = make_group("alternating:5")
+    path = tmp_path / "a5.json"
+    save_chartable(build_table(G), str(path))
+    first = load_chartable(str(path), G)
+    assert first.validated and first.provenance == f"file:{path}"
+
+    doc = json.loads(path.read_text())
+    doc["labels"] = [f"x{i}" for i in range(len(doc["labels"]))]
+    path.write_text(json.dumps(doc))
+    assert load_chartable(str(path), G).labels == ("x0", "x1", "x2", "x3", "x4")
+
+    doc["irreducibles"][1][1] = "7"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TableValidationError):
+        load_chartable(str(path), G)
+
+    path.unlink()
+    with pytest.raises(FileNotFoundError):
+        load_chartable(str(path), G)
+    code = main(["coeffs", "--group", "alternating:5", "--fn", "f3", "--table", f"file:{path}"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and "No such file" in err
 
 
 @pytest.mark.parametrize(
@@ -301,7 +328,7 @@ def test_document_roundtrip(tmp_path):
 
     path = tmp_path / "c3.json"
     path.write_text(json.dumps(table_to_document(build_table(make_group("cyclic:3")))))
-    T3 = build_table(make_group("cyclic:3"), f"file:{path}")
+    T3 = load_chartable(str(path), make_group("cyclic:3"))
     assert T3.validated
     assert T3.provenance == f"file:{path}"
 
@@ -391,7 +418,7 @@ def test_validation_catches_corruption(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TableValidationError) as exc:
-        build_table(G, f"file:{path}")
+        load_chartable(str(path), G)
     assert exc.value.report.failures()
 
 
@@ -421,8 +448,8 @@ def test_validation_catches_wrong_degree():
 def test_sweep_row_names_a_failing_table(monkeypatch):
     build = chars._build_unvalidated
 
-    def corrupt(G, provider):
-        T = build(G, provider)
+    def corrupt(G):
+        T = build(G)
         if G.spec == "cyclic:7":  # last row replaced by a copy of the first
             rows = T.irreducibles[:-1] + T.irreducibles[:1]
             return dataclasses.replace(T, array=CycloArray.of([r.values for r in rows]))
@@ -459,7 +486,7 @@ def test_product_identity_catches_swapped_central_columns(tmp_path):
     path = tmp_path / "swapped.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TableValidationError, match="product-identity"):
-        build_table(G, f"file:{path}")
+        load_chartable(str(path), G)
 
 
 def _oracle_verdicts(T) -> dict[str, bool]:

@@ -11,6 +11,7 @@ from commcount.chars import (
     TableProviderError,
     build_table,
     decompose,
+    load_chartable,
 )
 from commcount.cyclo import Cyclo, CycloArray, NotRationalError, cyclo_root
 from commcount.counts import (
@@ -34,7 +35,6 @@ from commcount.counts import (
     tau_chi,
     tc_check_and_formula,
     theta_chi,
-    theta_class_function,
 )
 from commcount.groups import (
     GroupTable,
@@ -42,10 +42,11 @@ from commcount.groups import (
     center_and_derived,
     centralizer,
     conjugacy_classes,
+    load_group,
     make_group,
+    save_group,
 )
 from commcount.distributions import bounds_report, convolve, p_n, point_mass, q3
-from commcount.fileio import load_group, save_group
 from commcount.perms import is_even
 from commcount.verify import sweep_specs
 
@@ -149,11 +150,10 @@ def test_theta_dihedral_closed_form():
         T = build_table(G)
         part = conjugacy_classes(G)
         for chi in T.irreducibles:
-            th = theta_class_function(G, chi)
             for r in range(1, n):
                 c = part.class_of[r]
                 expected = n * n * chi.values[0] + n * chi.at((2 * r) % n)
-                assert th.values[c] == expected
+                assert theta_chi(G, chi, part.reps[c]) == expected
                 assert theta_chi(G, chi, r) == expected
 
     D10 = make_group("dihedral:5")
@@ -387,7 +387,6 @@ def test_theta_is_conjugation_weighted():
     triv = next(
         chi for chi in T.irreducibles if all(v == 1 for v in chi.values)
     )
-    th = theta_class_function(G, triv)
     part = conjugacy_classes(G)
     mul, cents = G.mul, G.centralizer_lists()
     cent_sets = [frozenset(c) for c in cents]
@@ -396,7 +395,7 @@ def test_theta_is_conjugation_weighted():
         for b in range(6):
             ab = mul[rep][b]
             direct += sum(1 for u in cents[ab] if mul[u][b] in cent_sets[rep])
-        assert th.values[c] == direct
+        assert theta_chi(G, triv, rep) == direct
 
 
 def test_f5_small_group():
@@ -588,9 +587,9 @@ def _tau_row_int64(G, b, K):
 @pytest.mark.parametrize(
     "spec", ["symmetric:7", "dihedral:300", "cyclic:240", "product:cyclic:16,cyclic:16"]
 )
-def test_pair_weight_rows_past_int16_match_an_int64_reference(spec):
+def test_pair_weight_rows_past_int16_match_an_int64_reference(spec, shared_group):
     # u * n reaches n^2 - n: 25.4 million on symmetric:7, past 2^15 on each
-    G = make_group(spec)
+    G = shared_group(spec)
     n = G.order
     K = G.table == G.table.T
     picks = np.unique([1, n - 1, *np.random.default_rng(n).integers(0, n, 1)])
@@ -602,9 +601,9 @@ def test_pair_weight_rows_past_int16_match_an_int64_reference(spec):
 @pytest.mark.parametrize(
     "spec", ["symmetric:7", "dihedral:300", "cyclic:240", "product:cyclic:16,cyclic:16"]
 )
-def test_tau_weights_past_int16_match_an_int64_reference(spec):
+def test_tau_weights_past_int16_match_an_int64_reference(spec, shared_group):
     # the column kernel reads u * n + b and a * n + u * b, each up to n^2 - 1
-    G = make_group(spec)
+    G = shared_group(spec)
     n = G.order
     K = G.table == G.table.T
     picks = np.unique([1, n - 1, *np.random.default_rng(n).integers(0, n, 1)])
@@ -616,10 +615,10 @@ def test_tau_weights_past_int16_match_an_int64_reference(spec):
     assert np.array_equal(counts_module._class_weights(G, tau=True), want)
 
 
-def test_tau_weights_at_the_cap_tally_sampled_rows():
+def test_tau_weights_at_the_cap_tally_sampled_rows(shared_group):
     # tau on symmetric:7 is tallied at the 15 class reps only; the columns of
     # elements that are not reps, summed over all 5040 a, give their class's row
-    G = make_group("symmetric:7")
+    G = shared_group("symmetric:7")
     part = conjugacy_classes(G)
     K = G.table == G.table.T
     W = counts_module._class_weights(G, tau=True)
@@ -827,7 +826,7 @@ def test_brute_f3_matches_characters_on_larger_groups(tmp_path):
     path = tmp_path / "a6.json"
     path.write_text(json.dumps(_A6_TABLE))
     A6 = make_group("alternating:6")
-    T = build_table(A6, f"file:{path}")  # fully validated on load
+    T = load_chartable(str(path), A6)  # fully validated on load
     assert brute_f_n(A6, 3) == f3_from_characters(A6, T)
     G = make_group("product:alternating:5,cyclic:5")
     assert brute_f_n(G, 3) == f3_from_characters(G)
@@ -874,8 +873,8 @@ def test_recursive_fn1_values_are_pinned(spec, n, want):
     assert recursive_fn1(make_group(spec), n) == want
 
 
-def test_brute_f3_matches_characters_on_symmetric_7():
-    G = make_group("symmetric:7")
+def test_brute_f3_matches_characters_on_symmetric_7(shared_group):
+    G = shared_group("symmetric:7")
     assert brute_f_n(G, 3) == f3_from_characters(G)
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from commcount import groups, perms, verify
-from commcount.fileio import save_group
 from commcount.groups import (
     GroupLawError,
     GroupSpecError,
@@ -24,6 +23,7 @@ from commcount.groups import (
     centralizer,
     conjugacy_classes,
     make_group,
+    save_group,
     subgroup_generated,
 )
 
@@ -705,11 +705,12 @@ def _reference_rows(G, xs):
 
 
 @pytest.mark.parametrize("spec", ["cyclic:5040", "product:cyclic:70,cyclic:72", "symmetric:7"])
-def test_index_arithmetic_at_the_cap_matches_an_int64_reference(spec):
+def test_index_arithmetic_at_the_cap_matches_an_int64_reference(spec, shared_group):
     # at order 5040 a flat position x * n + y reaches 25401599, far past
     # int16: sampled rows of the table, the inverses and the commutators
     # against Python ints and 2-D gathers with int64 indices
-    G = make_group(spec)
+    G = shared_group(spec)
+    assert "comm" not in G._memo  # no other test of the shared group builds it
     n = G.order
     picks = np.random.default_rng(n).integers(0, n, 3).tolist()
     xs = sorted({1, n // 2, n - 2, n - 1, *picks})
@@ -881,8 +882,8 @@ def test_permutation_lists_with_a_repeat_or_no_identity_are_refused():
         _table_from_perms([t, e], "perm:broken")
 
 
-def test_symmetric_7_table_agrees_with_composition_on_random_pairs():
-    G = make_group("symmetric:7")
+def test_symmetric_7_table_agrees_with_composition_on_random_pairs(shared_group):
+    G = shared_group("symmetric:7")
     rng = np.random.default_rng(7)
     a, b = rng.integers(0, G.order, size=(2, 10**4))
     got = G.table[a, b]
@@ -1098,8 +1099,8 @@ def test_seeded_light_test_rejects_a_table_with_two_entries_swapped():
     [("cyclic:5040", [5039], 13), ("cyclic:5040", [1], 13),
      ("dihedral:100", [199, 198], 15), ("symmetric:7", None, 13)],
 )
-def test_close_doubles_along_long_cycles(spec, gens, most):
-    G = make_group(spec)
+def test_close_doubles_along_long_cycles(spec, gens, most, shared_group):
+    G = shared_group(spec)
     if gens is None:
         gens = [G.perm_list.index(p) for p in _spec_generators(spec)]
     reached = np.zeros(G.order, dtype=bool)

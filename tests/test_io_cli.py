@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import commcount
-from commcount.chars import build_table
+from commcount.chars import build_table, load_chartable, save_chartable
 from commcount.cli import _build_parser, main
 from commcount.counts import ClassCounts, recursive_fn1
 from commcount.fileio import (
@@ -15,15 +15,17 @@ from commcount.fileio import (
     CoeffRow,
     CountReport,
     DocumentError,
-    load_chartable,
-    load_group,
     load_report,
     report_from_document,
-    save_chartable,
-    save_group,
     save_report,
 )
-from commcount.groups import GroupLawError, GroupSpecError, make_group
+from commcount.groups import (
+    GroupLawError,
+    GroupSpecError,
+    load_group,
+    make_group,
+    save_group,
+)
 from commcount.perms import parse_cycles
 from commcount.verify import CheckResult
 
@@ -542,13 +544,46 @@ def test_the_package_exports_each_name_once():
     assert [n for n in names if not hasattr(commcount, n)] == []
 
 
-@pytest.mark.parametrize("name", ["cyclic-closed-form", "bundled:q8", "nonsense"])
+# each name build_table once took besides auto and file:<path>, with a group
+# whose table it used to build, and one name it never took
+REFUSED_TABLE_SOURCES = {
+    "cyclic-closed-form": "cyclic:3",
+    "dihedral-closed-form": "dihedral:5",
+    "symmetric-mn": "symmetric:3",
+    "product-tensor": "product:cyclic:2,cyclic:3",
+    "bundled:a4": "alternating:4",
+    "bundled:a5": "alternating:5",
+    "bundled:q8": "quaternion",
+    "nonsense": "quaternion",
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_TABLE_SOURCES)
 def test_coeffs_table_takes_auto_or_a_file(capsys, name):
-    code, out, err = run_cli(
-        capsys, "coeffs", "--group", "quaternion", "--fn", "f3", "--table", name
-    )
-    assert (code, out) == (2, "")
-    assert "unknown character-table provider" in err
+    spec = REFUSED_TABLE_SOURCES[name]
+    code, out, err = run_cli(capsys, "coeffs", "--group", spec, "--fn", "f3", "--table", name)
+    assert (code, out, err) == (2, "", f"error: unknown character-table provider {name!r}\n")
+
+
+_C3_COEFFS = """\
+f_3 coefficients on cyclic:3 (table: {})
+character  degree  coefficient
+chi0       1       9
+chi1       1       9
+chi2       1       9
+coefficients: 9,9,9
+"""
+
+
+def test_coeffs_table_sources(tmp_path, capsys):
+    path = tmp_path / "c3.json"
+    save_chartable(build_table(make_group("cyclic:3")), str(path))
+    for table, provenance in (("auto", "cyclic-closed-form"), (f"file:{path}", f"file:{path}")):
+        got = run_cli(capsys, "coeffs", "--group", "cyclic:3", "--fn", "f3", "--table", table)
+        assert got == (0, _C3_COEFFS.format(provenance), "")
+    # the source is read before the count function
+    got = run_cli(capsys, "coeffs", "--group", "cyclic:3", "--fn", "f9", "--table", "nonsense")
+    assert got == (2, "", "error: unknown character-table provider 'nonsense'\n")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -582,6 +617,35 @@ def test_exit_codes(capsys, argv, want):
     code = main(list(argv))
     capsys.readouterr()
     assert code == want
+
+
+# each integer option of the CLI, last on a command line that runs
+_INTEGER_OPTIONS = {
+    "--k": ("ore", "--group", "symmetric:4", "--k"),
+    "--convolve": ("dist", "--group", "symmetric:3", "--convolve"),
+    "--n": ("triple", "--g", "(1 2 3)", "--n"),
+    "--repeat": ("bench", "--group", "symmetric:3", "--repeat"),
+}
+
+
+@pytest.mark.parametrize("text", ["\u0663", "0_3", "+3", " 3"])  # Arabic-Indic three
+@pytest.mark.parametrize("option", _INTEGER_OPTIONS)
+def test_integer_options_take_ascii_digits_only(capsys, option, text):
+    code, out, err = run_cli(capsys, *_INTEGER_OPTIONS[option], text)
+    assert (code, out) == (2, "")
+    assert f"argument {option}: expected ASCII digits, got {text!r}" in err
+    assert run_cli(capsys, *_INTEGER_OPTIONS[option], "3")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "option, text, message",
+    [("--k", "0", "--k must be at least 2"), ("--k", "1", "--k must be at least 2"),
+     ("--convolve", "0", "--convolve must be at least 1"),
+     ("--repeat", "0", "--repeat must be at least 1")],
+)
+def test_integer_options_keep_their_lower_bounds(capsys, option, text, message):
+    got = run_cli(capsys, *_INTEGER_OPTIONS[option], text)
+    assert got == (2, "", f"error: {message}\n")
 
 
 GOLDEN_CLI = json.loads(

@@ -10,6 +10,7 @@ from commcount.chars import (
     TableValidationError,
     build_table,
     inner_product,
+    load_chartable,
     table_from_document,
     table_to_document,
     validate_table,
@@ -124,7 +125,7 @@ def test_corrupt_file_tables_fail_validation(tmp_path, entry, dtype, den):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TableValidationError):
-        build_table(G, f"file:{path}")
+        load_chartable(str(path), G)
 
 
 def exact_order(w: int, p: int) -> int:
