@@ -4,17 +4,17 @@ Tables are never computed by a generic algorithm.  The group alone picks
 its table: a bundled data file (q8, a4, a5), the closed form of its family
 (dihedral, the rim-hook recursion for symmetric groups, the tensor product
 of the factors' tables), or the cyclic closed form when some element has
-order |G|, and `build_table` builds it once per group.  Every table is
-validated exactly before use: class count, degrees, degree-square sum,
+order |G|.  These providers only build.  A table is validated once, in one
+place: by `build_table`, once per group, or by `load_chartable`, which reads
+a table document (JSON, `save_chartable`) and aligns it against the group's
+classes on every call, never cached.  A product's factors are built
+unvalidated, as the product's own complete validation proves the table built
+from them.  The checks are exact: class count, degrees, degree-square sum,
 closure under the Galois group of Q(zeta_N), row orthogonality, and the
 product identity chi(g)*chi(h) = (chi(1)/|G|) * sum_z chi(g * h^z) on every
 pair of class representatives, at every order.  The last two are identities
 in Z[zeta_N] with bounded coefficients, proved at split primes p = 1
-(mod N) (see `validate_table`).  The report of that validation is stored on
-the table.
-
-A table document (JSON, `save_chartable`) is read, aligned against the
-group's classes and validated by `load_chartable` on every call, never cached.
+(mod N) (see `validate_table`).  The report is stored on the table.
 
 A table is held once, as one integer array (`CharacterTable.array`, a
 `CycloArray` of shape (rows, classes, phi(N)), used only with class functions
@@ -480,7 +480,7 @@ def _symmetric_table(G: GroupTable) -> CharacterTable:
 
 def _tensor_table(G: GroupTable) -> CharacterTable:
     A, B = G.product_parts
-    TA, TB = build_table(A), build_table(B)
+    TA, TB = _build_unvalidated(A), _build_unvalidated(B)
     reps = np.asarray(conjugacy_classes(G).reps)
     x = np.asarray(conjugacy_classes(A).class_of)[reps // B.order]
     y = np.asarray(conjugacy_classes(B).class_of)[reps % B.order]

@@ -312,19 +312,16 @@ def _parse_element(G, token: str) -> int:
 
 def cmd_coeffs(args) -> int:
     G = make_group(args.group)
+    if args.table != "auto" and not args.table.startswith("file:"):
+        raise TableProviderError(f"unknown character-table provider {args.table!r}")
+    kind, n = _parse_fn(args.fn)  # read before any table is built or loaded
+    if n != 3:
+        raise ValueError("coefficient vectors cover f3 and t3 only")
     if args.table == "auto":
         T = build_table(G)
-    elif args.table.startswith("file:"):
+    else:
         T = load_chartable(args.table[len("file:"):], G)
-    else:
-        raise TableProviderError(f"unknown character-table provider {args.table!r}")
-    kind, n = _parse_fn(args.fn)
-    if (kind, n) == ("f", 3):
-        qs = f3_coeffs(G, T)
-    elif (kind, n) == ("t", 3):
-        qs = t_coeffs(G, 3, T)
-    else:
-        raise ValueError("coefficient vectors cover f3 and t3 only")
+    qs = f3_coeffs(G, T) if kind == "f" else t_coeffs(G, 3, T)
     print(f"{kind}_3 coefficients on {G.spec} (table: {T.provenance})")
     _print_table(
         ("character", "degree", "coefficient"),

@@ -50,7 +50,6 @@ from .chars import (
     CharacterTable,
     ClassFunction,
     TableProviderError,
-    TableValidationError,
     _combination,
     table_for,
 )
@@ -674,7 +673,8 @@ def count_f_n(
     budget: int = DEFAULT_BUDGET,
 ) -> ClassCounts:
     """f_n by the requested method: ``brute``, ``character`` (n = 2 or 3),
-    or ``auto`` (characters when the group has a built-in table, else brute)."""
+    or ``auto`` (characters when the group has a built-in table under the cap,
+    else brute; a rejected table raises TableValidationError)."""
     if method == "brute":
         return brute_f_n(G, n, budget=budget)
     if method == "character":
@@ -688,7 +688,7 @@ def count_f_n(
     if n in (2, 3):
         try:
             return count_f_n(G, n, method="character", budget=budget)
-        except (TableProviderError, TableValidationError):
+        except TableProviderError:
             pass
     return brute_f_n(G, n, budget=budget)
 
@@ -708,5 +708,5 @@ def count_t_n(
         raise ValueError(f"unknown method {method!r}")
     try:
         return t_from_characters(G, n)
-    except (TableProviderError, TableValidationError):
+    except TableProviderError:
         return brute_t_n(G, n, budget)

@@ -489,13 +489,6 @@ def exact_matmul(a, b):
     return a @ b
 
 
-def _sorted_rows(ints) -> list:
-    # the rows along the first axis, sorted: bytes of int64 where the whole
-    # array fits, else Python ints, so equal multisets give equal lists
-    (rows,) = _exact(_amax(ints), ints.reshape(len(ints), -1))
-    return sorted(r.tobytes() if rows.dtype != object else tuple(r) for r in rows)
-
-
 class CycloArray:
     """Cyclotomic values at one conductor N over one common denominator.
 
@@ -546,15 +539,20 @@ class CycloArray:
 
     def galois_moved(self) -> list[int]:
         """The generators u of (Z/N)^x, from `unit_generators`, under which
-        the multiset of rows along the first axis changes."""
-        gens = unit_generators(self.conductor)
-        if not gens:
-            return []
-        rows, e = _sorted_rows(self.ints), np.arange(self.ints.shape[-1])
-        return [
-            u for u in gens
-            if _sorted_rows(self._mapped(u * e, self.conductor).ints) != rows
-        ]
+        the multiset of rows along the first axis changes.  Each `distinct`
+        value is mapped once, and rows compare as sorted tuples of value ids,
+        with -1 for a value mapped outside the array."""
+        values, where = self.distinct()
+        ids = {r: i for i, r in enumerate(map(tuple, values.ints.tolist()))}
+        e, where = np.arange(self.ints.shape[-1]), where.reshape(len(where), -1)
+
+        def rows(u):
+            mapped = values._mapped(u * e, self.conductor).ints.tolist()
+            image = np.array([ids.get(tuple(r), -1) for r in mapped])
+            return sorted(map(tuple, image[where].tolist()))
+
+        unmoved = rows(1)
+        return [u for u in unit_generators(self.conductor) if rows(u) != unmoved]
 
     def bounded_primes(self, weight: int) -> tuple[int, list[int]]:
         """A bound on the coefficients of an integer combination, weights

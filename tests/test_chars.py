@@ -25,7 +25,7 @@ from commcount.chars import (
     table_to_document,
     validate_table,
 )
-from commcount.cyclo import Cyclo, CycloArray, cyclo_root, parse_cyclo
+from commcount.cyclo import Cyclo, CycloArray, cyclo_root, parse_cyclo, unit_generators
 from commcount.groups import conjugacy_classes, make_group, save_group
 
 
@@ -189,6 +189,36 @@ def test_build_table_builds_once_per_group(monkeypatch):
     assert calls == [G]
 
 
+def test_a_product_table_is_validated_once(monkeypatch):
+    # the factors' tables are built unvalidated; the product's own complete
+    # validation is the only one
+    validated = []
+    validate = chars.validate_table
+
+    def counted(T):
+        validated.append(T.group.spec)
+        return validate(T)
+
+    monkeypatch.setattr(chars, "validate_table", counted)
+    T = build_table(make_group("product:dihedral:6,cyclic:4"))
+    assert T.validated and validated == ["product:dihedral:6,cyclic:4"]
+
+
+def test_a_corrupt_factor_table_rejects_the_product(monkeypatch):
+    build = chars._build_unvalidated
+
+    def corrupt(G):
+        T = build(G)
+        if G.spec == "cyclic:4":  # last row replaced by a copy of the first
+            rows = T.irreducibles[:-1] + T.irreducibles[:1]
+            return dataclasses.replace(T, array=CycloArray.of([r.values for r in rows]))
+        return T
+
+    monkeypatch.setattr(chars, "_build_unvalidated", corrupt)
+    with pytest.raises(TableValidationError, match="character table rejected: .*galois-closure"):
+        build_table(make_group("product:dihedral:6,cyclic:4"))
+
+
 def test_a_table_file_is_read_on_every_load(tmp_path, capsys):
     # one group object throughout: nothing of an earlier load may answer
     G = make_group("alternating:5")
@@ -248,15 +278,17 @@ def test_the_group_picks_its_table(spec, provenance, tmp_path):
 )
 def test_tables_over_the_cap_are_refused_before_allocation(spec, monkeypatch):
     G = make_group(spec)
-    for factor in G.product_parts or ():
-        build_table(factor)
+    reduction = chars._reduction
 
     # the providers' big arrays come from these two; the refused ones would
     # take 3.2 GB and more
     def allocate(*args):
         raise AssertionError("the table was allocated")
 
-    monkeypatch.setattr(chars, "_reduction", allocate)
+    # a product builds its factors' tables, at conductors 70 and 72, and no other
+    monkeypatch.setattr(
+        chars, "_reduction", lambda n: reduction(n) if n in (70, 72) else allocate()
+    )
     monkeypatch.setattr(CycloArray, "dot", allocate)
     with pytest.raises(TableProviderError, match="residues, above the cap 16777216"):
         build_table(G)
@@ -587,3 +619,56 @@ def test_large_conductor_table_validates_and_rejects_one_corrupt_entry():
     report = validate_table(dataclasses.replace(T, array=CycloArray.of([r.values for r in rows])))
     assert not report.passed
     assert "row-orthogonality" in [c.name for c in report.failures()]
+
+
+def _galois_moved_per_entry(X: CycloArray) -> list[int]:
+    # the reference: map every entry, then compare the sorted rows
+    def rows(A):
+        return sorted(map(tuple, A.ints.reshape(len(A.ints), -1).tolist()))
+
+    e = np.arange(X.ints.shape[-1])
+    return [
+        u for u in unit_generators(X.conductor)
+        if rows(X._mapped(u * e, X.conductor)) != rows(X)
+    ]
+
+
+_GALOIS_SPECS = verify.sweep_specs() + (
+    "product:dihedral:6,cyclic:4", "product:quaternion,cyclic:3", "cyclic:240", "dihedral:300"
+)
+
+
+def test_galois_moved_on_distinct_values_matches_every_entry_mapped():
+    for spec in _GALOIS_SPECS:
+        X = build_table(make_group(spec)).array
+        assert X.galois_moved() == _galois_moved_per_entry(X) == [], spec
+    # entries past int64: the same table scaled, then one residue moved
+    X = build_table(make_group("cyclic:12")).array
+    big = CycloArray(X.ints.astype(object) * 2**70, X.den, X.conductor)
+    assert big.galois_moved() == _galois_moved_per_entry(big) == []
+    big.ints[3, 5, 1] += 1
+    assert big.galois_moved() == _galois_moved_per_entry(big) != []
+
+
+def test_galois_moved_matches_every_entry_mapped_on_perturbed_tables():
+    rng = np.random.default_rng(36)
+    tables = [
+        build_table(make_group(spec)).array
+        for spec in ("cyclic:7", "cyclic:12", "dihedral:8", "dihedral:9", "alternating:5",
+                     "product:dihedral:6,cyclic:4", "product:quaternion,cyclic:3")
+    ]
+    verdicts = set()
+    for trial in range(600):
+        X = tables[trial % len(tables)]
+        ints = X.ints.copy()
+        k = len(ints)
+        if trial % 2:  # one residue moved by 1 either way
+            ints[tuple(rng.integers(0, ints.shape))] += rng.choice((-1, 1))
+        else:  # two entries swapped
+            (i, c), (j, d) = rng.integers(0, k, (2, 2))
+            ints[[i, j], [c, d]] = ints[[j, i], [d, c]]
+        bad = CycloArray(ints, X.den, X.conductor)
+        moved = bad.galois_moved()
+        assert moved == _galois_moved_per_entry(bad), trial
+        verdicts.add(bool(moved))
+    assert verdicts == {True, False}

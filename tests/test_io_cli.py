@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import commcount
+from commcount import chars
 from commcount.chars import build_table, load_chartable, save_chartable
 from commcount.cli import _build_parser, main
 from commcount.counts import ClassCounts, recursive_fn1
+from commcount.cyclo import CycloArray
 from commcount.fileio import (
     ClassRow,
     CoeffRow,
@@ -584,6 +587,48 @@ def test_coeffs_table_sources(tmp_path, capsys):
     # the source is read before the count function
     got = run_cli(capsys, "coeffs", "--group", "cyclic:3", "--fn", "f9", "--table", "nonsense")
     assert got == (2, "", "error: unknown character-table provider 'nonsense'\n")
+
+
+def test_coeffs_reads_the_count_function_before_any_table(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table was built or loaded")
+
+    monkeypatch.setattr("commcount.cli.build_table", refuse)
+    monkeypatch.setattr("commcount.cli.load_chartable", refuse)
+    for table in ("auto", "file:missing.json"):
+        got = run_cli(capsys, "coeffs", "--group", "cyclic:240", "--fn", "f9", "--table", table)
+        assert got == (
+            2, "", "error: unknown count function 'f9'; use f2, f3, t3, fn:<n> or tn:<n>\n"
+        )
+        for fn in ("f2", "tn:4"):
+            got = run_cli(capsys, "coeffs", "--group", "cyclic:240", "--fn", fn, "--table", table)
+            assert got == (2, "", "error: coefficient vectors cover f3 and t3 only\n")
+
+
+def test_a_rejected_table_fails_every_command_that_reads_it(capsys, monkeypatch):
+    # auto counts fall back to brute only when no table exists, never when
+    # the group's table is rejected
+    build = chars._build_unvalidated
+
+    def corrupt(G):
+        T = build(G)
+        if G.spec == "dihedral:5":  # last row replaced by a copy of the first
+            rows = T.irreducibles[:-1] + T.irreducibles[:1]
+            return dataclasses.replace(T, array=CycloArray.of([r.values for r in rows]))
+        return T
+
+    monkeypatch.setattr(chars, "_build_unvalidated", corrupt)
+    rejected = (
+        "error: character table rejected: degrees-match-identity-column, "
+        "galois-closure, row-orthogonality\n"
+    )
+    for argv in (
+        ("ore", "--group", "dihedral:5", "--k", "3"),
+        ("dist", "--group", "dihedral:5"),
+        ("bounds", "--group", "dihedral:5"),
+        ("count", "--group", "dihedral:5", "--fn", "f3", "--method", "character"),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", rejected), argv[0]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

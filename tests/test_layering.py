@@ -1,6 +1,8 @@
 """The package's import layering, read from the source with ``ast``: every
 module imports the package modules it needs at module level, and those
-imports form no cycle."""
+imports form no cycle.  Character tables are validated at one site: only
+`_validated` runs `validate_table`, only `build_table` and `load_chartable`
+reach `_validated`, and no table provider goes through `build_table`."""
 import ast
 from pathlib import Path
 
@@ -64,6 +66,26 @@ def _cycle(graph) -> list[str] | None:
     return None
 
 
+def _callers(name: str, trees=TREES) -> set[str]:
+    """The top-level functions and methods whose code, nested functions and
+    lambdas included, names `name` (a call or a reference), and "<module>"
+    for module-level code that does."""
+    def names(nodes):
+        return any((isinstance(n, ast.Name) and n.id == name)
+                   or (isinstance(n, ast.Attribute) and n.attr == name) for n in nodes)
+
+    found = set()
+    for tree in trees.values():
+        functions = [n for top in tree.body
+                     for n in (top.body if isinstance(top, ast.ClassDef) else [top])
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        found |= {fn.name for fn in functions if names(ast.walk(fn))}
+        inside = {id(n) for fn in functions for n in ast.walk(fn)}
+        if names(n for n in ast.walk(tree) if id(n) not in inside):
+            found.add("<module>")
+    return found
+
+
 def test_the_guard_reads_every_import_form():
     forms = {
         "from . import perms": ["perms"],
@@ -92,3 +114,23 @@ def test_module_imports_form_no_cycle():
     graph = _module_level_graph()
     assert graph["fileio"] <= {"cyclo"}
     assert _cycle(graph) is None
+
+
+def test_the_validation_guard_reads_calls_references_and_methods():
+    tree = ast.parse(
+        "def f(G):\n    return G.cached('t', lambda G: g(h(G)))\n"
+        "class C:\n    def m(self):\n        return x.g\n"
+        "def h(G):\n    return G\ng()\n"
+    )
+    assert _callers("g", {"t": tree}) == {"f", "m", "<module>"}
+    assert _callers("h", {"t": tree}) == {"f"}
+
+
+def test_tables_are_validated_at_one_site():
+    assert _callers("validate_table") == {"_validated"}
+    assert _callers("_validated") == {"build_table", "load_chartable"}
+    providers = {fn.name for fn in TREES["chars"].body if isinstance(fn, ast.FunctionDef)
+                 and fn.name.startswith("_") and fn.name.endswith("_table")}
+    assert providers >= {"_cyclic_table", "_dihedral_table", "_symmetric_table", "_tensor_table"}
+    assert _callers("build_table") & (providers | {"_build_unvalidated"}) == set()
+    assert "_tensor_table" in _callers("_build_unvalidated")
