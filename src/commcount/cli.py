@@ -24,13 +24,16 @@ from .chars import TableProviderError, TableValidationError, build_table, load_c
 from .counts import (
     BudgetExceededError,
     brute_f_n,
+    brute_t_n,
     count_f_n,
-    count_t_n,
+    f2_from_characters,
     f3_coeffs,
+    f3_from_characters,
     naive_f_n,
     ore_set,
     recursive_fn1,
     t_coeffs,
+    t_from_characters,
 )
 from .dihedral import f3_class_counts_closed, t3_class_counts_closed
 from .distributions import bounds_report, convolve_power, l1_to_uniform, q3
@@ -222,19 +225,25 @@ _REPORT_METHOD = {
 
 
 def _compute_count(G, kind: str, n: int, method: str):
-    if method in ("brute", "character"):
-        return count_f_n(G, n, method) if kind == "f" else count_t_n(G, n, method)
+    """The count by the path one method name stands for; argparse and
+    `cmd_bench` refuse every other name."""
+    if method == "brute":
+        return brute_f_n(G, n) if kind == "f" else brute_t_n(G, n)
     if method == "brute-naive":
         if kind != "f":
             raise ValueError("the naive oracle covers f_n only")
         return naive_f_n(G, n)
-    if method == "closed":
-        if (kind, n) == ("f", 3):
-            return f3_class_counts_closed(G)
-        if (kind, n) == ("t", 3):
-            return t3_class_counts_closed(G)
-        raise ValueError("closed forms cover f3 and t3 only")
-    raise ValueError(f"unknown method {method!r}")
+    if method == "character":
+        if kind == "t":
+            return t_from_characters(G, n)
+        if n not in (2, 3):
+            raise ValueError("character formulas cover n = 2 and n = 3 only")
+        return f2_from_characters(G) if n == 2 else f3_from_characters(G)
+    if (kind, n) == ("f", 3):  # closed
+        return f3_class_counts_closed(G)
+    if (kind, n) == ("t", 3):
+        return t3_class_counts_closed(G)
+    raise ValueError("closed forms cover f3 and t3 only")
 
 
 def _class_report(G, count, method: str) -> CountReport:

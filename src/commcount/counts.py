@@ -493,12 +493,8 @@ def m_chi(G: GroupTable, chi: ClassFunction) -> Cyclo:
 
 def f3_coeffs(G: GroupTable, T: CharacterTable | None = None) -> tuple[Fraction, ...]:
     """Coefficients of f_3 in the irreducible basis: m_chi / |G|, certified
-    rational; computed once per table object, in G.cached."""
+    rational."""
     T = table_for(G, T)
-    return G.cached(("f3-coeffs", T), _f3_coeffs, T)
-
-
-def _f3_coeffs(G: GroupTable, T: CharacterTable) -> tuple[Fraction, ...]:
     m = _m_values(G, T.array, T.labels)
     irrational = m.irrational()
     if irrational.any():
@@ -666,47 +662,13 @@ def ore_set(G: GroupTable, n: int) -> frozenset[int]:
     return count_f_n(G, n).support()
 
 
-def count_f_n(
-    G: GroupTable,
-    n: int,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-) -> ClassCounts:
-    """f_n by the requested method: ``brute``, ``character`` (n = 2 or 3),
-    or ``auto`` (characters when the group has a built-in table under the cap,
-    else brute; a rejected table raises TableValidationError)."""
-    if method == "brute":
-        return brute_f_n(G, n, budget=budget)
-    if method == "character":
-        if n == 2:
-            return f2_from_characters(G)
-        if n == 3:
-            return f3_from_characters(G)
-        raise ValueError("character formulas cover n = 2 and n = 3 only")
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
+def count_f_n(G: GroupTable, n: int) -> ClassCounts:
+    """f_n by the character formula at n = 2 and 3 when the group has a
+    built-in table under the cap, else by brute force; a rejected table
+    raises TableValidationError."""
     if n in (2, 3):
         try:
-            return count_f_n(G, n, method="character", budget=budget)
+            return f2_from_characters(G) if n == 2 else f3_from_characters(G)
         except TableProviderError:
             pass
-    return brute_f_n(G, n, budget=budget)
-
-
-def count_t_n(
-    G: GroupTable,
-    n: int,
-    method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
-) -> ClassCounts:
-    """t_n by the requested method: ``brute``, ``character`` or ``auto``."""
-    if method == "brute":
-        return brute_t_n(G, n, budget)
-    if method == "character":
-        return t_from_characters(G, n)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    try:
-        return t_from_characters(G, n)
-    except TableProviderError:
-        return brute_t_n(G, n, budget)
+    return brute_f_n(G, n)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chars import build_table
-from .counts import ClassCounts, _certified_counts
+from .counts import ClassCounts
 from .groups import GroupTable, conjugacy_classes
 
 
@@ -110,11 +109,25 @@ def f3_class_counts_closed(G: GroupTable) -> ClassCounts:
 
 
 def t3_class_counts_closed(G: GroupTable) -> ClassCounts:
-    """t_3 on a dihedral group table: the closed-form coefficients evaluated
-    against the closed-form character table, certified integral."""
+    """t_3 on a dihedral group table from n alone.  With s a reflection,
+    [a^i, a^j] = 1, [a^i, s] = a^(-2i), [s, a^i] = a^(2i) and
+    [a^j s, a^j' s] = a^(2(j - j')), and |C(s)| is 2 for odd n and 4 for
+    even n; so t_3 lives on the rotations a^r with r even or n odd, at one
+    value off the identity, and is 0 on every reflection."""
     n = _dihedral_parameter(G)
-    coeffs = t3_coeffs_closed(n).as_row_tuple()
-    return _certified_counts(G, build_table(G), coeffs, "t", 3)
+    if n % 2:
+        identity, rotation = n**3 + 3 * n**2 + 4 * n, n**2 + 4 * n
+    else:
+        identity, rotation = n**3 + 6 * n**2 + 16 * n, 2 * n**2 + 16 * n
+    vals = []
+    for r in conjugacy_classes(G).reps:
+        if r == 0:
+            vals.append(identity)
+        elif r < n and (r % 2 == 0 or n % 2):
+            vals.append(rotation)
+        else:
+            vals.append(0)
+    return ClassCounts(G, tuple(vals), "t", 3)
 
 
 def _dihedral_parameter(G: GroupTable) -> int:

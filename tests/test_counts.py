@@ -1,9 +1,12 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from commcount import chars
 from commcount import counts as counts_module
 from commcount.chars import (
     CharacterTable,
@@ -12,6 +15,7 @@ from commcount.chars import (
     build_table,
     decompose,
     load_chartable,
+    save_chartable,
 )
 from commcount.cyclo import Cyclo, CycloArray, NotRationalError, cyclo_root
 from commcount.counts import (
@@ -21,7 +25,6 @@ from commcount.counts import (
     brute_t_n,
     conjecture_report,
     count_f_n,
-    count_t_n,
     f2_coeffs,
     f2_from_characters,
     f3_coeffs,
@@ -353,29 +356,69 @@ def test_ore_sets():
 
 
 def test_count_dispatch():
+    # count_f_n: the character formula at n = 2 and 3, brute force beyond
     G = make_group("symmetric:4")
-    assert count_f_n(G, 3, method="character") == brute_f_n(G, 3)
-    assert count_f_n(G, 2, method="auto") == brute_f_n(G, 2)
-    assert count_t_n(G, 4, method="character") == brute_t_n(G, 4)
-    t16 = count_t_n(G, 16, method="brute")
+    for n in (2, 3, 4):
+        assert count_f_n(G, n) == brute_f_n(G, n)
+    assert f3_from_characters(G) == brute_f_n(G, 3)
+    assert t_from_characters(G, 4) == brute_t_n(G, 4)
+    t16 = brute_t_n(G, 16)
     assert max(t16.values) > 2**63
-    assert count_t_n(G, 16, method="character") == t16
-    with pytest.raises(ValueError, match="n = 2 and n = 3"):
-        count_f_n(G, 4, method="character")
-    with pytest.raises(ValueError, match="unknown method"):
-        count_f_n(G, 2, method="guess")
+    assert t_from_characters(G, 16) == t16
 
-    # no table provider for a plain permutation group: auto falls back
+    # no table provider for a plain permutation group: count_f_n falls back
     P = make_group("perm:(1 2 3),(4 5 6)")
-    counts = count_f_n(P, 2, method="auto")
+    counts = count_f_n(P, 2)
     assert counts.at(0) == 81
     assert counts.support() == frozenset({0})
 
-    # a table over the size cap is refused, and auto answers by brute force
+    # a table over the size cap is refused, and count_f_n answers by brute force
     C = make_group("cyclic:420")
     with pytest.raises(TableProviderError, match="cap"):
-        count_f_n(C, 3, method="character")
+        f3_from_characters(C)
     assert count_f_n(C, 3) == brute_f_n(C, 3)
+
+
+def test_f3_coeffs_keeps_no_loaded_table_alive(tmp_path):
+    G = make_group("alternating:5")
+    path = tmp_path / "a5.json"
+    save_chartable(build_table(G), path)
+    T = load_chartable(path, G)
+    assert f3_coeffs(G, T) == (40, 64, 64, 84, 112)
+    loaded = weakref.ref(T)
+    del T
+    gc.collect()
+    assert loaded() is None
+
+
+def _f2_by_class_pairs(G):
+    """f_2 with no character table.  [x, y] = x^-1 x^y, and x^y runs over
+    the class c of x, each member |C(x)| times; x^-1 runs over the inverse
+    class c^-1, so summed over the class of g,
+    f_2(g) = sum over c of |C(r_c)| * |c^-1| * m[c^-1, c, [g]] / |[g]|,
+    with m[a, b, c] = #{y in class b : r_a * y in class c}."""
+    part = conjugacy_classes(G)
+    k, sizes = len(part), np.array(part.sizes)
+    inverse = np.array(part.class_of)[G.inv[np.array(part.reps)]]
+    ab, c, m = chars._class_pair_counts(G, part)
+    a, b = np.divmod(ab, k)
+    keep = a == inverse[b]
+    sums = np.zeros(k, dtype=np.int64)  # at most |G|^2 pairs in all
+    np.add.at(sums, c[keep], (G.order // sizes[b] * sizes[a] * m)[keep])
+    assert (sums % sizes == 0).all()
+    return tuple((sums // sizes).tolist())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    sweep_specs() + (
+        "symmetric:6", "symmetric:7", "alternating:6", "alternating:7",
+        "product:symmetric:4,dihedral:10", "perm:(1 2 3 4 5 6 7),(1 2)(3 6)",
+    ),
+)
+def test_brute_f2_matches_a_table_free_class_pair_oracle(spec, shared_group):
+    G = shared_group(spec)
+    assert _f2_by_class_pairs(G) == brute_f_n(G, 2).values
 
 
 def test_theta_is_conjugation_weighted():

@@ -1,5 +1,7 @@
 import pytest
 
+from commcount import chars
+from commcount import counts as counts_module
 from commcount.chars import ClassFunction, build_table, decompose
 from commcount.counts import (
     brute_f_n,
@@ -113,3 +115,28 @@ def test_rotation_values_match_brute():
         for s in range(1, (n - 1) // 2 + 1 if n % 2 else n // 2):
             if 2 * s < n:
                 assert counts.at((2 * s) % n) == f3_value_closed(n, s), (n, s)
+
+
+def _t3_on_the_closed_table(G):
+    """t_3 read through a character table: the closed coefficients against
+    the group's closed-form table, certified integral (validation changes no
+    entry, so the table is built unvalidated)."""
+    coeffs = t3_coeffs_closed(G.order // 2).as_row_tuple()
+    return counts_module._certified_counts(G, chars._build_unvalidated(G), coeffs, "t", 3)
+
+
+def test_closed_t3_equals_the_closed_coefficients_on_the_table():
+    # every n to 100, and all four residues mod 4 near 300
+    for n in [*range(3, 101), *range(290, 301)]:
+        G = make_group(f"dihedral:{n}")
+        assert t3_class_counts_closed(G) == _t3_on_the_closed_table(G), n
+
+
+def test_closed_t3_reads_no_table_and_equals_brute(monkeypatch):
+    def refuse(G):
+        raise AssertionError("a character table was built")
+
+    monkeypatch.setattr(chars, "_build_unvalidated", refuse)
+    for n in range(3, 61):
+        G = make_group(f"dihedral:{n}")
+        assert t3_class_counts_closed(G) == brute_t_n(G, 3), n

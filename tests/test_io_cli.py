@@ -410,6 +410,21 @@ def test_files_with_unreadable_literals_fail_fast(tmp_path, literal):
     assert got.stdout.startswith(f"ValueError {UNREADABLE_LITERALS[literal]}")
 
 
+def test_character_method_covers_f2_and_f3_only(capsys):
+    got = run_cli(capsys, "count", "--group", "symmetric:4", "--fn", "fn:4", "--method", "character")
+    assert got == (2, "", "error: character formulas cover n = 2 and n = 3 only\n")
+
+
+def test_tn_by_characters_prints_the_brute_values(capsys):
+    outputs = [
+        run_cli(capsys, "count", "--group", "symmetric:4", "--fn", "tn:4",
+                "--method", method, "--format", "csv")
+        for method in ("character", "brute")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 6
+
+
 def test_recursive_method_identity_only(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--group", "symmetric:4", "--fn", "fn:4",

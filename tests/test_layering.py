@@ -2,7 +2,9 @@
 module imports the package modules it needs at module level, and those
 imports form no cycle.  Character tables are validated at one site: only
 `_validated` runs `validate_table`, only `build_table` and `load_chartable`
-reach `_validated`, and no table provider goes through `build_table`."""
+reach `_validated`, and no table provider goes through `build_table`.
+Only `cli` dispatches on a method name, and the dihedral closed forms read
+no character table."""
 import ast
 from pathlib import Path
 
@@ -86,6 +88,18 @@ def _callers(name: str, trees=TREES) -> set[str]:
     return found
 
 
+def _takes_parameter(tree, name: str) -> list[str]:
+    """The functions, methods and lambdas of the tree with a parameter
+    called `name`."""
+    def names(args):
+        every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        return {a.arg for a in every if a is not None}
+
+    return [getattr(fn, "name", "<lambda>") for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            and name in names(fn.args)]
+
+
 def test_the_guard_reads_every_import_form():
     forms = {
         "from . import perms": ["perms"],
@@ -134,3 +148,23 @@ def test_tables_are_validated_at_one_site():
     assert providers >= {"_cyclic_table", "_dihedral_table", "_symmetric_table", "_tensor_table"}
     assert _callers("build_table") & (providers | {"_build_unvalidated"}) == set()
     assert "_tensor_table" in _callers("_build_unvalidated")
+
+
+def test_the_parameter_guard_reads_every_parameter_form():
+    tree = ast.parse(
+        "def f(method): pass\ndef g(*, method=1): pass\ndef h(a, /, method): pass\n"
+        "class C:\n    def m(self, **method): pass\nk = lambda method: 0\n"
+        "def n(a, methods=lambda: method): pass\ndef p(*method): pass\n"
+    )
+    assert _takes_parameter(tree, "method") == ["f", "g", "h", "p", "m", "<lambda>"]
+
+
+def test_only_the_cli_dispatches_on_a_method_name():
+    found = {name: _takes_parameter(tree, "method") for name, tree in TREES.items()
+             if name != "cli"}
+    assert {name: fns for name, fns in found.items() if fns} == {}
+
+
+def test_the_dihedral_closed_forms_import_nothing_from_chars():
+    imported = {m for node in ast.walk(TREES["dihedral"]) for m in _package_modules(node)}
+    assert imported and "chars" not in imported
