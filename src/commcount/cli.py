@@ -105,7 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="brute",
         choices=["brute", "character", "closed", "recursive"],
     )
-    p.add_argument("--subgroup", help="comma-separated generators")
+    p.add_argument(
+        "--subgroup", help="comma-separated generators: names, else cycles, else indices"
+    )
     p.add_argument("--format", default="table", choices=["json", "csv", "table"])
     p.set_defaults(func=cmd_count)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from itertools import count
 from math import gcd, isqrt, lcm, prod
 from operator import index
 
@@ -413,35 +412,26 @@ def is_prime(n: int) -> bool:
         return n in (2, 3, 5, 7)
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     d = (n - 1) >> s
-    return all(
-        pow(a, d, n) == 1 or any(pow(a, d << j, n) == n - 1 for j in range(s))
-        for a in (2, 3, 5, 7)
-    )
+    for a in (2, 3, 5, 7):
+        xs = [pow(a, d, n)]  # a^(d 2^j) mod n for j < s, each the last squared
+        for _ in range(s - 1):
+            xs.append(xs[-1] ** 2 % n)
+        if xs[0] != 1 and n - 1 not in xs:
+            return False
+    return True
 
 
 def split_primes(n: int, bound: int, ceiling: int) -> list[int]:
     """Primes p = 1 (mod n) below ceiling, descending, until their product
-    exceeds bound.  The primes found are kept per (n, ceiling), and a larger
-    bound resumes the search below the last candidate tested."""
-    search = _split_prime_search(n, ceiling)
-    found, total = search["found"], 1
-    for i in count():
-        while i == len(found):
-            p = search["next"]
-            if p < 2:
-                raise ArithmeticError(f"too few primes = 1 (mod {n}) below {ceiling}")
-            if is_prime(p):  # refuses p beyond its range before the search moves on
-                found.append(p)
-            search["next"] = p - n
-        total *= found[i]
-        if total > bound:
-            return found[: i + 1]
-
-
-@cache
-def _split_prime_search(n: int, ceiling: int) -> dict:
-    # the primes found so far, descending, and the next candidate to test
-    return {"found": [], "next": ceiling - 1 - (ceiling - 2) % n}
+    exceeds bound."""
+    found, total = [], 1
+    for p in range(ceiling - 1 - (ceiling - 2) % n, 1, -n):
+        if is_prime(p):  # refuses p beyond its range
+            found.append(p)
+            total *= p
+            if total > bound:
+                return found
+    raise ArithmeticError(f"too few primes = 1 (mod {n}) below {ceiling}")
 
 
 @cache

@@ -22,19 +22,6 @@ class DihedralCoeffs:
     n: int
     linear_coeff: int
     psi_coeffs: tuple[int, ...]
-    congruence_case: int
-
-    def __post_init__(self):
-        expected = (self.n - 1) // 2 if self.n % 2 else (self.n - 2) // 2
-        if len(self.psi_coeffs) != expected:
-            raise ValueError(
-                f"need {expected} psi coefficients for n={self.n}, "
-                f"got {len(self.psi_coeffs)}"
-            )
-        if self.congruence_case != self.n % 4:
-            raise ValueError("congruence_case must be n mod 4")
-        if self.linear_coeff <= 0 or any(c <= 0 for c in self.psi_coeffs):
-            raise ValueError("dihedral coefficients are positive")
 
     def as_row_tuple(self) -> tuple[int, ...]:
         """Coefficients aligned with the closed-form character table order
@@ -62,7 +49,7 @@ def f3_coeffs_closed(n: int) -> DihedralCoeffs:
     else:
         linear = (n * n + 4 * n + 20) // 2
         psis = tuple(n * n + 20 for _ in js)
-    return DihedralCoeffs(n, linear, psis, n % 4)
+    return DihedralCoeffs(n, linear, psis)
 
 
 def t3_coeffs_closed(n: int) -> DihedralCoeffs:
@@ -73,7 +60,7 @@ def t3_coeffs_closed(n: int) -> DihedralCoeffs:
         linear, psi = n * n + 3 * n, n * n + 2 * n
     else:
         linear, psi = n * n + 6 * n, n * n + 4 * n
-    return DihedralCoeffs(n, linear, (psi,) * half, n % 4)
+    return DihedralCoeffs(n, linear, (psi,) * half)
 
 
 def f3_value_closed(n: int, s: int | None = None) -> int:

@@ -39,26 +39,6 @@ class CycleDecomposition:
     even_cycles: tuple[tuple[int, ...], ...]
     odd_cycles: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.target)
-        if len(self.even_cycles) % 2:
-            raise ValueError("an even permutation has an even number of "
-                             "even-length cycles")
-        covered: set[int] = set()
-        for cyc in self.even_cycles + self.odd_cycles:
-            for i, point in enumerate(cyc):
-                if point in covered:
-                    raise ValueError(f"cycles overlap at point {point}")
-                covered.add(point)
-                if self.target[point] != cyc[(i + 1) % len(cyc)]:
-                    raise ValueError("cycle does not follow the permutation")
-        if covered != set(range(n)):
-            raise ValueError("cycles must cover every point")
-        if any(len(c) % 2 for c in self.even_cycles) or any(
-            not len(c) % 2 for c in self.odd_cycles
-        ):
-            raise ValueError("cycle placed in the wrong parity bucket")
-
 
 def decompose_cycles(p: tuple[int, ...]) -> CycleDecomposition:
     if not is_even(p):
@@ -151,8 +131,6 @@ def ore_triple_symmetric(n: int, g: tuple[int, ...]) -> PermTriple:
             blocks.append((cyc, _solve_odd_cycle(len(cyc))))
     ordered = sorted(deco.even_cycles, key=len)
     for c1, c2 in zip(ordered[0::2], ordered[1::2]):
-        if len(c1) > len(c2):
-            c1, c2 = c2, c1
         blocks.append((c1 + c2, _EVEN_PAIR_TRIPLES[len(c1), len(c2)]))
 
     x1 = x2 = x3 = identity(n)

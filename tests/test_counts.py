@@ -460,6 +460,12 @@ def test_naive_enumeration_matches_pruned_search():
     for spec, n in (("dihedral:12", 4), ("dihedral:20", 4), ("quaternion", 5)):
         G = make_group(spec)
         assert naive_f_n(G, n) == brute_f_n(G, n), (spec, n)
+    # from n = 6 on, a head of n - 3 entries has pairs whose commutators
+    # can disagree, and the oracle skips those heads
+    for spec in ("symmetric:3", "dihedral:3", "dihedral:4", "quaternion"):
+        G = make_group(spec)
+        for n in (6, 7):
+            assert naive_f_n(G, n) == brute_f_n(G, n), (spec, n)
 
 
 def pair_weights(G, a):

@@ -491,8 +491,7 @@ def _uncached_split_primes(n, bound, ceiling):
 
 @pytest.mark.parametrize("n, ceiling", [(1, 10**4), (12, 10**5), (240, 10**6), (7, 3000)])
 def test_cached_split_primes_equal_a_fresh_search(n, ceiling):
-    # smaller bounds first, then larger ones that resume the search, then
-    # smaller ones again read from what is kept
+    # bounds in mixed order, so a call cannot lean on the ones before it
     for bound in (10, 10**3, 10**40, 10**6, 1, 10**80, 10**20):
         try:
             want = _uncached_split_primes(n, bound, ceiling)

@@ -415,6 +415,51 @@ def test_character_method_covers_f2_and_f3_only(capsys):
     assert got == (2, "", "error: character formulas cover n = 2 and n = 3 only\n")
 
 
+@pytest.mark.parametrize(
+    "argv, code, last",
+    [
+        (("count", "--group", "dihedral:3", "--fn", "fn:1"), 2,
+         "error: n must be at least 2"),
+        (("count", "--group", "dihedral:3", "--fn", "t3", "--method", "recursive"), 2,
+         "error: the recursive method computes f_n(1) only"),
+        (("bench", "--group", "dihedral:3", "--fn", "t3", "--methods", "brute,brute-naive"), 2,
+         "error: the naive oracle covers f_n only"),
+        (("count", "--group", "dihedral:3", "--fn", "f2", "--method", "closed"), 2,
+         "error: closed forms cover f3 and t3 only"),
+        (("count", "--group", "quaternion", "--fn", "f3", "--subgroup", "i",
+          "--method", "character"), 2,
+         "error: --subgroup works with f-counts and --method brute"),
+        (("count", "--group", "alternating:4", "--fn", "f2", "--subgroup", "(1 2)"), 2,
+         "error: (1 2) is not an element of alternating:4"),
+        (("count", "--group", "dihedral:4", "--fn", "f2", "--subgroup", "9"), 2,
+         "error: element index 9 out of range for dihedral:4"),
+        (("bounds", "--group", "cyclic:4"), 0, "no bound records (abelian group)"),
+        (("bench", "--group", "dihedral:3", "--methods", "brute"), 2,
+         "error: bench needs at least two methods to compare"),
+        (("bench", "--group", "dihedral:3", "--methods", "brute,foo"), 2,
+         "error: unknown bench method 'foo'"),
+    ],
+)
+def test_cli_refusals_and_edge_messages(capsys, argv, code, last):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, (out + err).splitlines()[-1]) == (code, last)
+
+
+@pytest.mark.parametrize(
+    "spec, token, members",
+    [
+        ("dihedral:4", "1", ["1"]),  # the identity's name
+        ("dihedral:4", "2", ["1", "a^2"]),  # no element is named 2: an index
+        ("symmetric:3", "1", ["()", "(2 3)"]),  # no element is named 1: an index
+    ],
+)
+def test_subgroup_tokens_are_names_then_cycles_then_indices(capsys, spec, token, members):
+    code, out, _ = run_cli(
+        capsys, "count", "--group", spec, "--fn", "f2", "--format", "json", "--subgroup", token,
+    )
+    assert (code, json.loads(out)["subgroup"]) == (0, members)
+
+
 def test_tn_by_characters_prints_the_brute_values(capsys):
     outputs = [
         run_cli(capsys, "count", "--group", "symmetric:4", "--fn", "tn:4",

@@ -4,7 +4,9 @@ imports form no cycle.  Character tables are validated at one site: only
 `_validated` runs `validate_table`, only `build_table` and `load_chartable`
 reach `_validated`, and no table provider goes through `build_table`.
 Only `cli` dispatches on a method name, and the dihedral closed forms read
-no character table."""
+no character table.  Caches hold finished values: no ``functools.cache``
+function returns a dict, list or set display or comprehension, which a
+caller could change or a later call could resume."""
 import ast
 from pathlib import Path
 
@@ -100,6 +102,31 @@ def _takes_parameter(tree, name: str) -> list[str]:
             and name in names(fn.args)]
 
 
+def _cached_mutable_returns(tree) -> list[str]:
+    """The ``cache`` or ``lru_cache`` functions of the tree that return a
+    dict, list or set display or comprehension, nested functions aside."""
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+    def cached(fn):
+        for d in fn.decorator_list:
+            d = d.func if isinstance(d, ast.Call) else d
+            if getattr(d, "id", getattr(d, "attr", None)) in ("cache", "lru_cache"):
+                return True
+        return False
+
+    def returns(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Return) and isinstance(child.value, mutable):
+                yield child
+            yield from returns(child)
+
+    return [fn.name for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and cached(fn) and any(returns(fn))]
+
+
 def test_the_guard_reads_every_import_form():
     forms = {
         "from . import perms": ["perms"],
@@ -168,3 +195,20 @@ def test_only_the_cli_dispatches_on_a_method_name():
 def test_the_dihedral_closed_forms_import_nothing_from_chars():
     imported = {m for node in ast.walk(TREES["dihedral"]) for m in _package_modules(node)}
     assert imported and "chars" not in imported
+
+
+def test_the_cache_guard_reads_decorators_and_return_forms():
+    tree = ast.parse(
+        "@cache\ndef a(n):\n    return {'next': n}\n"
+        "@functools.cache\ndef b(n):\n    if n:\n        return [n]\n    return ()\n"
+        "@lru_cache(maxsize=None)\ndef c(n):\n    return {i for i in range(n)}\n"
+        "@cache\ndef d(n):\n    return tuple([n])\n"
+        "@cache\ndef e(n):\n    def inner():\n        return []\n    return inner\n"
+        "def f(n):\n    return []\n"
+    )
+    assert _cached_mutable_returns(tree) == ["a", "b", "c"]
+
+
+def test_caches_hold_finished_values():
+    found = {name: _cached_mutable_returns(tree) for name, tree in TREES.items()}
+    assert {name: fns for name, fns in found.items() if fns} == {}

@@ -19,7 +19,6 @@ from commcount.perms import (
 )
 from commcount.triples import (
     _EVEN_PAIR_TRIPLES,
-    CycleDecomposition,
     decompose_cycles,
     ore_triple_symmetric,
 )
@@ -222,23 +221,3 @@ def test_decompose_cycles():
 
     with pytest.raises(ValueError, match="odd"):
         decompose_cycles((1, 0, 2))
-
-
-def test_decomposition_validation():
-    g = parse_cycles("(1 2)(3 4)", 4)
-    with pytest.raises(ValueError, match="even number"):
-        CycleDecomposition(g, ((0, 1),), ((2,), (3,)))
-    with pytest.raises(ValueError, match="cover"):
-        CycleDecomposition(g, (), ())
-    with pytest.raises(ValueError, match="overlap"):
-        CycleDecomposition(g, ((0, 1), (1, 2)), ())
-    with pytest.raises(ValueError, match="follow"):
-        CycleDecomposition(
-            parse_cycles("(1 2 3 4)(5 6)", 6), ((0, 2, 1, 3), (4, 5)), ()
-        )
-    with pytest.raises(ValueError, match="parity bucket"):
-        CycleDecomposition(
-            parse_cycles("(1 2 3)(4 5 6)", 6), ((0, 1, 2), (3, 4, 5)), ()
-        )
-    # a correct decomposition passes
-    CycleDecomposition(g, ((0, 1), (2, 3)), ())
